@@ -23,7 +23,7 @@ import numpy as np
 from buildlag.boundary import Boundary
 from buildlag.cli import main as cli
 from buildlag.demand import TimeGrid, sample_paths
-from buildlag.montecarlo import _base_rule
+from buildlag.montecarlo import fast_rule
 from buildlag.scenarios import get
 
 
@@ -72,7 +72,7 @@ def _committed(cfg, horizon, n_paths):
     vals, rmax = sample_paths(sc.model, sc.d, grid, cfg.mc.seed, n_paths,
                               max_refine="bridge")
     bound = Boundary(sc.model, sc.rho, sc.h, sc.q0)
-    rule = _base_rule(sc, bound)
+    rule = fast_rule(sc, bound)
     committed = np.maximum.accumulate(
         np.maximum(sc.committed_start, rule(rmax)), axis=1
     )

@@ -46,10 +46,12 @@ from .montecarlo import (
     EquilibriumReport,
     IdentityReport,
     PolicySpec,
+    check_battery,
     dominance_test,
     equilibrium_check,
     estimate_F,
     estimate_G_plus_J,
+    fast_rule,
     identity_check,
     running_cost,
 )

@@ -40,7 +40,7 @@ from .demand import (
     drift_affine,
     validate,
 )
-from .errors import DomainError, NumericsError, ParameterError
+from .errors import DomainError, NumericsError, ParameterError, require_finite
 from .kummer import psi_ratio_second
 
 __all__ = [
@@ -105,6 +105,7 @@ class Boundary:
     """
 
     def __init__(self, model: DemandModel, rho: float, h: float, q0: float):
+        require_finite("Boundary", rho=rho, h=h, q0=q0)
         validate(model, rho)
         if not h >= 0.0:
             raise ParameterError(f"need h >= 0, got h={h}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_finite
 
 __all__ = [
     "ABM",
@@ -52,6 +52,7 @@ class ABM:
     sigma: float
 
     def __post_init__(self) -> None:
+        require_finite("ABM", mu=self.mu, sigma=self.sigma)
         if not self.sigma > 0.0:
             raise ParameterError(f"ABM needs sigma > 0, got sigma={self.sigma}")
 
@@ -70,6 +71,7 @@ class GBM:
     sigma: float
 
     def __post_init__(self) -> None:
+        require_finite("GBM", mu=self.mu, sigma=self.sigma)
         if not self.sigma > 0.0:
             raise ParameterError(f"GBM needs sigma > 0, got sigma={self.sigma}")
 
@@ -96,6 +98,7 @@ class CIR:
     sigma: float
 
     def __post_init__(self) -> None:
+        require_finite("CIR", gamma=self.gamma, delta=self.delta, sigma=self.sigma)
         if not (self.gamma > 0.0 and self.delta > 0.0 and self.sigma > 0.0):
             raise ParameterError(
                 f"CIR needs gamma, delta, sigma > 0, got "
@@ -181,6 +184,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
+        require_finite("TimeGrid", t0=self.t0, dt=self.dt)
         if not self.dt > 0.0:
             raise ParameterError(f"need dt > 0, got dt={self.dt}")
         if not self.n_steps >= 1:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-value guard."""
+
+import math
 
 
 class ParameterError(ValueError):
@@ -26,3 +28,11 @@ class TruncationError(RuntimeError):
 
 class StepError(ValueError):
     """A finite-difference step left the admissible parameter region."""
+
+
+def require_finite(owner: str, **values: float) -> None:
+    """Raise ParameterError naming the first of `values` that is nan or
+    infinite; `owner` names the object being built."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{owner} needs finite {name}, got {name}={value}")

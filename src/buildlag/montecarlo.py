@@ -50,11 +50,13 @@ __all__ = [
     "DominanceReport",
     "EquilibriumReport",
     "running_cost",
+    "fast_rule",
     "estimate_F",
     "estimate_G_plus_J",
     "identity_check",
     "dominance_test",
     "equilibrium_check",
+    "check_battery",
 ]
 
 
@@ -144,7 +146,6 @@ class EquilibriumReport:
     mode: str
     revenue: float
     std_error: float
-    revenue_from_zero: float
     q0: float
     passed: bool
 
@@ -189,7 +190,7 @@ def _alpha_tail(model, d0: float, rho: float, T: float) -> float:
     )
 
 
-def _base_rule(scenario: Scenario, boundary: Boundary) -> Callable:
+def fast_rule(scenario: Scenario, boundary: Boundary) -> Callable:
     """Boundary evaluator for hot loops: exact for the affine boundaries,
     a dense interpolation table for the square-root model."""
     if isinstance(scenario.model, CIR):
@@ -200,94 +201,135 @@ def _base_rule(scenario: Scenario, boundary: Boundary) -> Callable:
     return boundary.eval
 
 
-class _Batch:
-    """Per-path functionals for several policies on one common path batch.
+@dataclass(frozen=True)
+class _Request:
+    """One policy run to one horizon, and the per-path functionals wanted
+    from it: any of "F", "GJ" and "rev_h"."""
+
+    policy: PolicySpec
+    horizon: float
+    wants: tuple[str, ...]
+
+
+@dataclass
+class _Functionals:
+    """Per-path values of the functionals a request wanted (None for the
+    others), the grid horizon, and the tail bounds of F and G+J."""
+
+    horizon: float
+    F: np.ndarray | None = None
+    GJ: np.ndarray | None = None
+    rev_h: np.ndarray | None = None
+    tail_F: float = 0.0
+    tail_G: float = 0.0
+
+
+def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
+    """Serve every request from one path batch; returns one _Functionals
+    per request, in order.
+
+    Paths are drawn once per block, on the grid of the longest request.
+    The per-path streams are prefix-consistent and the policy is causal, so
+    a shorter request reads exact prefixes of the same paths and of the same
+    committed capacity.  Each distinct policy is evaluated once per block,
+    on the longest prefix its requests need, and freed before the next.
 
     Paths are sampled with bridge-refined running maxima by default: the
     policy reads the continuous-time running max, whose grid version is
     biased low by O(sqrt(dt)) and would systematically distort the marginal
     revenue integrand.
     """
+    if n_paths < 1:
+        raise ParameterError(f"need n_paths >= 1, got {n_paths}")
+    h, rho = scenario.h, scenario.rho
+    dt = _default_dt(h) if dt is None else float(dt)
+    lag = lag_steps(TimeGrid(0.0, dt, 1), h)
+    steps = [max(1, math.ceil(r.horizon / dt - 1e-9)) for r in requests]
+    n_tot = max(steps) + lag
+    grid = TimeGrid(0.0, dt, n_tot)
+    times = grid.times()
+    disc = np.exp(-rho * times)
 
-    def __init__(self, scenario, rules, horizon, n_paths, seed, dt, scheme,
-                 max_refine="bridge"):
-        if n_paths < 1:
-            raise ParameterError(f"need n_paths >= 1, got {n_paths}")
-        h, rho = scenario.h, scenario.rho
-        dt = _default_dt(h) if dt is None else float(dt)
-        probe = TimeGrid(0.0, dt, 1)
-        lag = lag_steps(probe, h)
-        n_T = max(1, math.ceil(horizon / dt - 1e-9))
-        self.horizon = n_T * dt
-        n_tot = n_T + lag
-        grid = TimeGrid(0.0, dt, n_tot)
-        times = grid.times()
-        disc = np.exp(-rho * times)
+    def trap(n):
+        w = np.full(n + 1, dt)
+        w[0] = w[-1] = 0.5 * dt
+        return w
 
-        def trap(n):
-            w = np.full(n + 1, dt)
-            w[0] = w[-1] = 0.5 * dt
-            return w
+    aw = trap(lag) * disc[: lag + 1]
+    k0 = pipeline_levels(scenario.k, scenario.pipeline, h, times[: lag + 1])
+    c0 = scenario.committed_start
+    q0 = scenario.q0
+    egh = math.exp(-rho * h)
+    model, d0 = scenario.model, scenario.d
 
-        aw = trap(lag) * disc[: lag + 1]
-        bw = trap(n_T) * disc[lag:]
-        gw = trap(n_T) * disc[: n_T + 1]
-        fw = trap(n_tot) * disc
-        k0 = pipeline_levels(scenario.k, scenario.pipeline, h, times[: lag + 1])
-        c0 = scenario.committed_start
-        q0 = scenario.q0
-        egh = math.exp(-rho * h)
-        model, d0 = scenario.model, scenario.d
+    def reach(*names):
+        # longest prefix read by a request wanting any of `names`; -1 if none
+        wanted = [n for r, n in zip(requests, steps) if any(x in r.wants for x in names)]
+        return max(wanted, default=-1)
 
-        n_rules = len(rules)
-        self.F = np.empty((n_rules, n_paths))
-        self.GJ = np.empty((n_rules, n_paths))
-        self.rev_h = np.empty((n_rules, n_paths))
-        self.rev_0 = np.empty((n_rules, n_paths))
-        loss_last = np.zeros(n_rules)
-        g_last = np.zeros(n_rules)
+    n_b0, n_a0 = reach("GJ", "rev_h"), reach("GJ")
+    out = [_Functionals(n * dt, **{w: np.empty(n_paths) for w in r.wants})
+           for r, n in zip(requests, steps)]
+    loss_last = np.zeros(len(requests))
+    g_last = np.zeros(len(requests))
+    members: dict[PolicySpec, list[int]] = {}
+    for j, r in enumerate(requests):
+        members.setdefault(r.policy, []).append(j)
 
-        children = np.random.SeedSequence(seed).spawn(n_paths)
-        block = max(64, int(3_000_000 / (n_tot + 1)))
-        for i0 in range(0, n_paths, block):
-            i1 = min(i0 + block, n_paths)
-            vals, rmax_all = _path_matrix(
-                model, d0, grid, children[i0:i1], scheme, max_refine
-            )
-            rmax = rmax_all[:, : n_T + 1]
-            loss_a = 0.5 * ((vals[:, : lag + 1] - k0) ** 2) @ aw
-            head = vals[:, : n_T + 1]
-            b0m = beta0(model, head, h)
-            a0m = alpha0(model, head, h)
-            for r, rule in enumerate(rules):
-                C = np.maximum.accumulate(np.maximum(c0, rule(rmax)), axis=1)
-                dI = np.empty_like(C)
-                dI[:, 0] = C[:, 0] - c0
-                dI[:, 1:] = np.diff(C, axis=1)
-                inv = q0 * (dI @ disc[: n_T + 1])
-                resid = C - vals[:, lag:]
-                self.F[r, i0:i1] = loss_a + 0.5 * (resid**2) @ bw + inv
-                gmat = 0.5 * egh * (C * C - 2.0 * b0m * C + a0m)
-                self.GJ[r, i0:i1] = loss_a + gmat @ gw + inv
-                self.rev_h[r, i0:i1] = egh * ((b0m - C) @ gw)
-                kfull = np.empty_like(vals)
-                kfull[:, :lag] = k0[:lag]
-                kfull[:, lag:] = C
-                self.rev_0[r, i0:i1] = (vals - kfull) @ fw
-                loss_last[r] += float(np.sum(0.5 * resid[:, -1] ** 2))
-                g_last[r] += float(np.sum(gmat[:, -1]))
+    def serve(j, C, vals, b0m, a0m, loss_a, rows):
+        # request j's functionals on this block's rows, from C, its prefix
+        # of committed capacity
+        n, res, wants = steps[j], out[j], requests[j].wants
+        gw = trap(n) * disc[: n + 1]
+        if "F" in wants or "GJ" in wants:
+            dI = np.empty_like(C)
+            dI[:, 0] = C[:, 0] - c0
+            dI[:, 1:] = np.diff(C, axis=1)
+            inv = q0 * (dI @ disc[: n + 1])
+        if "F" in wants:
+            bw = trap(n) * disc[lag : lag + n + 1]
+            resid = C - vals[:, lag : lag + n + 1]
+            res.F[rows] = loss_a + 0.5 * (resid**2) @ bw + inv
+            loss_last[j] += float(np.sum(0.5 * resid[:, -1] ** 2))
+        if "GJ" in wants:
+            gmat = 0.5 * egh * (C * C - 2.0 * b0m[:, : n + 1] * C + a0m[:, : n + 1])
+            res.GJ[rows] = loss_a + gmat @ gw + inv
+            g_last[j] += float(np.sum(gmat[:, -1]))
+        if "rev_h" in wants:
+            res.rev_h[rows] = egh * ((b0m[:, : n + 1] - C) @ gw)
 
-        t_end = self.horizon + lag * dt
-        a_end = float(alpha0(model, d0, t_end))
-        ratio = _alpha_tail(model, d0, rho, t_end) / a_end
-        self.tail_F = loss_last / n_paths * ratio
-        self.tail_G = g_last / n_paths * math.exp(rho * h) * ratio
+    children = np.random.SeedSequence(seed).spawn(n_paths)
+    block = max(64, int(3_000_000 / (n_tot + 1)))
+    for i0 in range(0, n_paths, block):
+        rows = slice(i0, min(i0 + block, n_paths))
+        vals, rmax = _path_matrix(model, d0, grid, children[rows], scheme, max_refine)
+        loss_a = 0.5 * ((vals[:, : lag + 1] - k0) ** 2) @ aw
+        b0m = beta0(model, vals[:, : n_b0 + 1], h)
+        a0m = alpha0(model, vals[:, : n_a0 + 1], h)
+        for policy, js in members.items():
+            rule, n = policy.rule(base), max(steps[j] for j in js)
+            C = np.maximum.accumulate(np.maximum(c0, rule(rmax[:, : n + 1])), axis=1)
+            for j in js:
+                serve(j, C[:, : steps[j] + 1], vals, b0m, a0m, loss_a, rows)
+            del C
+
+    for j, res in enumerate(out):
+        t_end = res.horizon + lag * dt
+        ratio = _alpha_tail(model, d0, rho, t_end) / float(alpha0(model, d0, t_end))
+        res.tail_F = loss_last[j] / n_paths * ratio
+        res.tail_G = g_last[j] / n_paths * math.exp(rho * h) * ratio
+    return out
+
+
+def _se(per_path: np.ndarray) -> float:
+    n = per_path.size
+    return float(np.std(per_path, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
 def _summary(per_path: np.ndarray, horizon: float, tail: float) -> CostEstimate:
-    n = per_path.size
-    se = float(np.std(per_path, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return CostEstimate(float(np.mean(per_path)), se, n, horizon, float(tail))
+    return CostEstimate(
+        float(np.mean(per_path)), _se(per_path), per_path.size, horizon, float(tail)
+    )
 
 
 def _tail_guard(est: CostEstimate, name: str) -> None:
@@ -298,14 +340,76 @@ def _tail_guard(est: CostEstimate, name: str) -> None:
         )
 
 
-def _prepare(scenario, policy, horizon, rule_scale=1.0):
+def _prepare(scenario, rule_scale=1.0):
+    """The fast rule for the scenario's boundary, times rule_scale."""
     bound = Boundary(scenario.model, scenario.rho, scenario.h, scenario.q0)
-    base = _base_rule(scenario, bound)
+    base = fast_rule(scenario, bound)
     if rule_scale != 1.0:
         inner = base
         base = lambda d: rule_scale * inner(d)
-    T = 5.0 / scenario.rho if horizon is None else float(horizon)
-    return bound, base, T
+    return base
+
+
+def _horizon(scenario, horizon):
+    return 5.0 / scenario.rho if horizon is None else float(horizon)
+
+
+def _dominance_requests(offsets, horizon):
+    if 0.0 not in offsets:
+        raise ParameterError("offsets must include 0")
+    # offset 0 is the optimal policy itself: adding 0.0 changes no value
+    return [
+        _Request(PolicySpec.shifted(e) if e else PolicySpec.optimal(), horizon, ("F",))
+        for e in offsets
+    ]
+
+
+def _identity_report(res: _Functionals) -> IdentityReport:
+    f = _summary(res.F, res.horizon, res.tail_F)
+    gj = _summary(res.GJ, res.horizon, res.tail_G)
+    diff = res.F - res.GJ
+    tol = 3.0 * (f.std_error + gj.std_error)
+    return IdentityReport(
+        f=f,
+        gj=gj,
+        diff_mean=float(np.mean(diff)),
+        diff_se=_se(diff),
+        tolerance=tol,
+        passed=bool(abs(f.mean - gj.mean) <= tol),
+    )
+
+
+def _dominance_report(offsets, results) -> DominanceReport:
+    ref = results[offsets.index(0.0)].F
+    rows = []
+    for e, res in zip(offsets, results):
+        diff = res.F - ref
+        se = _se(diff)
+        delta = float(np.mean(diff))
+        rows.append(
+            DominanceRow(
+                offset=e,
+                mean_cost=float(np.mean(res.F)),
+                delta=delta,
+                paired_se=se,
+                passed=bool(delta >= -3.0 * se),
+            )
+        )
+    return DominanceReport(rows=tuple(rows), passed=all(r.passed for r in rows))
+
+
+def _equilibrium_report(scenario, base, res: _Functionals) -> EquilibriumReport:
+    mean = float(np.mean(res.rev_h))
+    se = _se(res.rev_h)
+    chat0 = float(np.asarray(base(np.asarray(scenario.d, dtype=float))))
+    on_boundary = scenario.committed_start <= chat0 + 1e-9 * max(1.0, abs(chat0))
+    if on_boundary:
+        mode, passed = "boundary", bool(abs(mean - scenario.q0) <= 3.0 * se)
+    else:
+        mode, passed = "continuation", bool(mean < scenario.q0 - 3.0 * se)
+    return EquilibriumReport(
+        mode=mode, revenue=mean, std_error=se, q0=scenario.q0, passed=passed
+    )
 
 
 def estimate_F(
@@ -322,10 +426,10 @@ def estimate_F(
 ) -> CostEstimate:
     """Full-cost estimate: quadratic loss on [0, T+h] plus investment
     (including the t=0 atom) on [0, T]."""
-    _, base, T = _prepare(scenario, policy, horizon)
-    batch = _Batch(scenario, [policy.rule(base)], T, n_paths, seed, dt, scheme,
-                   max_refine)
-    est = _summary(batch.F[0], batch.horizon, batch.tail_F[0])
+    req = _Request(policy, _horizon(scenario, horizon), ("F",))
+    (res,) = _run(scenario, _prepare(scenario), [req], n_paths, seed, dt, scheme,
+                  max_refine)
+    est = _summary(res.F, res.horizon, res.tail_F)
     if tail_check:
         _tail_guard(est, "estimate_F")
     return est
@@ -345,10 +449,10 @@ def estimate_G_plus_J(
 ) -> CostEstimate:
     """Reduced-form estimate: closed-form running cost g on [0, T], the
     pipeline-window integral J on [0, h], and the same investment term."""
-    _, base, T = _prepare(scenario, policy, horizon)
-    batch = _Batch(scenario, [policy.rule(base)], T, n_paths, seed, dt, scheme,
-                   max_refine)
-    est = _summary(batch.GJ[0], batch.horizon, batch.tail_G[0])
+    req = _Request(policy, _horizon(scenario, horizon), ("GJ",))
+    (res,) = _run(scenario, _prepare(scenario), [req], n_paths, seed, dt, scheme,
+                  max_refine)
+    est = _summary(res.GJ, res.horizon, res.tail_G)
     if tail_check:
         _tail_guard(est, "estimate_G_plus_J")
     return est
@@ -374,22 +478,10 @@ def identity_check(
     here for symmetry with the dominance and equilibrium checks, where a
     scaled boundary is a negative control that must fail.
     """
-    _, base, T = _prepare(scenario, policy, horizon, rule_scale)
-    batch = _Batch(scenario, [policy.rule(base)], T, n_paths, seed, dt, scheme,
-                   max_refine)
-    f = _summary(batch.F[0], batch.horizon, batch.tail_F[0])
-    gj = _summary(batch.GJ[0], batch.horizon, batch.tail_G[0])
-    diff = batch.F[0] - batch.GJ[0]
-    diff_se = float(np.std(diff, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    tol = 3.0 * (f.std_error + gj.std_error)
-    return IdentityReport(
-        f=f,
-        gj=gj,
-        diff_mean=float(np.mean(diff)),
-        diff_se=diff_se,
-        tolerance=tol,
-        passed=bool(abs(f.mean - gj.mean) <= tol),
-    )
+    req = _Request(policy, _horizon(scenario, horizon), ("F", "GJ"))
+    (res,) = _run(scenario, _prepare(scenario, rule_scale), [req], n_paths, seed,
+                  dt, scheme, max_refine)
+    return _identity_report(res)
 
 
 def dominance_test(
@@ -411,27 +503,10 @@ def dominance_test(
     With rule_scale != 1 the unshifted policy is deliberately wrong and some
     offset should beat it: a negative control for this very test."""
     offsets = [float(e) for e in offsets]
-    if 0.0 not in offsets:
-        raise ParameterError("offsets must include 0")
-    _, base, T = _prepare(scenario, PolicySpec.optimal(), horizon, rule_scale)
-    rules = [PolicySpec.shifted(e).rule(base) for e in offsets]
-    batch = _Batch(scenario, rules, T, n_paths, seed, dt, scheme, max_refine)
-    ref = batch.F[offsets.index(0.0)]
-    rows = []
-    for i, e in enumerate(offsets):
-        diff = batch.F[i] - ref
-        se = float(np.std(diff, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-        delta = float(np.mean(diff))
-        rows.append(
-            DominanceRow(
-                offset=e,
-                mean_cost=float(np.mean(batch.F[i])),
-                delta=delta,
-                paired_se=se,
-                passed=bool(delta >= -3.0 * se),
-            )
-        )
-    return DominanceReport(rows=tuple(rows), passed=all(r.passed for r in rows))
+    reqs = _dominance_requests(offsets, _horizon(scenario, horizon))
+    results = _run(scenario, _prepare(scenario, rule_scale), reqs, n_paths, seed,
+                   dt, scheme, max_refine)
+    return _dominance_report(offsets, results)
 
 
 def equilibrium_check(
@@ -452,25 +527,44 @@ def equilibrium_check(
     the demand slope) is E int e^(-rho t) e^(-rho h) (beta0(D_t) - C*_t) dt,
     the inner lag-h expectation taken in closed form via beta0.  On the
     boundary this equals q0; strictly inside the continuation region it
-    falls short.  The naive from-zero reading int e^(-rho t) (D_t - K_t) dt
-    is also reported for comparison but carries no pass verdict.
+    falls short.
     """
-    bound, base, T = _prepare(scenario, PolicySpec.optimal(), horizon, rule_scale)
-    batch = _Batch(scenario, [base], T, n_paths, seed, dt, scheme, max_refine)
-    rev = batch.rev_h[0]
-    mean = float(np.mean(rev))
-    se = float(np.std(rev, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    chat0 = float(np.asarray(base(np.asarray(scenario.d, dtype=float))))
-    on_boundary = scenario.committed_start <= chat0 + 1e-9 * max(1.0, abs(chat0))
-    if on_boundary:
-        mode, passed = "boundary", bool(abs(mean - scenario.q0) <= 3.0 * se)
-    else:
-        mode, passed = "continuation", bool(mean < scenario.q0 - 3.0 * se)
-    return EquilibriumReport(
-        mode=mode,
-        revenue=mean,
-        std_error=se,
-        revenue_from_zero=float(np.mean(batch.rev_0[0])),
-        q0=scenario.q0,
-        passed=passed,
+    base = _prepare(scenario, rule_scale)
+    req = _Request(PolicySpec.optimal(), _horizon(scenario, horizon), ("rev_h",))
+    (res,) = _run(scenario, base, [req], n_paths, seed, dt, scheme, max_refine)
+    return _equilibrium_report(scenario, base, res)
+
+
+def check_battery(
+    scenario: Scenario,
+    offsets,
+    *,
+    horizon: float | None = None,
+    equilibrium_horizon: float | None = None,
+    n_paths: int = 10_000,
+    seed: int = 0,
+    rule_scale: float = 1.0,
+) -> tuple[IdentityReport, DominanceReport, EquilibriumReport]:
+    """identity_check at its default horizon, dominance_test(offsets,
+    horizon) and equilibrium_check(equilibrium_horizon), with the rule
+    scaled by rule_scale, from one path batch, one Boundary and one rule
+    table.
+
+    Each report equals its standalone check's.  Bit for bit only while
+    n_paths fits in one block of paths (949 on the 150-year verify grid):
+    past that the blocks split differently, and a matrix-vector product may
+    round a path's value differently in the last bit.
+    """
+    offsets = [float(e) for e in offsets]
+    base = _prepare(scenario, rule_scale)
+    reqs = [
+        _Request(PolicySpec.optimal(), _horizon(scenario, None), ("F", "GJ")),
+        *_dominance_requests(offsets, _horizon(scenario, horizon)),
+        _Request(PolicySpec.optimal(), _horizon(scenario, equilibrium_horizon), ("rev_h",)),
+    ]
+    results = _run(scenario, base, reqs, n_paths, seed, None, "exact", "bridge")
+    return (
+        _identity_report(results[0]),
+        _dominance_report(offsets, results[1:-1]),
+        _equilibrium_report(scenario, base, results[-1]),
     )

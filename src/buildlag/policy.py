@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .demand import DemandModel, DemandPath, TimeGrid, in_state_space, validate
-from .errors import GridError, ParameterError
+from .errors import GridError, ParameterError, require_finite
 
 __all__ = [
     "Pipeline",
@@ -53,6 +53,8 @@ class Pipeline:
             raise ParameterError("pipeline times must be strictly increasing")
         if any(t >= 0.0 for t in times):
             raise ParameterError("pipeline times must be < 0")
+        for t, s in zip(times, sizes):
+            require_finite("Pipeline", time=t, size=s)
         if any(s < 0.0 for s in sizes):
             raise ParameterError("pipeline sizes must be >= 0")
 
@@ -76,6 +78,10 @@ class Scenario:
     theta: float = 1.0
 
     def __post_init__(self):
+        require_finite(
+            "Scenario", rho=self.rho, h=self.h, q0=self.q0, k=self.k, d=self.d,
+            eta=self.eta, theta=self.theta,
+        )
         validate(self.model, self.rho)
         if not self.h > 0.0:
             raise ParameterError(f"need h > 0, got h={self.h}")

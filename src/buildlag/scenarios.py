@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .demand import ABM, CIR, GBM, DemandModel, TimeGrid
-from .errors import ParameterError
+from .errors import ParameterError, require_finite
 from .policy import Pipeline, Scenario
 
 __all__ = [
@@ -46,8 +46,10 @@ class MCSettings:
             raise ParameterError(f"need integer n_paths >= 1, got {self.n_paths!r}")
         if not isinstance(self.seed, int):
             raise ParameterError(f"need integer seed, got {self.seed!r}")
-        if self.horizon is not None and not self.horizon > 0.0:
-            raise ParameterError(f"need horizon > 0, got {self.horizon}")
+        if self.horizon is not None:
+            require_finite("MCSettings", horizon=self.horizon)
+            if not self.horizon > 0.0:
+                raise ParameterError(f"need horizon > 0, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -210,9 +212,13 @@ def dumps(config: RunConfig) -> str:
     return json.dumps(to_dict(config), sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
+def _reject_constant(name: str):
+    raise ParameterError(f"invalid JSON: non-finite literal {name} is not accepted")
+
+
 def loads(text: str) -> RunConfig:
     try:
-        d = json.loads(text)
+        d = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"invalid JSON: {exc}") from exc
     return from_dict(d)

@@ -142,6 +142,14 @@ def test_invalid_parameters_rejected():
         Boundary(GBM(0.05, 0.2), 0.08, 1.0, 5.0)
 
 
+@pytest.mark.parametrize(
+    "rho, h, q0", [(RHO, 1.0, math.inf), (RHO, math.nan, 5.0), (math.inf, 1.0, 5.0)]
+)
+def test_non_finite_parameters_rejected(rho, h, q0):
+    with pytest.raises(ParameterError, match="finite"):
+        Boundary(GBM_REF, rho, h, q0)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         Boundary(GBM_REF, RHO, 1.0, 5.0).eval(0.0)

@@ -317,6 +317,25 @@ def test_inadmissible_config_exits_2(tmp_path, capsys):
     assert "rho" in err
 
 
+@pytest.mark.parametrize(
+    "field, literal",
+    [("k", "NaN"), ("k", "Infinity"), ("k", "-Infinity"), ("k", "1e999"),
+     ("mu", "1e999"), ("dt", "1e999"), ("horizon", "1e999")],
+)
+def test_non_finite_config_exits_2(tmp_path, capsys, field, literal):
+    # NaN and Infinity are JSON extensions the parser refuses; 1e999 is valid
+    # JSON that overflows to inf and is refused by the dataclass it fills
+    text = json.dumps(json.loads(dumps(get("gbm-growth"))))
+    old = {"k": '"k": 1000.0', "mu": '"mu": 0.03', "dt": '"dt": 0.05',
+           "horizon": '"horizon": null'}[field]
+    assert old in text
+    path = tmp_path / "bad.json"
+    path.write_text(text.replace(old, f'"{field}": {literal}'))
+    code, _, err = run(["verify", "--config", str(path)], capsys)
+    assert code == 2
+    assert "finite" in err
+
+
 def test_out_file_and_json_format(tmp_path, capsys):
     path = tmp_path / "b.json"
     code, out, _ = run(

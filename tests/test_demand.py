@@ -77,6 +77,25 @@ def test_timegrid_validation():
         TimeGrid(0.0, 0.1, 0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ABM(mu=math.nan, sigma=1.0),
+        lambda: ABM(mu=0.1, sigma=math.inf),
+        lambda: GBM(mu=math.inf, sigma=0.1),
+        lambda: CIR(gamma=0.8, delta=math.inf, sigma=0.2),
+        lambda: CIR(gamma=math.nan, delta=20.0, sigma=0.2),
+        lambda: TimeGrid(0.0, math.inf, 10),
+        lambda: TimeGrid(math.nan, 0.1, 10),
+    ],
+    ids=["abm-mu-nan", "abm-sigma-inf", "gbm-mu-inf", "cir-delta-inf",
+         "cir-gamma-nan", "grid-dt-inf", "grid-t0-nan"],
+)
+def test_non_finite_parameters_rejected(build):
+    with pytest.raises(ParameterError, match="finite"):
+        build()
+
+
 def test_timegrid_times_have_no_drift():
     grid = TimeGrid(0.0, 0.1, 10_000)
     t = grid.times()

@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from buildlag import cli, montecarlo
 from buildlag.boundary import Boundary
 from buildlag.demand import ABM, CIR, GBM, alpha0
 from buildlag.errors import ParameterError, TruncationError
 from buildlag.montecarlo import (
     PolicySpec,
+    check_battery,
     dominance_test,
     equilibrium_check,
     estimate_F,
@@ -25,6 +27,7 @@ from buildlag.montecarlo import (
     identity_check,
 )
 from buildlag.policy import Scenario
+from buildlag.scenarios import get
 
 RHO = 0.08
 
@@ -161,7 +164,6 @@ def test_deterministic_marginal_revenue_on_boundary():
     assert rep.mode == "boundary"
     oracle = scn.q0 * (1.0 - math.exp(-RHO * 40.0))
     assert rep.revenue == pytest.approx(oracle, rel=1e-4)
-    assert math.isfinite(rep.revenue_from_zero)
 
 
 def test_deterministic_shift_costs_grow_quadratically():
@@ -277,6 +279,57 @@ def test_equilibrium_negative_control():
     # but the starved market pays the marginal unit far more than q0
     assert rep.mode == "continuation"
     assert rep.revenue > rep.q0
+
+
+# ---------------------------------------------------------------------------
+# the shared verify pass
+
+
+@pytest.mark.parametrize(
+    "name, horizon, eq_horizon, rule_scale",
+    [
+        # the verify defaults: dominance at 150 years, equilibrium per model
+        ("gbm-growth", 150.0, 200.0, 1.0),
+        ("cir-fast", 150.0, 150.0, 1.0),
+        ("cir-slow", 150.0, 150.0, 1.0),
+        ("abm-power", 150.0, 100.0, 1.0),
+        # the negative control's scaled rule
+        ("cir-fast", 150.0, 150.0, 0.5),
+        # an explicit --horizon, shorter than the identity's 5 / rho
+        ("gbm-growth", 40.0, 40.0, 1.0),
+    ],
+)
+def test_check_battery_equals_standalone_checks(name, horizon, eq_horizon, rule_scale):
+    scn = get(name).scenario
+    offsets = [-0.1 * scn.d, 0.0, 0.1 * scn.d]
+    common = dict(n_paths=400, seed=17, rule_scale=rule_scale)
+    ident, dom, eq = check_battery(
+        scn, offsets, horizon=horizon, equilibrium_horizon=eq_horizon, **common
+    )
+    assert ident == identity_check(scn, **common)
+    assert dom == dominance_test(scn, offsets, horizon=horizon, **common)
+    assert eq == equilibrium_check(scn, horizon=eq_horizon, **common)
+
+
+def test_verify_draws_each_path_once_and_builds_one_table(monkeypatch, tmp_path):
+    rows, tables = [], []
+    path_matrix, table = montecarlo._path_matrix, Boundary.table
+
+    def counting_path_matrix(model, d0, grid, seqs, *args):
+        rows.append(len(seqs))
+        return path_matrix(model, d0, grid, seqs, *args)
+
+    def counting_table(self, *args, **kwargs):
+        tables.append(args)
+        return table(self, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_path_matrix", counting_path_matrix)
+    monkeypatch.setattr(Boundary, "table", counting_table)
+    out = tmp_path / "verify.json"
+    code = cli.main(["verify", "--scenario", "cir-fast", "--paths", "200", "--out", str(out)])
+    assert code == 0
+    assert sum(rows) == 200
+    assert len(tables) == 1
 
 
 # ---------------------------------------------------------------------------

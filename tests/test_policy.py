@@ -75,6 +75,23 @@ def test_scenario_validation():
         gbm_scenario(pipeline=Pipeline((-1.5,), (1.0,)))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("k", math.nan), ("h", math.inf), ("rho", math.inf), ("q0", math.inf),
+     ("eta", math.nan), ("theta", math.inf)],
+)
+def test_scenario_rejects_non_finite(field, value):
+    with pytest.raises(ParameterError, match="finite"):
+        gbm_scenario(**{field: value})
+
+
+def test_pipeline_rejects_non_finite():
+    with pytest.raises(ParameterError, match="finite"):
+        Pipeline((-1.0,), (math.nan,))
+    with pytest.raises(ParameterError, match="finite"):
+        Pipeline((-math.inf,), (1.0,))
+
+
 def test_committed_start_includes_pipeline():
     sc = abm_scenario(pipeline=Pipeline((-6.0, -2.0), (30.0, 12.0)))
     assert sc.committed_start == pytest.approx(10_042.0)
