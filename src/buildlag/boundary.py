@@ -193,9 +193,12 @@ class Boundary:
 
         def interp(d):
             d = np.asarray(d, dtype=float)
-            out = np.interp(d, grid, vals)
-            out = np.where(d < grid[0], vals[0] + (d - grid[0]) * lo_slope, out)
-            out = np.where(d > grid[-1], vals[-1] + (d - grid[-1]) * hi_slope, out)
+            out = np.asarray(np.interp(d, grid, vals))
+            below, above = d < grid[0], d > grid[-1]
+            if below.any():
+                out[below] = vals[0] + (d[below] - grid[0]) * lo_slope
+            if above.any():
+                out[above] = vals[-1] + (d[above] - grid[-1]) * hi_slope
             return out if out.ndim else float(out)
 
         return interp

@@ -303,13 +303,23 @@ def _bridge_max(a, b, var_dt, u):
     misses the intra-step excursions and is biased low by O(sqrt(dt)); this
     draw restores the exact continuous-time interval maximum.
     """
-    return 0.5 * (a + b + np.sqrt((b - a) ** 2 - 2.0 * var_dt * np.log1p(-u)))
+    # in place on u's buffer and one scratch matrix, to spare temporaries
+    log_u = np.log1p(np.negative(u, out=u), out=u)
+    log_u *= 2.0 * var_dt
+    out = np.subtract(b, a)
+    out *= out
+    out -= log_u
+    np.sqrt(out, out=out)
+    out += a + b
+    out *= 0.5
+    return out
 
 
 def _running_max(vals, interval_max):
     out = np.empty_like(vals)
     out[:, 0] = vals[:, 0]
-    np.maximum.accumulate(np.maximum(interval_max, vals[:, 1:]), axis=1, out=out[:, 1:])
+    np.maximum(interval_max, vals[:, 1:], out=interval_max)
+    np.maximum.accumulate(interval_max, axis=1, out=out[:, 1:])
     np.maximum(out[:, 1:], out[:, :1], out=out[:, 1:])
     return out
 
@@ -392,10 +402,21 @@ def _cir_exact(model, d0, n, dt, kids):
     vals = np.empty((m, n + 1))
     vals[:, 0] = d0
     cur = np.full(m, float(d0))
-    for j in range(n):
-        nc = 2.0 * c * edt * cur
-        cur = (x2[:, j] + (z[:, j] + np.sqrt(nc)) ** 2) / (2.0 * c)
-        vals[:, j + 1] = cur
+    nc_rate, scale = 2.0 * c * edt, 2.0 * c
+    # the recursion runs on chunks of steps transposed to one row per step,
+    # so each step reads and writes contiguous memory
+    for j0 in range(0, n, 64):
+        j1 = min(j0 + 64, n)
+        zc, xc = z[:, j0:j1].T.copy(), x2[:, j0:j1].T.copy()
+        chunk = np.empty((j1 - j0, m))
+        for j in range(j1 - j0):
+            # D_(j+1) = (x2 + (z + sqrt(2 c e^(-gamma dt) D_j))^2) / (2 c)
+            step = np.sqrt(np.multiply(cur, nc_rate, out=chunk[j]), out=chunk[j])
+            step += zc[j]
+            step *= step
+            step += xc[j]
+            cur = np.divide(step, scale, out=step)
+        vals[:, j0 + 1 : j1 + 1] = chunk.T
     return vals
 
 

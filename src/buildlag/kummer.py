@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .demand import CIR, validate
 from .errors import DomainError, NumericsError
@@ -74,6 +74,21 @@ def _series(a: float, b: float, z: float) -> float:
             raise NumericsError(f"series for M({a},{b},{z}) did not converge")
 
 
+def _logsumexp(x: np.ndarray) -> float:
+    """log(sum(exp(x))) for a finite 1-D array, with the arithmetic of
+    scipy.special.logsumexp (so results match it bit for bit) but without
+    its general-purpose argument handling, which dominates at this size:
+    the terms equal to the maximum are counted apart and the rest summed
+    after shifting by it."""
+    top = np.max(x)
+    at_top = x == top
+    count = np.float64(np.count_nonzero(at_top))
+    rest = np.sum(np.exp(np.where(at_top, -np.inf, x) - top))
+    if rest != 0.0:
+        rest = rest / count
+    return float(np.log1p(rest) + np.log(count) + top)
+
+
 def _series_log(a: float, b: float, z: float) -> float:
     """log M via cumulative log term ratios and logsumexp.
 
@@ -90,7 +105,7 @@ def _series_log(a: float, b: float, z: float) -> float:
         logratio = np.log(a + s) + logz - np.log(b + s) - np.log1p(s)
         logterms = np.concatenate(([0.0], np.cumsum(logratio)))
         if logterms[-1] < logterms.max() - 46.0:
-            return float(logsumexp(logterms))
+            return _logsumexp(logterms)
         n *= 2
         if n > 100_000_000:
             raise NumericsError(f"log-series for M({a},{b},{z}) did not converge")
@@ -109,12 +124,12 @@ def _asymptotic_log(a: float, b: float, z: float) -> float | None:
     smallest = 1.0
     for k in range(400):
         v *= (b - a + k) * (1.0 - a + k) / ((k + 1.0) * z)
-        if abs(v) >= prev:
+        size = abs(v)
+        if size >= prev:
             break
         total += v
-        prev = abs(v)
-        smallest = abs(v)
-        if abs(v) < 1e-17 * abs(total):
+        prev = smallest = size
+        if size < 1e-17 * abs(total):
             break
     if total <= 0.0 or smallest > 1e-11 * abs(total):
         return None

@@ -103,17 +103,20 @@ class PolicySpec:
     def custom(cls, fn: Callable) -> "PolicySpec":
         return cls("custom", fn=fn)
 
-    def rule(self, base: Callable) -> Callable:
-        """Bind to a boundary evaluator; returns a vectorized d -> level."""
+    @property
+    def reads_boundary(self) -> bool:
+        return self.kind in ("optimal", "shifted")
+
+    def levels(self, d, boundary_levels=None):
+        """Target levels at d, vectorized.  boundary_levels is the boundary
+        evaluated at d, needed when reads_boundary."""
         if self.kind == "optimal":
-            return base
+            return boundary_levels
         if self.kind == "shifted":
-            off = self.offset
-            return lambda d: base(d) + off
+            return boundary_levels + self.offset
         if self.kind == "constant":
-            lvl = self.level
-            return lambda d: np.full(np.shape(d), lvl) if np.ndim(d) else lvl
-        return self.fn
+            return np.full(np.shape(d), self.level) if np.ndim(d) else self.level
+        return self.fn(d)
 
 
 @dataclass(frozen=True)
@@ -231,8 +234,10 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
     Paths are drawn once per block, on the grid of the longest request.
     The per-path streams are prefix-consistent and the policy is causal, so
     a shorter request reads exact prefixes of the same paths and of the same
-    committed capacity.  Each distinct policy is evaluated once per block,
-    on the longest prefix its requests need, and freed before the next.
+    committed capacity.  The boundary is evaluated once per block, on the
+    longest prefix any optimal or shifted policy needs; each distinct policy
+    is formed from it once per block, on the longest prefix its requests
+    need, and freed before the next.
 
     Paths are sampled with bridge-refined running maxima by default: the
     policy reads the continuous-time running max, whose grid version is
@@ -275,6 +280,8 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
     members: dict[PolicySpec, list[int]] = {}
     for j, r in enumerate(requests):
         members.setdefault(r.policy, []).append(j)
+    # the optimal and shifted policies share one boundary evaluation
+    n_base = max((n for r, n in zip(requests, steps) if r.policy.reads_boundary), default=-1)
 
     def serve(j, C, vals, b0m, a0m, loss_a, rows):
         # request j's functionals on this block's rows, from C, its prefix
@@ -306,12 +313,17 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
         loss_a = 0.5 * ((vals[:, : lag + 1] - k0) ** 2) @ aw
         b0m = beta0(model, vals[:, : n_b0 + 1], h)
         a0m = alpha0(model, vals[:, : n_a0 + 1], h)
+        base_levels = base(rmax[:, : n_base + 1]) if n_base >= 0 else None
         for policy, js in members.items():
-            rule, n = policy.rule(base), max(steps[j] for j in js)
-            C = np.maximum.accumulate(np.maximum(c0, rule(rmax[:, : n + 1])), axis=1)
+            n = max(steps[j] for j in js)
+            d = rmax[:, : n + 1]
+            level = policy.levels(d, None if base_levels is None else base_levels[:, : n + 1])
+            C = np.maximum(c0, level)
+            np.maximum.accumulate(C, axis=1, out=C)
             for j in js:
                 serve(j, C[:, : steps[j] + 1], vals, b0m, a0m, loss_a, rows)
-            del C
+            del C, level
+        del base_levels
 
     for j, res in enumerate(out):
         t_end = res.horizon + lag * dt

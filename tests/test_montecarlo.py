@@ -311,7 +311,7 @@ def test_check_battery_equals_standalone_checks(name, horizon, eq_horizon, rule_
     assert eq == equilibrium_check(scn, horizon=eq_horizon, **common)
 
 
-def test_verify_draws_each_path_once_and_builds_one_table(monkeypatch, tmp_path):
+def test_check_battery_draws_each_path_once_and_builds_one_table(monkeypatch):
     rows, tables = [], []
     path_matrix, table = montecarlo._path_matrix, Boundary.table
 
@@ -325,11 +325,32 @@ def test_verify_draws_each_path_once_and_builds_one_table(monkeypatch, tmp_path)
 
     monkeypatch.setattr(montecarlo, "_path_matrix", counting_path_matrix)
     monkeypatch.setattr(Boundary, "table", counting_table)
-    out = tmp_path / "verify.json"
-    code = cli.main(["verify", "--scenario", "cir-fast", "--paths", "200", "--out", str(out)])
-    assert code == 0
+    scn = get("cir-fast").scenario
+    check_battery(scn, [-0.1 * scn.d, 0.0, 0.1 * scn.d], horizon=150.0,
+                  equilibrium_horizon=150.0, n_paths=200, seed=3)
     assert sum(rows) == 200
     assert len(tables) == 1
+
+
+def test_shifted_policies_share_one_boundary_evaluation(monkeypatch):
+    # five offsets, one block of paths: the boundary is read once
+    calls = []
+    fast_rule = montecarlo.fast_rule
+
+    def counting_fast_rule(scenario, boundary):
+        rule = fast_rule(scenario, boundary)
+
+        def counted(d):
+            calls.append(np.shape(d))
+            return rule(d)
+
+        return counted
+
+    monkeypatch.setattr(montecarlo, "fast_rule", counting_fast_rule)
+    scn = get("cir-fast").scenario
+    offsets = [-0.2 * scn.d, -0.1 * scn.d, 0.0, 0.1 * scn.d, 0.2 * scn.d]
+    dominance_test(scn, offsets, horizon=20.0, n_paths=100, seed=3)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
