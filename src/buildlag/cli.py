@@ -520,6 +520,14 @@ def _check_monte_carlo(sc, mc, scale) -> list[dict]:
     ident = identity_check(sc, **common)
     dom = dominance_test(sc, offsets, horizon=horizon, **common)
     eq = equilibrium_check(sc, horizon=eq_horizon, **common)
+    # a unit's discounted revenue past the horizon is at most q0 e^(-rho T):
+    # when that exceeds the tolerance, a FAIL may be truncation, not a bug
+    cut = sc.q0 * math.exp(-sc.rho * eq_horizon)
+    if cut > 3.0 * eq.std_error:
+        raise TruncationError(
+            f"equilibrium horizon {eq_horizon:g} leaves up to {cut:.4g} of revenue "
+            f"uncounted, above the check's tolerance {3.0 * eq.std_error:.4g}; extend it"
+        )
     return [
         {
             "name": "cost-identity",

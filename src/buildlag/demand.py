@@ -284,15 +284,119 @@ def _check_d0(model: DemandModel, d0: float) -> None:
         raise ParameterError(f"d0={d0} outside state space ({lo}, {hi})")
 
 
-def _streams(seq):
-    """Per-path child streams: (increments, chi-square, bridge uniforms).
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_STREAMS = 3
 
-    Always three, in a fixed order, so path values do not depend on which
-    optional blocks a caller consumes, and the first n draws of each stream
-    coincide across grids of different lengths (common random numbers stay
-    paired across horizons).
+
+def _uint32_words(x) -> list[int]:
+    """SeedSequence's little-endian uint32 words of an int or of a
+    sequence of ints."""
+    if isinstance(x, (int, np.integer)):
+        x, out = int(x), []
+        while True:
+            out.append(x & _MASK32)
+            x >>= 32
+            if not x:
+                return out
+    return [w for v in x for w in _uint32_words(v)]
+
+
+def _stream_seeds(seed, paths=None) -> np.ndarray:
+    """PCG64 seed words of the three streams of each path in `paths` (path
+    indices below 2**32), shape (len(paths), 3, 4).
+
+    Row r, stream j seeds PCG64 as numpy's
+    SeedSequence(seed).spawn(n)[paths[r]].spawn(3)[j] does, for any
+    n > paths[r]; with paths=None there is one row, as
+    SeedSequence(seed).spawn(3)[j].  The streams are
+    (increments, chi-square, bridge uniforms), always all three in a fixed
+    order, so path values do not depend on which optional blocks a caller
+    consumes, and the first n draws of each stream coincide across grids of
+    different lengths (common random numbers stay paired across horizons).
+
+    SeedSequence's mix_entropy and generate_state are run here in uint32
+    arithmetic over all paths at once, in place of one Python-level spawn
+    per path: the words of a stream's spawn key (i, j) are its last entropy
+    words, and each enters the pool by the same hash sequence.
     """
-    return seq.spawn(3)
+    run = _uint32_words(np.random.SeedSequence(seed).entropy)  # validates seed
+    run += [0] * (_POOL - len(run))
+    if paths is None:
+        keys = np.zeros((1, 0), dtype=np.uint32)
+    else:
+        paths = np.asarray(paths)
+        if paths.size and not (paths.min() >= 0 and paths.max() <= _MASK32):
+            raise ParameterError("path indices must lie in [0, 2**32)")
+        keys = paths.astype(np.uint32).reshape(-1, 1)
+    m = keys.shape[0]
+    # entropy words, one row per (path, stream)
+    entropy = [np.full((m, _STREAMS), w, dtype=np.uint32) for w in run]
+    entropy += [np.repeat(keys[:, k : k + 1], _STREAMS, axis=1) for k in range(keys.shape[1])]
+    entropy.append(np.broadcast_to(np.arange(_STREAMS, dtype=np.uint32), (m, _STREAMS)))
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return out ^ (out >> np.uint32(16))
+
+    pool = [hashmix(w) for w in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+
+    # generate_state(4, uint64): eight uint32 words read as little-endian pairs
+    state = np.empty((m, _STREAMS, 8), dtype="<u4")
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, :, i] = value ^ (value >> np.uint32(16))
+    return state.view("<u8").astype(np.uint64)
+
+
+class _SeedWords:
+    """Precomputed PCG64 seed words, handed to PCG64 in place of a
+    SeedSequence (which would hash them out of the entropy again)."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("precomputed seed words serve PCG64 only")
+        return self.words
+
+
+np.random.bit_generator.ISeedSequence.register(_SeedWords)
+
+
+def _draws(seeds, stream, draw):
+    """draw(generator) for every path's generator of one stream, stacked
+    row by row."""
+    return np.stack([
+        draw(np.random.Generator(np.random.PCG64(_SeedWords(words))))
+        for words in seeds[:, stream]
+    ])
 
 
 def _bridge_max(a, b, var_dt, u):
@@ -324,10 +428,16 @@ def _running_max(vals, interval_max):
     return out
 
 
-def _path_matrix(model, d0, grid, seqs, scheme, max_refine="grid"):
-    """Sample len(seqs) paths; returns (values, running_max), each of shape
-    (len(seqs), n_steps+1).  Row i consumes only streams derived from
-    SeedSequence seqs[i].
+def _path_matrix(model, d0, grid, seeds, scheme, max_refine="grid"):
+    """Sample len(seeds) paths; returns (values, running_max), each of shape
+    (len(seeds), n_steps+1).  Row i consumes only the three streams seeded
+    by seeds[i] (see _stream_seeds), so it does not depend on the other
+    rows: the Monte Carlo engine samples each block of paths in slices on
+    worker threads (cut at a multiple of 64 rows, so that its matrix-vector
+    products round every row as for the whole block; see
+    montecarlo._halves).  This function calls no caller-supplied code, so
+    it may run off the calling thread; the threshold rule may not, and the
+    engine reads it on the calling thread.
 
     max_refine selects how the running maximum is formed: "grid" takes the
     max over node values only, "bridge" additionally samples the exact
@@ -339,16 +449,15 @@ def _path_matrix(model, d0, grid, seqs, scheme, max_refine="grid"):
     """
     n = grid.n_steps
     dt = grid.dt
-    m = len(seqs)
+    m = len(seeds)
     if max_refine not in ("grid", "bridge"):
         raise ParameterError(f"unknown max_refine {max_refine!r}")
-    kids = [_streams(s) for s in seqs]
 
     def uniforms():
-        return np.stack([np.random.default_rng(k[2]).random(n) for k in kids])
+        return _draws(seeds, 2, lambda g: g.random(n))
 
     if isinstance(model, ABM):
-        z = np.stack([np.random.default_rng(k[0]).standard_normal(n) for k in kids])
+        z = _draws(seeds, 0, lambda g: g.standard_normal(n))
         vals = np.empty((m, n + 1))
         vals[:, 0] = d0
         tdrift = model.mu * dt * np.arange(1, n + 1)
@@ -358,7 +467,7 @@ def _path_matrix(model, d0, grid, seqs, scheme, max_refine="grid"):
         imax = _bridge_max(vals[:, :-1], vals[:, 1:], model.sigma**2 * dt, uniforms())
         return vals, _running_max(vals, imax)
     if isinstance(model, GBM):
-        z = np.stack([np.random.default_rng(k[0]).standard_normal(n) for k in kids])
+        z = _draws(seeds, 0, lambda g: g.standard_normal(n))
         logs = np.empty((m, n + 1))
         logs[:, 0] = math.log(d0)
         texp = (model.mu - 0.5 * model.sigma**2) * dt * np.arange(1, n + 1)
@@ -370,9 +479,9 @@ def _path_matrix(model, d0, grid, seqs, scheme, max_refine="grid"):
         return vals, np.exp(_running_max(logs, imax))
     if isinstance(model, CIR):
         if scheme == "exact":
-            vals = _cir_exact(model, d0, n, dt, kids)
+            vals = _cir_exact(model, d0, n, dt, seeds)
         elif scheme == "milstein":
-            vals = _cir_milstein(model, d0, n, dt, kids)
+            vals = _cir_milstein(model, d0, n, dt, seeds)
         else:
             raise ParameterError(f"unknown scheme {scheme!r}")
         if max_refine == "grid":
@@ -383,7 +492,7 @@ def _path_matrix(model, d0, grid, seqs, scheme, max_refine="grid"):
     raise TypeError(f"unknown demand model {model!r}")
 
 
-def _cir_exact(model, d0, n, dt, kids):
+def _cir_exact(model, d0, n, dt, seeds):
     """Exact CIR transitions via the noncentral chi-square representation.
 
     Over a step, 2c D_(t+dt) ~ ncx2(df, 2c e^(-gamma dt) D_t) with
@@ -396,9 +505,9 @@ def _cir_exact(model, d0, n, dt, kids):
     edt = math.exp(-g * dt)
     c = 2.0 * g / (s**2 * (1.0 - edt))
     df = 4.0 * g * dl / s**2
-    z = np.stack([np.random.default_rng(k[0]).standard_normal(n) for k in kids])
-    x2 = np.stack([np.random.default_rng(k[1]).chisquare(df - 1.0, n) for k in kids])
-    m = len(kids)
+    z = _draws(seeds, 0, lambda g: g.standard_normal(n))
+    x2 = _draws(seeds, 1, lambda g: g.chisquare(df - 1.0, n))
+    m = len(seeds)
     vals = np.empty((m, n + 1))
     vals[:, 0] = d0
     cur = np.full(m, float(d0))
@@ -420,7 +529,7 @@ def _cir_exact(model, d0, n, dt, kids):
     return vals
 
 
-def _cir_milstein(model, d0, n, dt, kids):
+def _cir_milstein(model, d0, n, dt, seeds):
     """Full-truncation Milstein fallback for cross-checks.
 
     Biased at coarse dt and can touch zero; use the exact sampler for
@@ -428,8 +537,8 @@ def _cir_milstein(model, d0, n, dt, kids):
     sampler, so the two schemes are path-paired under a shared seed.
     """
     g, dl, s = model.gamma, model.delta, model.sigma
-    z = np.stack([np.random.default_rng(k[0]).standard_normal(n) for k in kids])
-    m = len(kids)
+    z = _draws(seeds, 0, lambda g: g.standard_normal(n))
+    m = len(seeds)
     vals = np.empty((m, n + 1))
     vals[:, 0] = d0
     x = np.full(m, float(d0))
@@ -456,9 +565,7 @@ def sample_path(
 ) -> DemandPath:
     """Sample one path. Deterministic in all arguments."""
     _check_d0(model, d0)
-    vals, rmax = _path_matrix(
-        model, d0, grid, [np.random.SeedSequence(seed)], scheme, max_refine
-    )
+    vals, rmax = _path_matrix(model, d0, grid, _stream_seeds(seed), scheme, max_refine)
     return DemandPath(grid=grid, values=vals[0], running_max=rmax[0], seed=seed)
 
 
@@ -474,12 +581,12 @@ def sample_paths(
     """Sample a batch of paths; returns (values, running_max), each of shape
     (n_paths, n_steps+1).
 
-    Path i draws from an independent stream derived from (seed, i) via
+    Path i draws from independent streams derived from (seed, i) as by
     SeedSequence spawning, so row i does not depend on n_paths: a batch of 5
     is the row-wise prefix of a batch of 8 with the same master seed.
     """
     _check_d0(model, d0)
     if n_paths < 1:
         raise ParameterError(f"need n_paths >= 1, got {n_paths}")
-    children = np.random.SeedSequence(seed).spawn(n_paths)
-    return _path_matrix(model, d0, grid, children, scheme, max_refine)
+    seeds = _stream_seeds(seed, np.arange(n_paths))
+    return _path_matrix(model, d0, grid, seeds, scheme, max_refine)

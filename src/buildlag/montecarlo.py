@@ -32,13 +32,16 @@ failure is opt-in via tail_check.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .boundary import Boundary
-from .demand import CIR, TimeGrid, alpha0, beta0, _path_matrix
+from .demand import CIR, TimeGrid, alpha0, beta0, _path_matrix, _stream_seeds
 from .errors import ParameterError, TruncationError
 from .policy import Scenario, lag_steps, pipeline_levels
 
@@ -227,6 +230,34 @@ class _Functionals:
     tail_G: float = 0.0
 
 
+def _workers() -> int:
+    """Threads for the Monte Carlo blocks: one per core this process may
+    run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _halves(rows: int) -> list[slice]:
+    """Cut a block of `rows` paths into two slices of at least 64 rows, the
+    second starting at a multiple of 64 rows from the block start; a block
+    of fewer than 128 rows stays whole.
+
+    A BLAS matrix-vector product handles rows in fixed groups from the start
+    of its matrix and rounds the leftover rows at the end differently in the
+    last bit.  Cut at a multiple of 64, each slice holds the same groups,
+    with the same leftover rows, as the whole block, so every path's value
+    is the block's to the bit.  The cut does not depend on the number of
+    threads, so neither do the results, even when BLAS runs threads of its
+    own and splits each product by its row count.
+    """
+    if rows < 128:
+        return [slice(0, rows)]
+    cut = 64 * round(rows / 128)
+    return [slice(0, cut), slice(cut, rows)]
+
+
 def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
     """Serve every request from one path batch; returns one _Functionals
     per request, in order.
@@ -234,10 +265,22 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
     Paths are drawn once per block, on the grid of the longest request.
     The per-path streams are prefix-consistent and the policy is causal, so
     a shorter request reads exact prefixes of the same paths and of the same
-    committed capacity.  The boundary is evaluated once per block, on the
-    longest prefix any optimal or shifted policy needs; each distinct policy
-    is formed from it once per block, on the longest prefix its requests
-    need, and freed before the next.
+    committed capacity.  The boundary is evaluated once per slice of a
+    block, on the longest prefix any optimal or shifted policy needs; each
+    distinct policy is formed from it once per slice, on the longest prefix
+    its requests need, and freed before the next.
+
+    Each block is cut in two slices (see _halves), and the slices run on a
+    thread pool with one thread per core, at most one slice per thread in
+    flight, so memory stays near one block's on two cores.  A worker
+    samples a slice's paths; the rule is read on them; a worker serves the
+    requests from them and the slice is freed.  The rule `base` and a
+    custom policy's fn run on the calling thread, once per slice as its
+    paths arrive, because a caller may wrap them in code that is not
+    thread-safe (a tracer's span stack, say).  Workers run only the sampler
+    and numpy arithmetic, which releases the interpreter lock in its large
+    loops.  Sums over paths are taken per block, in block order, so no
+    result depends on the number of threads or on the order slices finish.
 
     Paths are sampled with bridge-refined running maxima by default: the
     policy reads the continuous-time running max, whose grid version is
@@ -275,6 +318,9 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
     n_b0, n_a0 = reach("GJ", "rev_h"), reach("GJ")
     out = [_Functionals(n * dt, **{w: np.empty(n_paths) for w in r.wants})
            for r, n in zip(requests, steps)]
+    # per-path last-node integrands of F and G, for the tail bounds
+    last_F = [np.empty(n_paths) if "F" in r.wants else None for r in requests]
+    last_G = [np.empty(n_paths) if "GJ" in r.wants else None for r in requests]
     loss_last = np.zeros(len(requests))
     g_last = np.zeros(len(requests))
     members: dict[PolicySpec, list[int]] = {}
@@ -282,10 +328,25 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
         members.setdefault(r.policy, []).append(j)
     # the optimal and shifted policies share one boundary evaluation
     n_base = max((n for r, n in zip(requests, steps) if r.policy.reads_boundary), default=-1)
+    seeds = _stream_seeds(seed, np.arange(n_paths))
+
+    def sample(rows):
+        vals, rmax = _path_matrix(model, d0, grid, seeds[rows], scheme, max_refine)
+        loss_a = 0.5 * ((vals[:, : lag + 1] - k0) ** 2) @ aw
+        b0m = beta0(model, vals[:, : n_b0 + 1], h)
+        a0m = alpha0(model, vals[:, : n_a0 + 1], h)
+        return vals, rmax, loss_a, b0m, a0m
+
+    def read_rule(rmax):
+        # on the calling thread: the boundary and every custom policy's levels
+        base_levels = base(rmax[:, : n_base + 1]) if n_base >= 0 else None
+        custom = {p: p.levels(rmax[:, : max(steps[j] for j in js) + 1])
+                  for p, js in members.items() if p.kind == "custom"}
+        return base_levels, custom
 
     def serve(j, C, vals, b0m, a0m, loss_a, rows):
-        # request j's functionals on this block's rows, from C, its prefix
-        # of committed capacity
+        # request j's functionals on these rows, from C, its prefix of
+        # committed capacity
         n, res, wants = steps[j], out[j], requests[j].wants
         gw = trap(n) * disc[: n + 1]
         if "F" in wants or "GJ" in wants:
@@ -297,33 +358,61 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
             bw = trap(n) * disc[lag : lag + n + 1]
             resid = C - vals[:, lag : lag + n + 1]
             res.F[rows] = loss_a + 0.5 * (resid**2) @ bw + inv
-            loss_last[j] += float(np.sum(0.5 * resid[:, -1] ** 2))
+            last_F[j][rows] = 0.5 * resid[:, -1] ** 2
         if "GJ" in wants:
             gmat = 0.5 * egh * (C * C - 2.0 * b0m[:, : n + 1] * C + a0m[:, : n + 1])
             res.GJ[rows] = loss_a + gmat @ gw + inv
-            g_last[j] += float(np.sum(gmat[:, -1]))
+            last_G[j][rows] = gmat[:, -1]
         if "rev_h" in wants:
             res.rev_h[rows] = egh * ((b0m[:, : n + 1] - C) @ gw)
 
-    children = np.random.SeedSequence(seed).spawn(n_paths)
-    block = max(64, int(3_000_000 / (n_tot + 1)))
-    for i0 in range(0, n_paths, block):
-        rows = slice(i0, min(i0 + block, n_paths))
-        vals, rmax = _path_matrix(model, d0, grid, children[rows], scheme, max_refine)
-        loss_a = 0.5 * ((vals[:, : lag + 1] - k0) ** 2) @ aw
-        b0m = beta0(model, vals[:, : n_b0 + 1], h)
-        a0m = alpha0(model, vals[:, : n_a0 + 1], h)
-        base_levels = base(rmax[:, : n_base + 1]) if n_base >= 0 else None
+    def serve_slice(rows, vals, rmax, loss_a, b0m, a0m, base_levels, custom):
         for policy, js in members.items():
             n = max(steps[j] for j in js)
-            d = rmax[:, : n + 1]
-            level = policy.levels(d, None if base_levels is None else base_levels[:, : n + 1])
+            if policy.kind == "custom":
+                level = custom.pop(policy)
+            else:
+                bl = None if base_levels is None else base_levels[:, : n + 1]
+                level = policy.levels(rmax[:, : n + 1], bl)
             C = np.maximum(c0, level)
             np.maximum.accumulate(C, axis=1, out=C)
             for j in js:
                 serve(j, C[:, : steps[j] + 1], vals, b0m, a0m, loss_a, rows)
             del C, level
-        del base_levels
+
+    block = max(64, int(3_000_000 / (n_tot + 1)))
+    blocks = [slice(i0, min(i0 + block, n_paths)) for i0 in range(0, n_paths, block)]
+    todo = deque(slice(b.start + s.start, b.start + s.stop)
+                 for b in blocks for s in _halves(b.stop - b.start))
+    workers = _workers()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # at most one slice per worker in flight, sampling or being served;
+        # a sampling future maps to its rows, a serving one to None
+        running: dict = {}
+        while todo or running:
+            while todo and len(running) < workers:
+                rows = todo.popleft()
+                running[pool.submit(sample, rows)] = rows
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            while done:
+                fut = done.pop()
+                rows = running.pop(fut)
+                if rows is None:
+                    fut.result()
+                else:
+                    sampled = fut.result()
+                    serving = pool.submit(serve_slice, rows, *sampled, *read_rule(sampled[1]))
+                    running[serving] = None
+                    del sampled, serving
+                del fut  # the last reference to a served slice's paths
+
+    for b in blocks:
+        # sums per block, in block order, as before the blocks were sliced
+        for j in range(len(requests)):
+            if last_F[j] is not None:
+                loss_last[j] += float(np.sum(last_F[j][b]))
+            if last_G[j] is not None:
+                g_last[j] += float(np.sum(last_G[j][b]))
 
     for j, res in enumerate(out):
         t_end = res.horizon + lag * dt

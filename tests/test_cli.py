@@ -266,6 +266,19 @@ def test_verify_negative_control(capsys):
     assert report["passed"] is False
 
 
+def test_verify_short_equilibrium_horizon_is_a_truncation_error(capsys):
+    """At 40 years q0 e^(-rho T) = 0.041 of a unit's revenue lies past the
+    horizon, far above the equilibrium check's tolerance: that is a
+    truncation (exit 3), not a failed check (exit 4)."""
+    code, out, err = run(
+        ["verify", "--scenario", "cir-fast", "--paths", "300", "--horizon", "40"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert "equilibrium horizon 40" in err
+
+
 # ---------------------------------------------------------------------------
 # configs, outputs, exit codes
 

@@ -22,6 +22,7 @@ from buildlag.demand import (
     sample_paths,
     validate,
 )
+from buildlag.demand import _SeedWords, _stream_seeds
 from buildlag.errors import ParameterError
 
 MODELS = [ABM(0.3, 0.8), GBM(0.03, 0.2), CIR(0.8, 20.0, 0.2)]
@@ -280,6 +281,41 @@ def test_seed_determinism_bit_identical():
         assert np.array_equal(a.running_max, b.running_max)
         c = sample_path(model, _d0(model), grid, seed=124)
         assert not np.array_equal(a.values, c.values)
+
+
+def _pcg_state(seed_seq):
+    return np.random.PCG64(seed_seq).state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**130 + 7])
+def test_stream_seeds_match_seed_sequence_spawning(seed):
+    # the vectorised seeding reproduces numpy's SeedSequence tree exactly
+    paths = np.array([0, 1, 948, 949, 2**31])
+    seeds = _stream_seeds(seed, paths)
+    assert seeds.shape == (paths.size, 3, 4)
+    root = np.random.SeedSequence(seed)
+    assert root.spawn(950)[949].spawn_key == (949,)
+    for row, i in enumerate(paths):
+        # the child spawn(n)[i] builds for any n > i, without building n
+        kids = np.random.SeedSequence(root.entropy, spawn_key=(int(i),)).spawn(3)
+        for j in range(3):
+            assert _pcg_state(_SeedWords(seeds[row, j])) == _pcg_state(kids[j])
+    (single,) = _stream_seeds(seed)
+    for j, kid in enumerate(np.random.SeedSequence(seed).spawn(3)):
+        assert _pcg_state(_SeedWords(single[j])) == _pcg_state(kid)
+
+
+def test_negative_seed_is_rejected_as_before():
+    with pytest.raises(ValueError) as ours:
+        _stream_seeds(-1, np.arange(3))
+    with pytest.raises(ValueError) as numpy_s:
+        np.random.SeedSequence(-1)
+    assert type(ours.value) is type(numpy_s.value)
+    grid = TimeGrid(0.0, 0.05, 10)
+    with pytest.raises(ValueError):
+        sample_paths(MODELS[0], 2.0, grid, seed=-1, n_paths=2)
+    with pytest.raises(ValueError):
+        sample_path(MODELS[0], 2.0, grid, seed=-1)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=IDS)

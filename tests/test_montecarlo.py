@@ -8,6 +8,8 @@ full size.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -351,6 +353,92 @@ def test_shifted_policies_share_one_boundary_evaluation(monkeypatch):
     offsets = [-0.2 * scn.d, -0.1 * scn.d, 0.0, 0.1 * scn.d, 0.2 * scn.d]
     dominance_test(scn, offsets, horizon=20.0, n_paths=100, seed=3)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the threaded engine
+
+
+def _checks_at(monkeypatch, workers, scn, offsets, **common):
+    monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+    return (
+        identity_check(scn, **common),
+        dominance_test(scn, offsets, **common),
+        equilibrium_check(scn, **common),
+        estimate_F(scn, PolicySpec.shifted(0.5), **common),
+    )
+
+
+def test_results_do_not_depend_on_the_worker_count(monkeypatch):
+    # 150 years on cir-fast: blocks of 949, 949 and 102 rows, each with a
+    # row left over from the groups of four a matrix-vector product takes
+    scn = get("cir-fast").scenario
+    offsets = [-0.1 * scn.d, 0.0, 0.1 * scn.d]
+    common = dict(horizon=150.0, n_paths=2000, seed=23)
+    one = _checks_at(monkeypatch, 1, scn, offsets, **common)
+    assert one[3].tail_bound > 0.0
+    for workers in (2, 3):
+        assert _checks_at(monkeypatch, workers, scn, offsets, **common) == one
+
+
+def test_more_workers_than_cores_with_frequent_switches(monkeypatch):
+    # 600 years: blocks of 246, 246 and 108 rows, so five slices, all in
+    # flight at once, write disjoint rows of shared arrays
+    scn = get("gbm-growth").scenario
+    offsets = [-0.1 * scn.d, 0.0]
+    common = dict(horizon=600.0, n_paths=600, seed=4)
+
+    def run(workers):
+        monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+        return identity_check(scn, **common), dominance_test(scn, offsets, **common)
+
+    one = run(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = run(8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert many == one
+
+
+def test_rule_and_custom_policy_run_on_the_calling_thread(monkeypatch):
+    threads = []
+    fast_rule = montecarlo.fast_rule
+
+    def recording_fast_rule(scenario, boundary):
+        rule = fast_rule(scenario, boundary)
+
+        def recorded(d):
+            threads.append(threading.get_ident())
+            return rule(d)
+
+        return recorded
+
+    def custom(d):
+        threads.append(threading.get_ident())
+        return 1.1 * d
+
+    monkeypatch.setattr(montecarlo, "fast_rule", recording_fast_rule)
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
+    scn = get("cir-fast").scenario
+    common = dict(horizon=150.0, n_paths=1200, seed=5)
+    dominance_test(scn, [0.0, 0.1 * scn.d], **common)
+    estimate_F(scn, PolicySpec.custom(custom), **common)
+    # blocks of 949 and 251 rows, two slices each: four calls per check
+    assert len(threads) == 8
+    assert set(threads) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 100, 127, 128, 251, 721, 949, 2126])
+def test_halves_cut_at_a_multiple_of_64_and_cover_the_block(rows):
+    cuts = montecarlo._halves(rows)
+    assert len(cuts) == (1 if rows < 128 else 2)
+    assert cuts[0].start == 0 and cuts[-1].stop == rows
+    for a, b in zip(cuts, cuts[1:]):
+        assert a.stop == b.start
+        assert b.start % 64 == 0
+        assert min(a.stop - a.start, b.stop - b.start) >= 64
 
 
 # ---------------------------------------------------------------------------
