@@ -327,16 +327,15 @@ def _stream_seeds(seed, paths=None) -> np.ndarray:
     run = _uint32_words(np.random.SeedSequence(seed).entropy)  # validates seed
     run += [0] * (_POOL - len(run))
     if paths is None:
-        keys = np.zeros((1, 0), dtype=np.uint32)
+        m, spawned = 1, []
     else:
         paths = np.asarray(paths)
         if paths.size and not (paths.min() >= 0 and paths.max() <= _MASK32):
             raise ParameterError("path indices must lie in [0, 2**32)")
-        keys = paths.astype(np.uint32).reshape(-1, 1)
-    m = keys.shape[0]
-    # entropy words, one row per (path, stream)
-    entropy = [np.full((m, _STREAMS), w, dtype=np.uint32) for w in run]
-    entropy += [np.repeat(keys[:, k : k + 1], _STREAMS, axis=1) for k in range(keys.shape[1])]
+        m = paths.size
+        spawned = [np.repeat(paths.astype(np.uint32).reshape(-1, 1), _STREAMS, axis=1)]
+    # entropy words, each of shape (path, stream)
+    entropy = [np.full((m, _STREAMS), w, dtype=np.uint32) for w in run] + spawned
     entropy.append(np.broadcast_to(np.arange(_STREAMS, dtype=np.uint32), (m, _STREAMS)))
 
     hash_const = _INIT_A

@@ -321,11 +321,11 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
     # per-path last-node integrands of F and G, for the tail bounds
     last_F = [np.empty(n_paths) if "F" in r.wants else None for r in requests]
     last_G = [np.empty(n_paths) if "GJ" in r.wants else None for r in requests]
-    loss_last = np.zeros(len(requests))
-    g_last = np.zeros(len(requests))
     members: dict[PolicySpec, list[int]] = {}
     for j, r in enumerate(requests):
         members.setdefault(r.policy, []).append(j)
+    # longest prefix each distinct policy is formed on
+    reach_of = {p: max(steps[j] for j in js) for p, js in members.items()}
     # the optimal and shifted policies share one boundary evaluation
     n_base = max((n for r, n in zip(requests, steps) if r.policy.reads_boundary), default=-1)
     seeds = _stream_seeds(seed, np.arange(n_paths))
@@ -340,8 +340,8 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
     def read_rule(rmax):
         # on the calling thread: the boundary and every custom policy's levels
         base_levels = base(rmax[:, : n_base + 1]) if n_base >= 0 else None
-        custom = {p: p.levels(rmax[:, : max(steps[j] for j in js) + 1])
-                  for p, js in members.items() if p.kind == "custom"}
+        custom = {p: p.levels(rmax[:, : n + 1])
+                  for p, n in reach_of.items() if p.kind == "custom"}
         return base_levels, custom
 
     def serve(j, C, vals, b0m, a0m, loss_a, rows):
@@ -368,7 +368,7 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
 
     def serve_slice(rows, vals, rmax, loss_a, b0m, a0m, base_levels, custom):
         for policy, js in members.items():
-            n = max(steps[j] for j in js)
+            n = reach_of[policy]
             if policy.kind == "custom":
                 level = custom.pop(policy)
             else:
@@ -406,19 +406,17 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
                     del sampled, serving
                 del fut  # the last reference to a served slice's paths
 
-    for b in blocks:
-        # sums per block, in block order, as before the blocks were sliced
-        for j in range(len(requests)):
-            if last_F[j] is not None:
-                loss_last[j] += float(np.sum(last_F[j][b]))
-            if last_G[j] is not None:
-                g_last[j] += float(np.sum(last_G[j][b]))
+    def mean_last(last):
+        # summed per block, in block order, as before the blocks were sliced
+        return sum(float(np.sum(last[b])) for b in blocks) / n_paths
 
     for j, res in enumerate(out):
         t_end = res.horizon + lag * dt
         ratio = _alpha_tail(model, d0, rho, t_end) / float(alpha0(model, d0, t_end))
-        res.tail_F = loss_last[j] / n_paths * ratio
-        res.tail_G = g_last[j] / n_paths * math.exp(rho * h) * ratio
+        if last_F[j] is not None:
+            res.tail_F = mean_last(last_F[j]) * ratio
+        if last_G[j] is not None:
+            res.tail_G = mean_last(last_G[j]) * math.exp(rho * h) * ratio
     return out
 
 
