@@ -22,8 +22,9 @@ import numpy as np
 
 from buildlag.boundary import Boundary
 from buildlag.cli import main as cli
-from buildlag.demand import TimeGrid, sample_paths
+from buildlag.demand import DemandPath, TimeGrid, sample_paths
 from buildlag.montecarlo import fast_rule
+from buildlag.policy import simulate
 from buildlag.scenarios import get
 
 
@@ -71,12 +72,9 @@ def _committed(cfg, horizon, n_paths):
     grid = TimeGrid(0.0, cfg.grid.dt, int(round(horizon / cfg.grid.dt)))
     vals, rmax = sample_paths(sc.model, sc.d, grid, cfg.mc.seed, n_paths,
                               max_refine="bridge")
-    bound = Boundary(sc.model, sc.rho, sc.h, sc.q0)
-    rule = fast_rule(sc, bound)
-    committed = np.maximum.accumulate(
-        np.maximum(sc.committed_start, rule(rmax)), axis=1
-    )
-    return sc, grid, vals, committed
+    rule = fast_rule(sc, Boundary(sc.model, sc.rho, sc.h, sc.q0))
+    traj = simulate(sc, rule, DemandPath(grid, vals, rmax, cfg.mc.seed))
+    return sc, grid, vals, traj.committed
 
 
 def report_cir_flatness() -> None:

@@ -55,7 +55,8 @@ from .montecarlo import (
     identity_check,
     running_cost,
 )
-from .policy import Pipeline, Scenario, Trajectory, committed_identity_check, simulate
+from .policy import (Pipeline, Scenario, Trajectory, committed_identity_check, increments,
+                     reflect, simulate)
 from .scenarios import MCSettings, OutputSettings, RunConfig
 from .statics import (
     ABMPartials,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import scenarios
 from .boundary import Boundary, cir_asymptote, cir_kink, cir_tangent, gbm_constants, generic_boundary
-from .demand import ABM, CIR, GBM, TimeGrid, beta0, sample_path, sample_paths
+from .demand import ABM, CIR, GBM, DemandPath, TimeGrid, beta0, sample_path, sample_paths
 from .errors import (
     DomainError,
     GridError,
@@ -38,20 +38,20 @@ from .montecarlo import (
     fast_rule,
     identity_check,
 )
-from .policy import lag_steps, pipeline_levels, simulate
+from .policy import simulate
 from .statics import abm_partials, finite_diff_check, gbm_elasticity, gbm_statics_table
 
 _EPILOG = """\
 dataset recipes (each is deterministic under a fixed seed):
-  boundary --scenario cir-fast                      threshold with tangent, asymptote, diagonal
-  boundary --scenario cir-fast --lag 1 --sigma 0.05 lag/volatility variants of the same table
-  boundary --scenario abm-power --sweep-sigma       volatility markdown at lag 1 vs lag 8
-  simulate --scenario gbm-growth                    one path: t, D, C, K, dI, p
-  simulate --scenario cir-slow --paths 2000         mean and quantile bands across paths
-  cost --scenario gbm-growth --policy shift=50      cost of a deliberately shifted threshold
-  statics --scenario gbm-growth                     elasticity table with sign verdicts
-  verify --scenario cir-fast                        oracle, identity, dominance, equilibrium,
-                                                    sensitivity checks; exit 4 on any FAIL
+  boundary --scenario cir-fast                       threshold with tangent, asymptote, diagonal
+  boundary --scenario cir-fast --lag 1 --sigma 0.05  lag/volatility variants of the same table
+  boundary --scenario abm-power --sweep-sigma        volatility markdown at lag 1 vs lag 8
+  simulate --scenario gbm-growth                     one path: t, D, C, K, dI, p
+  simulate --scenario cir-slow --paths 2000          mean and quantile bands across paths
+  cost --scenario gbm-growth --policy shift=50       cost of a deliberately shifted threshold
+  statics --scenario gbm-growth                      elasticity table with sign verdicts
+  verify --scenario cir-fast                         oracle, identity, dominance, equilibrium,
+                                                     sensitivity checks; exit 4 on any FAIL
 
 scripts/make_figure_data.py regenerates the full set under out/.
 """
@@ -310,59 +310,35 @@ def _cmd_simulate(args) -> int:
     # the config's n_paths is sized for Monte Carlo estimates; trajectory
     # output is one path unless --paths says otherwise
     n_paths = args.paths if args.paths is not None else 1
+    t = grid.times()
     if n_paths == 1:
         path = sample_path(sc.model, sc.d, grid, cfg.mc.seed, max_refine="bridge")
         traj = simulate(sc, rule, path)
-        t = grid.times()
-        rows = [
-            (
-                float(t[i]),
-                float(traj.demand[i]),
-                float(traj.committed[i]),
-                float(traj.installed[i]),
-                float(traj.investment_increments[i]),
-                float(traj.price[i]),
-            )
-            for i in range(len(t))
+        header = ["t", "D", "C", "K", "dI", "p"]
+        cols = [t, traj.demand, traj.committed, traj.installed,
+                traj.investment_increments, traj.price]
+    else:
+        vals, rmax = sample_paths(
+            sc.model, sc.d, grid, cfg.mc.seed, n_paths, max_refine="bridge"
+        )
+        traj = simulate(sc, rule, DemandPath(grid, vals, rmax, cfg.mc.seed))
+        d, c, k = traj.demand, traj.committed, traj.installed
+        q = lambda a, p: np.quantile(a, p, axis=0)
+        header = [
+            "t",
+            "d_mean", "d_q05", "d_q50", "d_q95",
+            "c_mean", "c_q05", "c_q95",
+            "k_mean", "k_q05", "k_q95",
+            "di_mean", "p_mean",
         ]
-        _emit_table(["t", "D", "C", "K", "dI", "p"], rows, cfg.outputs)
-        return 0
-
-    vals, rmax = sample_paths(
-        sc.model, sc.d, grid, cfg.mc.seed, n_paths, max_refine="bridge"
-    )
-    lag = lag_steps(grid, sc.h)
-    c0 = sc.committed_start
-    committed = np.maximum.accumulate(np.maximum(c0, rule(rmax)), axis=1)
-    increments = np.empty_like(committed)
-    increments[:, 0] = committed[:, 0] - c0
-    increments[:, 1:] = np.diff(committed, axis=1)
-    t = grid.times()
-    installed = np.empty_like(committed)
-    # nothing ordered on the grid arrives before node `lag`; with a horizon
-    # shorter than the lag the pipeline levels cover the whole window
-    cut = min(lag, committed.shape[1])
-    installed[:, :cut] = pipeline_levels(sc.k, sc.pipeline, sc.h, t[:cut])
-    if committed.shape[1] > lag:
-        installed[:, lag:] = committed[:, : committed.shape[1] - lag]
-    price = sc.eta + sc.theta * (vals - installed)
-
-    q = lambda a, p: np.quantile(a, p, axis=0)
-    header = [
-        "t",
-        "d_mean", "d_q05", "d_q50", "d_q95",
-        "c_mean", "c_q05", "c_q95",
-        "k_mean", "k_q05", "k_q95",
-        "di_mean", "p_mean",
-    ]
-    cols = [
-        t,
-        vals.mean(axis=0), q(vals, 0.05), q(vals, 0.5), q(vals, 0.95),
-        committed.mean(axis=0), q(committed, 0.05), q(committed, 0.95),
-        installed.mean(axis=0), q(installed, 0.05), q(installed, 0.95),
-        increments.mean(axis=0), price.mean(axis=0),
-    ]
-    rows = [tuple(float(c[i]) for c in cols) for i in range(len(t))]
+        cols = [
+            t,
+            d.mean(axis=0), q(d, 0.05), q(d, 0.5), q(d, 0.95),
+            c.mean(axis=0), q(c, 0.05), q(c, 0.95),
+            k.mean(axis=0), q(k, 0.05), q(k, 0.95),
+            traj.investment_increments.mean(axis=0), traj.price.mean(axis=0),
+        ]
+    rows = [tuple(float(col[i]) for col in cols) for i in range(len(t))]
     _emit_table(header, rows, cfg.outputs)
     return 0
 

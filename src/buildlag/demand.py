@@ -203,8 +203,9 @@ class TimeGrid:
 class DemandPath:
     """A sampled demand trajectory on a grid, with its running maximum.
 
-    running_max[i] = max(values[0..i]); the optimal policy depends on the
-    path only through this statistic.
+    values and running_max have shape (n+1,), or (n_paths, n+1) for a batch;
+    running_max[..., i] = max(values[..., 0..i]).  The optimal policy depends
+    on the path only through this statistic.
     """
 
     grid: TimeGrid

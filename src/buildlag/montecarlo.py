@@ -42,8 +42,8 @@ import numpy as np
 
 from .boundary import Boundary
 from .demand import CIR, TimeGrid, alpha0, beta0, _path_matrix, _stream_seeds
-from .errors import ParameterError, TruncationError
-from .policy import Scenario, lag_steps, pipeline_levels
+from .errors import ParameterError, TruncationError, require_finite
+from .policy import Scenario, increments, lag_steps, pipeline_levels, reflect
 
 __all__ = [
     "CostEstimate",
@@ -89,6 +89,7 @@ class PolicySpec:
             raise ParameterError(f"policy kind must be one of {self._KINDS}")
         if self.kind == "custom" and not callable(self.fn):
             raise ParameterError("custom policy needs a callable fn")
+        require_finite("PolicySpec", offset=self.offset, level=self.level)
 
     @classmethod
     def optimal(cls) -> "PolicySpec":
@@ -350,10 +351,7 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
         n, res, wants = steps[j], out[j], requests[j].wants
         gw = trap(n) * disc[: n + 1]
         if "F" in wants or "GJ" in wants:
-            dI = np.empty_like(C)
-            dI[:, 0] = C[:, 0] - c0
-            dI[:, 1:] = np.diff(C, axis=1)
-            inv = q0 * (dI @ disc[: n + 1])
+            inv = q0 * (increments(C, c0) @ disc[: n + 1])
         if "F" in wants:
             bw = trap(n) * disc[lag : lag + n + 1]
             resid = C - vals[:, lag : lag + n + 1]
@@ -374,8 +372,7 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
             else:
                 bl = None if base_levels is None else base_levels[:, : n + 1]
                 level = policy.levels(rmax[:, : n + 1], bl)
-            C = np.maximum(c0, level)
-            np.maximum.accumulate(C, axis=1, out=C)
+            C = reflect(level, c0)
             for j in js:
                 serve(j, C[:, : steps[j] + 1], vals, b0m, a0m, loss_a, rows)
             del C, level
@@ -441,6 +438,7 @@ def _tail_guard(est: CostEstimate, name: str) -> None:
 
 def _prepare(scenario, rule_scale=1.0):
     """The fast rule for the scenario's boundary, times rule_scale."""
+    require_finite("Monte Carlo check", rule_scale=rule_scale)
     bound = Boundary(scenario.model, scenario.rho, scenario.h, scenario.q0)
     base = fast_rule(scenario, bound)
     if rule_scale != 1.0:

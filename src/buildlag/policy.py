@@ -22,6 +22,8 @@ __all__ = [
     "Scenario",
     "Trajectory",
     "simulate",
+    "reflect",
+    "increments",
     "committed_identity_check",
     "lag_steps",
     "pipeline_levels",
@@ -142,30 +144,48 @@ def pipeline_levels(k: float, pipeline: Pipeline, h: float, times: np.ndarray) -
     return k + cum[idx]
 
 
-def simulate(scenario: Scenario, boundary, path: DemandPath) -> Trajectory:
-    """Run the reflection policy along one demand path.
+def reflect(levels, c0: float) -> np.ndarray:
+    """Committed capacity under the reflection policy: the running maximum,
+    along the last axis, of max(c0, levels).  `levels` is the rule read at
+    the running maximum of demand; the result is one new array."""
+    committed = np.maximum(c0, levels)
+    np.maximum.accumulate(committed, axis=-1, out=committed)
+    return committed
 
-    `boundary` is a Boundary instance or any nondecreasing callable
-    d -> level.  Committed capacity can jump at t=0 (when chat(d) already
-    exceeds the committed start); that atom is investment_increments[0].
-    Installed capacity equals committed capacity lagged by h once t >= h.
+
+def increments(committed: np.ndarray, c0: float) -> np.ndarray:
+    """Investment per node along the last axis: the atom committed[..., 0] - c0
+    at t=0, then the steps of committed capacity."""
+    out = np.empty_like(committed)
+    out[..., 0] = committed[..., 0] - c0
+    out[..., 1:] = np.diff(committed, axis=-1)
+    return out
+
+
+def simulate(scenario: Scenario, boundary, path: DemandPath) -> Trajectory:
+    """Run the reflection policy along one demand path or a batch of them.
+
+    `path.values` and `path.running_max` have shape (n+1,) for one path or
+    (n_paths, n+1) for a batch; every Trajectory array has the same shape
+    and time runs along the last axis.  `boundary` is a Boundary instance or
+    any nondecreasing vectorized callable d -> level.  Committed capacity can
+    jump at t=0 (when chat(d) already exceeds the committed start); that atom
+    is investment_increments[..., 0].  Installed capacity equals committed
+    capacity lagged by h once t >= h.
     """
     rule = boundary.eval if hasattr(boundary, "eval") else boundary
     grid = path.grid
     lag = lag_steps(grid, scenario.h)
     c0 = scenario.committed_start
 
-    committed = np.maximum.accumulate(np.maximum(c0, rule(path.running_max)))
-    increments = np.empty_like(committed)
-    increments[0] = committed[0] - c0
-    increments[1:] = np.diff(committed)
-
+    committed = reflect(rule(path.running_max), c0)
     times = grid.times()
+    n = len(times)
     installed = np.empty_like(committed)
-    head = min(lag, len(times))
-    installed[:head] = pipeline_levels(scenario.k, scenario.pipeline, scenario.h, times[:head])
-    if len(times) > lag:
-        installed[lag:] = committed[: len(times) - lag]
+    # a horizon shorter than the lag is covered by the pipeline alone
+    head = min(lag, n)
+    installed[..., :head] = pipeline_levels(scenario.k, scenario.pipeline, scenario.h, times[:head])
+    installed[..., head:] = committed[..., : n - head]
 
     price = scenario.eta + scenario.theta * (path.values - installed)
     return Trajectory(
@@ -173,15 +193,16 @@ def simulate(scenario: Scenario, boundary, path: DemandPath) -> Trajectory:
         demand=path.values,
         committed=committed,
         installed=installed,
-        investment_increments=increments,
+        investment_increments=increments(committed, c0),
         price=price,
     )
 
 
 def committed_identity_check(traj: Trajectory, h: float) -> float:
-    """Max |C_t - K_{t+h}| over the overlap; zero for simulate() output."""
+    """Max |C_t - K_{t+h}| over the overlap, over every path of a batch;
+    zero for simulate() output."""
     lag = lag_steps(traj.grid, h)
-    n = len(traj.committed)
+    n = traj.committed.shape[-1]
     if n <= lag:
         return 0.0
-    return float(np.max(np.abs(traj.committed[: n - lag] - traj.installed[lag:])))
+    return float(np.max(np.abs(traj.committed[..., : n - lag] - traj.installed[..., lag:])))

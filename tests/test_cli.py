@@ -191,6 +191,17 @@ def test_cost_policy_flag(capsys):
     assert run(["cost", "--scenario", "cir-fast", "--policy", "junk"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("policy", ["shift=nan", "const=inf", "shift=-inf"])
+def test_cost_non_finite_policy_exits_2(policy, capsys):
+    code, out, err = run(
+        ["cost", "--scenario", "gbm-growth", "--paths", "50", "--policy", policy],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_cost_tail_check_fails_on_short_horizon(capsys):
     code, _, err = run(
         ["cost", "--scenario", "gbm-growth", "--paths", "100", "--tail-check"],
@@ -264,6 +275,18 @@ def test_verify_negative_control(capsys):
     assert status["dominance"] == "FAIL"
     assert status["cost-identity"] == "PASS"
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize("factor", ["nan", "inf"])
+def test_verify_non_finite_boundary_scale_exits_2(factor, capsys):
+    code, out, err = run(
+        ["verify", "--scenario", "gbm-growth", "--paths", "100",
+         "--debug-scale-boundary", factor],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite rule_scale" in err
 
 
 def test_verify_short_equilibrium_horizon_is_a_truncation_error(capsys):

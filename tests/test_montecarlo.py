@@ -77,6 +77,27 @@ def test_policy_spec_validation():
     assert PolicySpec.custom(lambda d: d).fn is not None
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_policy_spec_rejects_non_finite(value):
+    with pytest.raises(ParameterError, match="finite offset"):
+        PolicySpec.shifted(value)
+    with pytest.raises(ParameterError, match="finite level"):
+        PolicySpec.constant(value)
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf])
+def test_every_check_rejects_non_finite_rule_scale(scale):
+    sc = cir_market()
+    for run_check in (
+        lambda: identity_check(sc, n_paths=2, rule_scale=scale),
+        lambda: dominance_test(sc, [0.0], n_paths=2, rule_scale=scale),
+        lambda: equilibrium_check(sc, n_paths=2, rule_scale=scale),
+        lambda: check_battery(sc, [0.0], n_paths=2, rule_scale=scale),
+    ):
+        with pytest.raises(ParameterError, match="finite rule_scale"):
+            run_check()
+
+
 def test_dominance_offsets_must_include_zero():
     with pytest.raises(ParameterError):
         dominance_test(cir_market(), [0.5, 1.0], n_paths=2)

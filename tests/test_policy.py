@@ -2,19 +2,23 @@
 identity between committed and installed capacity, and pipeline handling."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from buildlag.boundary import Boundary
-from buildlag.demand import ABM, CIR, GBM, DemandPath, TimeGrid, sample_path
+from buildlag.demand import ABM, CIR, GBM, DemandPath, TimeGrid, sample_path, sample_paths
 from buildlag.errors import GridError, ParameterError
 from buildlag.policy import (
     Pipeline,
     Scenario,
+    Trajectory,
     committed_identity_check,
+    increments,
     lag_steps,
     pipeline_levels,
+    reflect,
     simulate,
 )
 
@@ -33,6 +37,12 @@ def abm_scenario(**kw):
     args = dict(
         model=ABM(300.0, 600.0), rho=RHO, h=8.0, q0=5.0, k=10_000.0, d=10_000.0
     )
+    args.update(kw)
+    return Scenario(**args)
+
+
+def cir_scenario(**kw):
+    args = dict(model=CIR(0.8, 20.0, 0.2), rho=RHO, h=8.0, q0=1.0, k=10.0, d=10.0)
     args.update(kw)
     return Scenario(**args)
 
@@ -120,24 +130,28 @@ def test_pipeline_levels_deliver_at_order_time_plus_h():
 # ---------------------------------------------------------------------------
 
 
-def _simulated(sc, seed=4, n_steps=400, dt=0.05):
+def _simulated(sc, seed=4, n_steps=400, dt=0.05, n_paths=None):
+    """One path, or a batch of n_paths paths as a 2-D DemandPath."""
     grid = TimeGrid(0.0, dt, n_steps)
     bound = Boundary(sc.model, sc.rho, sc.h, sc.q0)
-    path = sample_path(sc.model, sc.d, grid, seed)
+    if n_paths is None:
+        path = sample_path(sc.model, sc.d, grid, seed)
+    else:
+        path = DemandPath(grid, *sample_paths(sc.model, sc.d, grid, seed, n_paths), seed)
     return bound, path, simulate(sc, bound, path)
 
 
 @pytest.mark.parametrize(
-    "sc",
+    "sc, n_paths",
     [
-        gbm_scenario(),
-        abm_scenario(),
-        Scenario(model=CIR(0.8, 20.0, 0.2), rho=RHO, h=8.0, q0=1.0, k=10.0, d=10.0),
+        pytest.param(gbm_scenario(), None, id="gbm"),
+        pytest.param(abm_scenario(), None, id="abm"),
+        pytest.param(cir_scenario(), None, id="cir"),
+        pytest.param(abm_scenario(pipeline=Pipeline((-6.0,), (30.0,))), 4, id="abm-batch"),
     ],
-    ids=["gbm", "abm", "cir"],
 )
-def test_trajectory_invariants(sc):
-    bound, path, traj = _simulated(sc)
+def test_trajectory_invariants(sc, n_paths):
+    bound, path, traj = _simulated(sc, n_paths=n_paths)
     assert np.all(traj.investment_increments >= 0.0)
     assert np.all(np.diff(traj.committed) >= 0.0)
     assert np.all(np.diff(traj.installed) >= 0.0)
@@ -157,6 +171,42 @@ def test_trajectory_invariants(sc):
     np.testing.assert_allclose(
         traj.price, sc.eta + sc.theta * (traj.demand - traj.installed)
     )
+
+
+@pytest.mark.parametrize(
+    "sc, n_steps",
+    [
+        pytest.param(gbm_scenario(), 400, id="gbm"),
+        pytest.param(abm_scenario(), 400, id="abm"),
+        pytest.param(cir_scenario(), 400, id="cir"),
+        pytest.param(gbm_scenario(pipeline=Pipeline((-0.5,), (40.0,))), 400, id="pipeline"),
+        # 5 years on an 8-year lag: installed capacity is all pipeline
+        pytest.param(abm_scenario(pipeline=Pipeline((-6.0,), (30.0,))), 100, id="short"),
+    ],
+)
+def test_batch_simulate_equals_row_by_row(sc, n_steps):
+    bound, path, batch = _simulated(sc, seed=7, n_steps=n_steps, n_paths=3)
+    assert batch.committed.shape == (3, n_steps + 1)
+    for i in range(3):
+        row = simulate(sc, bound, DemandPath(path.grid, path.values[i], path.running_max[i], 7))
+        for f in fields(Trajectory):
+            if f.name != "grid":
+                assert np.array_equal(getattr(batch, f.name)[i], getattr(row, f.name)), f.name
+
+
+def test_reflect_and_increments_on_a_batch():
+    levels = np.random.default_rng(3).normal(size=(4, 50)).cumsum(axis=1)
+    before = levels.copy()
+    c0 = 0.5
+    committed = reflect(levels, c0)
+    dI = increments(committed, c0)
+    np.testing.assert_array_equal(levels, before)  # a new array; the input is left alone
+    for i in range(4):
+        assert np.array_equal(committed[i], reflect(levels[i], c0))
+        assert np.array_equal(dI[i], increments(committed[i], c0))
+    assert np.all(committed >= np.maximum(c0, levels))
+    assert np.all(dI >= 0.0)
+    np.testing.assert_allclose(c0 + np.cumsum(dI, axis=1), committed, rtol=1e-12, atol=1e-12)
 
 
 def test_initial_jump_iff_boundary_above_start():
@@ -201,6 +251,14 @@ def test_identity_checker_detects_corruption():
         price=traj.price,
     )
     assert committed_identity_check(bad, sc.h) > 0.0
+
+
+def test_identity_checker_reads_every_path_of_a_batch():
+    sc = gbm_scenario()
+    _, _, traj = _simulated(sc, n_paths=3)
+    installed = traj.installed.copy()
+    installed[2, -1] += 1.0
+    assert committed_identity_check(replace(traj, installed=installed), sc.h) == pytest.approx(1.0)
 
 
 def test_incompatible_grid_rejected():
