@@ -24,6 +24,7 @@ and is used as an independent cross-check, never as a fallback.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -149,12 +150,10 @@ class Boundary:
             g = self.model.gamma
             pref = 0.5 * self.model.sigma**2 * math.exp(-g * self.h) / (self.rho + g)
             flat = d.reshape(-1)
-            ratios = np.array(
-                [
-                    psi_ratio_second(self.model, self.rho, float(x)) if x > 0.0 else 0.0
-                    for x in flat
-                ]
-            )
+            ratios = np.zeros_like(flat)
+            pos = flat > 0.0
+            if pos.any():
+                ratios[pos] = psi_ratio_second(self.model, self.rho, flat[pos])
             out = (pref * flat * ratios).reshape(d.shape)
         return out if out.ndim else float(out)
 
@@ -176,18 +175,21 @@ class Boundary:
     def table(self, d_lo: float, d_hi: float, n: int = 2049):
         """Piecewise-linear surrogate of eval on [d_lo, d_hi].
 
-        For the square-root model each exact evaluation costs two special
-        function calls, too slow for 1e7-point Monte Carlo matrices; the
-        surrogate evaluates the boundary on a dense grid once and
-        interpolates (linear extrapolation outside the range).  ABM/GBM
+        For the square-root model each exact evaluation runs the Kummer
+        function twice, far too slow to repeat on every cell of a Monte
+        Carlo path matrix; the surrogate evaluates the boundary at n
+        equally spaced nodes and interpolates (linear extrapolation outside
+        the range).  The nodes are computed once per process for each
+        parameter set and shared by every table built from it.  ABM/GBM
         boundaries are affine, so eval itself is returned.
         """
         if not isinstance(self.model, CIR):
             return self.eval
         if not (d_hi > d_lo > 0.0):
             raise DomainError(f"need 0 < d_lo < d_hi, got [{d_lo}, {d_hi}]")
-        grid = np.linspace(d_lo, d_hi, n)
-        vals = self.eval(grid)
+        if not n >= 2:
+            raise ParameterError(f"need at least 2 table nodes, got n={n}")
+        grid, vals = _table_nodes(self.model, self.rho, self.h, self.q0, d_lo, d_hi, n)
         lo_slope = (vals[1] - vals[0]) / (grid[1] - grid[0])
         hi_slope = (vals[-1] - vals[-2]) / (grid[-1] - grid[-2])
 
@@ -202,6 +204,18 @@ class Boundary:
             return out if out.ndim else float(out)
 
         return interp
+
+
+@functools.lru_cache(maxsize=8)
+def _table_nodes(model: CIR, rho: float, h: float, q0: float, d_lo: float, d_hi: float,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and boundary values of `Boundary.table`, evaluated once per
+    parameter set and shared, hence read-only."""
+    grid = np.linspace(d_lo, d_hi, n)
+    vals = Boundary(model, rho, h, q0).eval(grid)
+    grid.setflags(write=False)
+    vals.setflags(write=False)
+    return grid, vals
 
 
 # ---------------------------------------------------------------------------

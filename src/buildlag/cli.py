@@ -464,7 +464,8 @@ def _check_oracle(sc) -> dict:
     if isinstance(sc.model, CIR):
         points.append(sc.model.delta)
     worst = 0.0
-    for d in points:
+    # 2 d0 equals delta in both CIR scenarios: solve each distinct point once
+    for d in dict.fromkeys(points):
         closed = float(bound.eval(np.asarray(d)))
         oracle = generic_boundary(sc.model, sc.rho, sc.h, sc.q0, d)
         worst = max(worst, abs(closed - oracle) / max(1.0, abs(oracle)))

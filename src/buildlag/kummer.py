@@ -20,6 +20,19 @@ the floating-point range, not the summation.  Strategy:
     accurate for any z and any b, including b in the thousands where the
     plain asymptotic form is useless.
 
+For the regimes see Pearson, Olver & Porter, "Numerical methods for the
+computation of the confluent and Gauss hypergeometric functions", Numer.
+Algorithms 2017.
+
+All three regimes run on a whole array of z for one (a, b) (`_m_log`); the
+scalar functions are one-point calls to it.  The Taylor and asymptotic sums
+are elementwise recurrences over the points still running, each point
+stopping by its own test, so every point gets exactly the arithmetic of a
+one-point call.  The log-series keeps its per-point reductions (logsumexp
+sums pairwise, so its grouping depends on the term count), but reads
+log(a+s), log(b+s) and log1p(s) from one table per call.  log z, the final
+log and the ratios' exp use `math` once per point.
+
 Ratios of two M values never leave log space, so quantities like psi''/psi'
 are finite even when each M alone would overflow.
 """
@@ -48,107 +61,170 @@ Z_SWITCH = 50.0
 _LOG_MAX = math.log(np.finfo(np.float64).max)  # ~709.78
 
 
-def _check_args(a: float, b: float, z: float) -> None:
+def _check_args(a: float, b: float, z) -> None:
+    """Reject a, b <= 0 and any z (scalar or array) that is negative or
+    not finite."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"need a > 0 and b > 0, got a={a}, b={b}")
-    if not (z >= 0.0 and math.isfinite(z)):
-        raise ValueError(f"need finite z >= 0, got z={z}")
+    z = np.asarray(z, dtype=float)
+    bad = ~((z >= 0.0) & np.isfinite(z))
+    if bad.any():
+        raise ValueError(f"need finite z >= 0, got z={z[bad].flat[0]}")
 
 
-def _series(a: float, b: float, z: float) -> float:
-    """Direct Taylor sum with Kahan compensation.  All terms positive."""
-    term = 1.0
-    total = 1.0
-    comp = 0.0
+def _taylor(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """Direct Taylor sums for positive z, with Kahan compensation.  All
+    terms positive.  The arrays hold only the points still summing."""
+    out = np.empty_like(z)
+    idx = np.arange(z.size)
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    comp = np.zeros_like(z)
     k = 0
-    while True:
+    while idx.size:
         term *= (a + k) * z / ((b + k) * (k + 1.0))
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
         k += 1
-        if term < 1e-17 * total and k > z:
-            return total
-        if k > 200_000:  # unreachable for z <= Z_SWITCH; guard anyway
-            raise NumericsError(f"series for M({a},{b},{z}) did not converge")
+        done = (term < 1e-17 * total) & (k > z)
+        if done.any():
+            out[idx[done]] = total[done]
+            keep = ~done
+            idx, z, term, total, comp = idx[keep], z[keep], term[keep], total[keep], comp[keep]
+        if idx.size and k > 200_000:  # unreachable for z <= Z_SWITCH; guard anyway
+            raise NumericsError(f"series for M({a},{b},{z[0]}) did not converge")
+    return out
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    """log(sum(exp(x))) for a finite 1-D array, with the arithmetic of
-    scipy.special.logsumexp (so results match it bit for bit) but without
-    its general-purpose argument handling, which dominates at this size:
-    the terms equal to the maximum are counted apart and the rest summed
-    after shifting by it."""
-    top = np.max(x)
+def _asymptotic_log(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """log of the large-z form, each point truncated at its smallest term.
+
+    nan where the optimally truncated tail cannot reach ~1e-11 relative
+    accuracy (e.g. b - a comparable to z), so the caller falls back to the
+    exact log-series there.
+    """
+    totals = np.empty_like(z)
+    smallests = np.empty_like(z)
+    idx = np.arange(z.size)
+    zs = z
+    v = np.ones_like(z)
+    total = np.ones_like(z)
+    prev = np.full_like(z, np.inf)
+    smallest = np.ones_like(z)
+
+    def finish(stop):
+        nonlocal idx, zs, v, total, prev, smallest
+        if stop.any():
+            totals[idx[stop]] = total[stop]
+            smallests[idx[stop]] = smallest[stop]
+            keep = ~stop
+            idx, zs, v, total, prev, smallest = (
+                idx[keep], zs[keep], v[keep], total[keep], prev[keep], smallest[keep])
+
+    for k in range(400):
+        if not idx.size:
+            break
+        v *= (b - a + k) * (1.0 - a + k) / ((k + 1.0) * zs)
+        size = np.abs(v)
+        grew = size >= prev
+        finish(grew)
+        size = size[~grew]
+        total += v
+        prev = smallest = size
+        finish(size < 1e-17 * np.abs(total))
+    finish(np.ones(idx.size, dtype=bool))
+
+    out = np.full_like(z, np.nan)
+    ok = ~((totals <= 0.0) | (smallests > 1e-11 * np.abs(totals)))
+    gb, ga = gammaln(b), gammaln(a)
+    for i, zi, t in zip(np.flatnonzero(ok), z[ok].tolist(), totals[ok].tolist()):
+        out[i] = zi + (a - b) * math.log(zi) + gb - ga + math.log(t)
+    return out
+
+
+def _logsumexp(x: np.ndarray, top: float) -> float:
+    """log(sum(exp(x))) for a finite 1-D array whose maximum is `top`, with
+    the arithmetic of scipy.special.logsumexp (so results match it bit for
+    bit) but without its general-purpose argument handling, which dominates
+    at this size: the terms equal to the maximum are counted apart and the
+    rest summed after shifting by it."""
     at_top = x == top
     count = np.float64(np.count_nonzero(at_top))
-    rest = np.sum(np.exp(np.where(at_top, -np.inf, x) - top))
+    shifted = x - top
+    np.exp(shifted, out=shifted)
+    shifted[at_top] = 0.0  # exp(-inf): the maximum is counted apart
+    rest = shifted.sum()
     if rest != 0.0:
         rest = rest / count
     return float(np.log1p(rest) + np.log(count) + top)
 
 
-def _series_log(a: float, b: float, z: float) -> float:
-    """log M via cumulative log term ratios and logsumexp.
+def _series_log(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """log M via cumulative log term ratios and logsumexp, point by point.
 
-    Cost is O(s_peak) where the term peak solves (a+s)z = (b+s)(s+1);
-    roughly max(z - b, sqrt(z)) terms.
+    Cost is O(s_peak) per point, where the term peak solves
+    (a+s)z = (b+s)(s+1); roughly max(z - b, sqrt(z)) terms.  A point whose
+    last term is not yet negligible is redone with twice the terms.  The
+    logs of a+s, b+s and 1+s come from one table, sized for the longest
+    sum and rebuilt only when a redo outgrows it.
     """
-    coef = b + 1.0 - z
-    disc = coef * coef + 4.0 * (a * z - b)
-    s_peak = 0.0 if disc < 0.0 else max(0.0, 0.5 * (-coef + math.sqrt(disc)))
-    n = int(s_peak + 14.0 * math.sqrt(s_peak + 30.0)) + 60
-    logz = math.log(z)
-    while True:
-        s = np.arange(n, dtype=float)
-        logratio = np.log(a + s) + logz - np.log(b + s) - np.log1p(s)
-        logterms = np.concatenate(([0.0], np.cumsum(logratio)))
-        if logterms[-1] < logterms.max() - 46.0:
-            return _logsumexp(logterms)
-        n *= 2
-        if n > 100_000_000:
-            raise NumericsError(f"log-series for M({a},{b},{z}) did not converge")
+    zs = z.tolist()
+    starts = []
+    for zi in zs:
+        coef = b + 1.0 - zi
+        disc = coef * coef + 4.0 * (a * zi - b)
+        s_peak = 0.0 if disc < 0.0 else max(0.0, 0.5 * (-coef + math.sqrt(disc)))
+        starts.append(int(s_peak + 14.0 * math.sqrt(s_peak + 30.0)) + 60)
+    longest = max(starts)
+    size = 0
+    out = np.empty_like(z)
+    for i, (zi, n) in enumerate(zip(zs, starts)):
+        logz = math.log(zi)
+        while True:
+            if n > size:
+                size = max(n, longest)
+                s = np.arange(size, dtype=float)
+                log_a, log_b, log_1 = np.log(a + s), np.log(b + s), np.log1p(s)
+                buf = np.zeros(size + 1)  # buf[0]: log of the first term
+            logterms = buf[:n + 1]
+            logratio = np.add(log_a[:n], logz, out=logterms[1:])
+            logratio -= log_b[:n]
+            logratio -= log_1[:n]
+            logratio.cumsum(out=logratio)
+            top = logterms.max()
+            if logterms[-1] < top - 46.0:
+                out[i] = _logsumexp(logterms, top)
+                break
+            n *= 2
+            if n > 100_000_000:
+                raise NumericsError(f"log-series for M({a},{b},{zi}) did not converge")
+    return out
 
 
-def _asymptotic_log(a: float, b: float, z: float) -> float | None:
-    """log of the large-z form, truncated at the smallest term.
-
-    Returns None when the optimally truncated tail cannot reach ~1e-11
-    relative accuracy (e.g. b - a comparable to z), so the caller falls back
-    to the exact log-series.
-    """
-    v = 1.0
-    total = 1.0
-    prev = math.inf
-    smallest = 1.0
-    for k in range(400):
-        v *= (b - a + k) * (1.0 - a + k) / ((k + 1.0) * z)
-        size = abs(v)
-        if size >= prev:
-            break
-        total += v
-        prev = smallest = size
-        if size < 1e-17 * abs(total):
-            break
-    if total <= 0.0 or smallest > 1e-11 * abs(total):
-        return None
-    return z + (a - b) * math.log(z) + gammaln(b) - gammaln(a) + math.log(total)
+def _m_log(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """log M(a, b, z) over a 1-D array of finite z >= 0, each point by the
+    regime a one-point call would take (z is checked by the caller)."""
+    out = np.zeros_like(z)
+    taylor = (z > 0.0) & (z < Z_SWITCH)
+    if taylor.any():
+        out[taylor] = [math.log(t) for t in _taylor(a, b, z[taylor]).tolist()]
+    large = z >= Z_SWITCH
+    # first term of the asymptotic correction sum must already be small
+    tried = large & (abs((b - a) * (1.0 - a)) < 0.25 * z)
+    if tried.any():
+        out[tried] = _asymptotic_log(a, b, z[tried])
+    rest = large & (~tried | np.isnan(out))
+    if rest.any():
+        out[rest] = _series_log(a, b, z[rest])
+    return out
 
 
 def kummer_m_log(a: float, b: float, z: float) -> float:
     """log M(a, b, z), finite for any z where M itself may overflow."""
     _check_args(a, b, z)
-    if z == 0.0:
-        return 0.0
-    if z < Z_SWITCH:
-        return math.log(_series(a, b, z))
-    # first term of the asymptotic correction sum must already be small
-    if abs((b - a) * (1.0 - a)) < 0.25 * z:
-        out = _asymptotic_log(a, b, z)
-        if out is not None:
-            return out
-    return _series_log(a, b, z)
+    return float(_m_log(a, b, np.array([z], dtype=float))[0])
 
 
 def kummer_m(a: float, b: float, z: float) -> float:
@@ -161,7 +237,7 @@ def kummer_m(a: float, b: float, z: float) -> float:
     if z == 0.0:
         return 1.0
     if z < Z_SWITCH:
-        return _series(a, b, z)
+        return float(_taylor(a, b, np.array([z], dtype=float))[0])
     lv = kummer_m_log(a, b, z)
     if lv > _LOG_MAX:
         raise OverflowError(
@@ -185,15 +261,39 @@ def kummer_m_prime(a: float, b: float, z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cir_abx(model: CIR, rho: float, d: float) -> tuple[float, float, float]:
+def _cir_abx(model: CIR, rho: float, d):
+    """Validated (a, b, x) of psi at demand levels d > 0 (scalar or array)."""
+    validate(model, rho)
+    d = np.asarray(d, dtype=float)
+    if not np.all(d > 0.0):
+        raise DomainError(f"need d > 0, got d={d[~(d > 0.0)].flat[0]}")
     a = rho / model.gamma
     b = 2.0 * model.gamma * model.delta / model.sigma**2
     x = 2.0 * model.gamma * d / model.sigma**2
     return a, b, x
 
 
-def psi_ratio_second(model: CIR, rho: float, d: float) -> float:
-    """psi''(d) / psi'(d) for the square-root model.
+def _m_ratio(a1: float, b1: float, a0: float, b0: float, x: np.ndarray) -> np.ndarray:
+    """M(a1, b1, x) / M(a0, b0, x) at each x, formed in log space."""
+    _check_args(a1, b1, x)
+    _check_args(a0, b0, x)
+    flat = x.reshape(-1)
+    diff = _m_log(a1, b1, flat) - _m_log(a0, b0, flat)
+    return np.array([math.exp(v) for v in diff.tolist()]).reshape(x.shape)
+
+
+def _checked(out: np.ndarray, d, what: str):
+    """out as returned to the caller (a float for scalar d), after checking
+    that every value is finite and positive."""
+    bad = ~((out > 0.0) & np.isfinite(out))
+    if bad.any():
+        raise NumericsError(
+            f"{what} evaluation failed at d={np.asarray(d)[bad].flat[0]}: {out[bad].flat[0]}")
+    return out if out.ndim else float(out)
+
+
+def psi_ratio_second(model: CIR, rho: float, d):
+    """psi''(d) / psi'(d) for the square-root model.  Vectorized in d.
 
     Equals (2 gamma / sigma^2) * ((1 + rho/gamma) / (1 + 2 gamma delta / sigma^2))
     times M(2 + rho/gamma, 2 + 2 gamma delta/sigma^2, x) /
@@ -201,26 +301,16 @@ def psi_ratio_second(model: CIR, rho: float, d: float) -> float:
     at x = 2 gamma d / sigma^2; the ratio is formed in log space.  Finite and
     positive for all d > 0, continuous as d -> 0.
     """
-    validate(model, rho)
-    if not d > 0.0:
-        raise DomainError(f"need d > 0, got d={d}")
     a, b, x = _cir_abx(model, rho, d)
-    ratio = math.exp(kummer_m_log(a + 2.0, b + 2.0, x) - kummer_m_log(a + 1.0, b + 1.0, x))
+    ratio = _m_ratio(a + 2.0, b + 2.0, a + 1.0, b + 1.0, x)
     out = (2.0 * model.gamma / model.sigma**2) * ((a + 1.0) / (b + 1.0)) * ratio
-    if not (out > 0.0 and math.isfinite(out)):
-        raise NumericsError(f"psi''/psi' evaluation failed at d={d}: {out}")
-    return out
+    return _checked(out, d, "psi''/psi'")
 
 
-def psi_over_psi_prime(model: CIR, rho: float, d: float) -> float:
+def psi_over_psi_prime(model: CIR, rho: float, d):
     """psi(d) / psi'(d): starts at gamma delta / rho as d -> 0 (psi(0) = 1,
-    psi'(0) = rho/(gamma delta)) and decreases toward sigma^2 / (2 gamma)."""
-    validate(model, rho)
-    if not d > 0.0:
-        raise DomainError(f"need d > 0, got d={d}")
+    psi'(0) = rho/(gamma delta)) and decreases toward sigma^2 / (2 gamma).
+    Vectorized in d."""
     a, b, x = _cir_abx(model, rho, d)
-    ratio = math.exp(kummer_m_log(a, b, x) - kummer_m_log(a + 1.0, b + 1.0, x))
-    out = (model.gamma * model.delta / rho) * ratio
-    if not (out > 0.0 and math.isfinite(out)):
-        raise NumericsError(f"psi/psi' evaluation failed at d={d}: {out}")
-    return out
+    out = (model.gamma * model.delta / rho) * _m_ratio(a, b, a + 1.0, b + 1.0, x)
+    return _checked(out, d, "psi/psi'")

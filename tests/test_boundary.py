@@ -8,6 +8,7 @@ import pytest
 
 from buildlag.boundary import (
     Boundary,
+    _table_nodes,
     abm_lambda,
     cir_asymptote,
     cir_kink,
@@ -232,6 +233,45 @@ def test_interpolation_table_matches_eval():
 def test_table_is_identity_for_affine_boundaries():
     bound = Boundary(GBM_REF, RHO, 1.0, 5.0)
     assert bound.table(1.0, 10.0) == bound.eval
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_table_needs_two_nodes(n):
+    with pytest.raises(ParameterError):
+        Boundary(CIR_FAST, RHO, 8.0, 1.0).table(0.01, 160.0, n=n)
+
+
+def test_table_nodes_are_evaluated_once_per_parameter_set(monkeypatch):
+    calls = []
+    original = Boundary.eval
+
+    def counting_eval(self, d):
+        calls.append(np.size(d))
+        return original(self, d)
+
+    monkeypatch.setattr(Boundary, "eval", counting_eval)
+    # parameters no other test uses, so the process-wide cache is cold
+    model = CIR(gamma=0.5, delta=15.0, sigma=0.3)
+    first = Boundary(model, RHO, 2.0, 1.0).table(0.01, 120.0, n=257)
+    second = Boundary(CIR(0.5, 15.0, 0.3), RHO, 2.0, 1.0).table(0.01, 120.0, n=257)
+    assert calls == [257]
+    probe = np.linspace(0.0, 130.0, 41)
+    assert np.array_equal(first(probe), second(probe))
+
+    other = Boundary(model, RHO, 4.0, 1.0).table(0.01, 120.0, n=257)
+    assert calls == [257, 257]
+    assert not np.array_equal(other(probe), first(probe))
+    Boundary(model, RHO, 2.0, 1.0).table(0.01, 120.0, n=129)
+    assert calls == [257, 257, 129]
+
+
+def test_cached_table_nodes_are_read_only():
+    grid, vals = _table_nodes(CIR_FAST, RHO, 8.0, 1.0, 0.01, 160.0, 65)
+    for arr in (grid, vals):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    fresh = Boundary(CIR_FAST, RHO, 8.0, 1.0)
+    assert np.array_equal(vals, fresh.eval(np.linspace(0.01, 160.0, 65)))
 
 
 # ---------------------------------------------------------------------------

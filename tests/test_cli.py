@@ -260,6 +260,42 @@ def test_verify_battery_passes(capsys):
     assert all(c["status"] == "PASS" for c in report["checks"])
 
 
+def test_verify_oracle_solves_each_distinct_point_once(monkeypatch):
+    # cir-fast's points are d0 / 2, d0, 2 d0 and delta, and 2 d0 == delta
+    sc = get("cir-fast").scenario
+    bound = Boundary(sc.model, sc.rho, sc.h, sc.q0)
+    points = [0.5 * sc.d, sc.d, 2.0 * sc.d, sc.model.delta]
+    worst = max(
+        abs(float(bound.eval(np.asarray(d))) - o) / max(1.0, abs(o))
+        for d in points
+        for o in [cli.generic_boundary(sc.model, sc.rho, sc.h, sc.q0, d)]
+    )
+    calls = []
+    original = cli.generic_boundary
+
+    def counting(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(cli, "generic_boundary", counting)
+    report = cli._check_oracle(sc)
+    assert calls == [5.0, 10.0, 20.0]
+    assert report == {"name": "boundary-oracle", "status": "PASS",
+                      "max_rel_err": worst, "points": points}
+
+
+def test_verify_twice_in_one_process_is_byte_identical(tmp_path, capsys):
+    # the second run reads its rule tables from the process-wide cache
+    reports = []
+    for i in range(2):
+        path = tmp_path / f"verify{i}.json"
+        code, _, _ = run(["verify", "--scenario", "cir-fast", "--paths", "200",
+                          "--out", str(path)], capsys)
+        assert code == 0
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_verify_negative_control(capsys):
     """Scaling the threshold is an injected bug: dominance (and usually
     equilibrium) must FAIL and the exit code must flip to 4, while the

@@ -13,8 +13,10 @@ import pytest
 
 from buildlag.boundary import Boundary, cir_tangent
 from buildlag.demand import CIR
+from buildlag.errors import DomainError
 from buildlag.kummer import (
     Z_SWITCH,
+    _m_log,
     kummer_m,
     kummer_m_log,
     kummer_m_prime,
@@ -209,3 +211,86 @@ def test_psi_convexity_on_dense_grid():
     assert np.all(psi > 0.0)
     assert np.all(np.diff(psi) > 0.0)
     assert np.all(np.diff(psi, 2) > -1e-12 * psi[:-2])
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit values of every regime
+#
+# float.hex values recorded from the one-point implementation that preceded
+# the array evaluation; the array code must reproduce them exactly.  The
+# comments name the regime each point takes (b = 12801 is the square-root
+# model at sigma = 0.05, where the asymptotic form is often rejected and the
+# log-series often needs more terms than its first guess).
+# ---------------------------------------------------------------------------
+
+LOG_M_HEX = [
+    ((1.3, 4.5, 0.0), "0x0.0p+0"),  # z = 0
+    ((0.1, 801.0, 45.0), "0x1.7ae9113cfad9ap-8"),  # Taylor
+    ((1.1, 2.2, 49.9), "0x1.6df2c87070bb4p+5"),  # Taylor, just below Z_SWITCH
+    ((1.1, 2.2, 50.0), "0x1.6ebb150f84f4cp+5"),  # asymptotic, at Z_SWITCH
+    ((1.1, 2.2, 50.1), "0x1.6f8363faa4259p+5"),  # asymptotic, just above
+    ((1.1, 801.0, 100.0), "0x1.2c5b98d5f8de9p-3"),  # log-series, asymptotic not tried
+    ((1.1, 12801.0, 13555.553125), "0x1.bd1659570b12cp+4"),  # asymptotic accepted
+    ((1.1, 12801.0, 5131.0796875), "0x1.2075c19708dffp-1"),  # asymptotic rejected
+    ((1.1, 12801.0, 9155.828125), "0x1.6193f268487f0p+0"),  # rejected, terms doubled once
+    ((2.1, 12802.0, 10905.71875), "0x1.0021f20c0536cp+2"),  # terms doubled twice
+    ((1.1, 12801.0, 12030.6484375), "0x1.8908259a0ba43p+1"),  # rejected, doubled 3 times
+]
+
+# Boundary(CIR(0.8, 20, sigma), 0.08, h=1, q0=1).precautionary(d)
+PRECAUTIONARY_HEX = {
+    0.05: [
+        (0.0, "0x0.0p+0"),
+        (0.01, "0x1.7915609d3140bp-22"),
+        (0.1, "0x1.d97c513ce41e7p-19"),
+        (8.0, "0x1.eaa23f058d255p-12"),
+        (14.0, "0x1.acc7fafa1356ep-10"),
+        (17.0, "0x1.0301a50361164p-8"),
+        (18.8, "0x1.5a00cf1f98297p-7"),
+        (21.2, "0x1.f71eb46d61804p-2"),
+        (40.0, "0x1.056e8d75a8689p+3"),
+    ],
+    0.2: [
+        (0.0, "0x0.0p+0"),
+        (0.5, "0x1.2d9d876798c81p-12"),
+        (5.0, "0x1.e9673cda9f907p-9"),
+        (10.0, "0x1.6d4882281d5d6p-7"),
+        (20.0, "0x1.f360cdfe2e588p-3"),
+        (160.0, "0x1.c98206f0b62cbp+5"),
+    ],
+}
+
+
+@pytest.mark.parametrize("abz,want", LOG_M_HEX)
+def test_log_m_is_bitwise_unchanged_in_every_regime(abz, want):
+    assert kummer_m_log(*abz).hex() == want
+
+
+@pytest.mark.parametrize("sigma", sorted(PRECAUTIONARY_HEX))
+def test_precautionary_is_bitwise_unchanged(sigma):
+    bound = Boundary(CIR(0.8, 20.0, sigma), RHO, 1.0, 1.0)
+    d, want = zip(*PRECAUTIONARY_HEX[sigma])
+    assert [float(v).hex() for v in bound.precautionary(np.array(d))] == list(want)
+    assert [bound.precautionary(x).hex() for x in d] == list(want)
+
+
+@pytest.mark.parametrize("b", [2.2, 801.0, 12801.0])
+def test_array_call_equals_one_point_calls(b):
+    z = np.concatenate([[0.0], np.linspace(0.5, 60.0, 41), np.linspace(50.0, 14000.0, 57)])
+    got = _m_log(1.1, b, z)
+    want = [kummer_m_log(1.1, b, float(x)) for x in z]
+    assert [float(v).hex() for v in got] == [w.hex() for w in want]
+
+
+def test_psi_ratios_take_arrays():
+    d = np.array([[1e-8, 0.5], [20.0, 1e4]])
+    for fn in (psi_ratio_second, psi_over_psi_prime):
+        got = fn(REF, RHO, d)
+        assert got.shape == d.shape
+        assert [v.hex() for v in got.ravel().tolist()] == [
+            fn(REF, RHO, float(x)).hex() for x in d.ravel()]
+        assert isinstance(fn(REF, RHO, 3.0), float)
+    with pytest.raises(DomainError):
+        psi_ratio_second(REF, RHO, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        psi_ratio_second(REF, RHO, np.array([1.0, np.inf]))
