@@ -218,6 +218,8 @@ def _cmd_boundary(args) -> int:
     if args.sigma is not None:
         model = replace(model, sigma=args.sigma)
     h = sc.h if args.lag is None else float(args.lag)
+    if args.points < 2:
+        raise ParameterError(f"need at least 2 grid points, got {args.points}")
     if args.sweep_sigma:
         return _boundary_sigma_sweep(cfg, model, args)
 
@@ -238,8 +240,6 @@ def _cmd_boundary(args) -> int:
         lo = shifted
     if not hi > lo:
         raise ParameterError(f"need d-max > d-min, got [{lo}, {hi}]")
-    if args.points < 2:
-        raise ParameterError(f"need at least 2 grid points, got {args.points}")
 
     d = np.linspace(lo, hi, args.points)
     b0 = beta0(model, d, h)

@@ -432,12 +432,10 @@ def _path_matrix(model, d0, grid, seeds, scheme, max_refine="grid"):
     """Sample len(seeds) paths; returns (values, running_max), each of shape
     (len(seeds), n_steps+1).  Row i consumes only the three streams seeded
     by seeds[i] (see _stream_seeds), so it does not depend on the other
-    rows: the Monte Carlo engine samples each block of paths in slices on
-    worker threads (cut at a multiple of 64 rows, so that its matrix-vector
-    products round every row as for the whole block; see
-    montecarlo._halves).  This function calls no caller-supplied code, so
-    it may run off the calling thread; the threshold rule may not, and the
-    engine reads it on the calling thread.
+    rows: the Monte Carlo engine samples its paths in slices on worker
+    threads.  This function calls no caller-supplied code, so it may run
+    off the calling thread; the threshold rule may not, and the engine
+    reads it on the calling thread.
 
     max_refine selects how the running maximum is formed: "grid" takes the
     max over node values only, "bridge" additionally samples the exact

@@ -232,7 +232,7 @@ class _Functionals:
 
 
 def _workers() -> int:
-    """Threads for the Monte Carlo blocks: one per core this process may
+    """Threads for the Monte Carlo slices: one per core this process may
     run on."""
     try:
         return len(os.sched_getaffinity(0))
@@ -240,48 +240,37 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _halves(rows: int) -> list[slice]:
-    """Cut a block of `rows` paths into two slices of at least 64 rows, the
-    second starting at a multiple of 64 rows from the block start; a block
-    of fewer than 128 rows stays whole.
-
-    A BLAS matrix-vector product handles rows in fixed groups from the start
-    of its matrix and rounds the leftover rows at the end differently in the
-    last bit.  Cut at a multiple of 64, each slice holds the same groups,
-    with the same leftover rows, as the whole block, so every path's value
-    is the block's to the bit.  The cut does not depend on the number of
-    threads, so neither do the results, even when BLAS runs threads of its
-    own and splits each product by its row count.
-    """
-    if rows < 128:
-        return [slice(0, rows)]
-    cut = 64 * round(rows / 128)
-    return [slice(0, cut), slice(cut, rows)]
+def _row_sums(m, w):
+    """m @ w, each row summed on its own (no BLAS): a path's value depends
+    only on its own row, not on which or how many rows share the matrix or
+    on the BLAS thread count.  Every per-path sum in _run goes through here."""
+    return np.einsum("ij,j->i", m, w)
 
 
 def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
     """Serve every request from one path batch; returns one _Functionals
     per request, in order.
 
-    Paths are drawn once per block, on the grid of the longest request.
-    The per-path streams are prefix-consistent and the policy is causal, so
-    a shorter request reads exact prefixes of the same paths and of the same
-    committed capacity.  The boundary is evaluated once per slice of a
-    block, on the longest prefix any optimal or shifted policy needs; each
-    distinct policy is formed from it once per slice, on the longest prefix
-    its requests need, and freed before the next.
+    Paths are drawn once, on the grid of the longest request.  The per-path
+    streams are prefix-consistent and the policy is causal, so a shorter
+    request reads exact prefixes of the same paths and of the same committed
+    capacity.  The boundary is evaluated once per slice of paths, on the
+    longest prefix any optimal or shifted policy needs; each distinct policy
+    is formed from it once per slice, on the longest prefix its requests
+    need, and freed before the next.
 
-    Each block is cut in two slices (see _halves), and the slices run on a
+    The paths are cut into slices sized so that the slices of all workers
+    together hold about 3M grid cells per matrix, and the slices run on a
     thread pool with one thread per core, at most one slice per thread in
-    flight, so memory stays near one block's on two cores.  A worker
-    samples a slice's paths; the rule is read on them; a worker serves the
-    requests from them and the slice is freed.  The rule `base` and a
-    custom policy's fn run on the calling thread, once per slice as its
-    paths arrive, because a caller may wrap them in code that is not
-    thread-safe (a tracer's span stack, say).  Workers run only the sampler
-    and numpy arithmetic, which releases the interpreter lock in its large
-    loops.  Sums over paths are taken per block, in block order, so no
-    result depends on the number of threads or on the order slices finish.
+    flight.  A worker samples a slice's paths; the rule is read on them; a
+    worker serves the requests from them and the slice is freed.  The rule
+    `base` and a custom policy's fn run on the calling thread, once per
+    slice as its paths arrive, because a caller may wrap them in code that
+    is not thread-safe (a tracer's span stack, say).  Workers run only the
+    sampler and numpy arithmetic, which releases the interpreter lock in its
+    large loops.  Each path's functionals are row sums (_row_sums) and the
+    tail bounds are means over all paths, so no result depends on the
+    slicing, the number of threads, the order slices finish or BLAS.
 
     Paths are sampled with bridge-refined running maxima by default: the
     policy reads the continuous-time running max, whose grid version is
@@ -333,7 +322,7 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
 
     def sample(rows):
         vals, rmax = _path_matrix(model, d0, grid, seeds[rows], scheme, max_refine)
-        loss_a = 0.5 * ((vals[:, : lag + 1] - k0) ** 2) @ aw
+        loss_a = _row_sums(0.5 * (vals[:, : lag + 1] - k0) ** 2, aw)
         b0m = beta0(model, vals[:, : n_b0 + 1], h)
         a0m = alpha0(model, vals[:, : n_a0 + 1], h)
         return vals, rmax, loss_a, b0m, a0m
@@ -351,18 +340,18 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
         n, res, wants = steps[j], out[j], requests[j].wants
         gw = trap(n) * disc[: n + 1]
         if "F" in wants or "GJ" in wants:
-            inv = q0 * (increments(C, c0) @ disc[: n + 1])
+            inv = q0 * _row_sums(increments(C, c0), disc[: n + 1])
         if "F" in wants:
             bw = trap(n) * disc[lag : lag + n + 1]
             resid = C - vals[:, lag : lag + n + 1]
-            res.F[rows] = loss_a + 0.5 * (resid**2) @ bw + inv
+            res.F[rows] = loss_a + _row_sums(0.5 * resid**2, bw) + inv
             last_F[j][rows] = 0.5 * resid[:, -1] ** 2
         if "GJ" in wants:
             gmat = 0.5 * egh * (C * C - 2.0 * b0m[:, : n + 1] * C + a0m[:, : n + 1])
-            res.GJ[rows] = loss_a + gmat @ gw + inv
+            res.GJ[rows] = loss_a + _row_sums(gmat, gw) + inv
             last_G[j][rows] = gmat[:, -1]
         if "rev_h" in wants:
-            res.rev_h[rows] = egh * ((b0m[:, : n + 1] - C) @ gw)
+            res.rev_h[rows] = egh * _row_sums(b0m[:, : n + 1] - C, gw)
 
     def serve_slice(rows, vals, rmax, loss_a, b0m, a0m, base_levels, custom):
         for policy, js in members.items():
@@ -377,11 +366,9 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
                 serve(j, C[:, : steps[j] + 1], vals, b0m, a0m, loss_a, rows)
             del C, level
 
-    block = max(64, int(3_000_000 / (n_tot + 1)))
-    blocks = [slice(i0, min(i0 + block, n_paths)) for i0 in range(0, n_paths, block)]
-    todo = deque(slice(b.start + s.start, b.start + s.stop)
-                 for b in blocks for s in _halves(b.stop - b.start))
     workers = _workers()
+    size = max(64, 3_000_000 // ((n_tot + 1) * workers))
+    todo = deque(slice(i0, min(i0 + size, n_paths)) for i0 in range(0, n_paths, size))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # at most one slice per worker in flight, sampling or being served;
         # a sampling future maps to its rows, a serving one to None
@@ -403,17 +390,13 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
                     del sampled, serving
                 del fut  # the last reference to a served slice's paths
 
-    def mean_last(last):
-        # summed per block, in block order, as before the blocks were sliced
-        return sum(float(np.sum(last[b])) for b in blocks) / n_paths
-
     for j, res in enumerate(out):
         t_end = res.horizon + lag * dt
         ratio = _alpha_tail(model, d0, rho, t_end) / float(alpha0(model, d0, t_end))
         if last_F[j] is not None:
-            res.tail_F = mean_last(last_F[j]) * ratio
+            res.tail_F = np.sum(last_F[j]) / n_paths * ratio
         if last_G[j] is not None:
-            res.tail_G = mean_last(last_G[j]) * math.exp(rho * h) * ratio
+            res.tail_G = np.sum(last_G[j]) / n_paths * math.exp(rho * h) * ratio
     return out
 
 
@@ -645,12 +628,7 @@ def check_battery(
     """identity_check at its default horizon, dominance_test(offsets,
     horizon) and equilibrium_check(equilibrium_horizon), with the rule
     scaled by rule_scale, from one path batch, one Boundary and one rule
-    table.
-
-    Each report equals its standalone check's.  Bit for bit only while
-    n_paths fits in one block of paths (949 on the 150-year verify grid):
-    past that the blocks split differently, and a matrix-vector product may
-    round a path's value differently in the last bit.
+    table.  Each report equals its standalone check's, bit for bit.
     """
     offsets = [float(e) for e in offsets]
     base = _prepare(scenario, rule_scale)

@@ -42,10 +42,11 @@ class MCSettings:
     horizon: float | None = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_paths, int) and self.n_paths >= 1):
+        # type(...) is int: JSON true and false load as bool, an int subclass
+        if not (type(self.n_paths) is int and self.n_paths >= 1):
             raise ParameterError(f"need integer n_paths >= 1, got {self.n_paths!r}")
-        if not isinstance(self.seed, int):
-            raise ParameterError(f"need integer seed, got {self.seed!r}")
+        if not (type(self.seed) is int and self.seed >= 0):
+            raise ParameterError(f"need integer seed >= 0, got {self.seed!r}")
         if self.horizon is not None:
             require_finite("MCSettings", horizon=self.horizon)
             if not self.horizon > 0.0:
@@ -96,13 +97,23 @@ def _model_from_dict(d: dict) -> DemandModel:
     raise ParameterError(f"model kind must be abm/gbm/cir, got {kind!r}")
 
 
+def _number(v, name: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ParameterError(f"field {name!r} must be a number, got {v!r}")
+    return float(v)
+
+
 def _num(d: dict, key: str) -> float:
     if key not in d:
         raise ParameterError(f"missing field {key!r}")
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParameterError(f"field {key!r} must be a number, got {v!r}")
-    return float(v)
+    return _number(d[key], key)
+
+
+def _nums(d: dict, key: str) -> tuple[float, ...]:
+    v = d.get(key, [])
+    if not isinstance(v, list):
+        raise ParameterError(f"field {key!r} must be a list of numbers, got {v!r}")
+    return tuple(_number(x, f"{key}[{i}]") for i, x in enumerate(v))
 
 
 def _check_keys(d: dict, allowed: set[str], where: str) -> None:
@@ -158,10 +169,7 @@ def from_dict(d: dict) -> RunConfig:
     if not isinstance(pd, dict):
         raise ParameterError("scenario.pipeline must be an object")
     _check_keys(pd, {"times", "sizes"}, "scenario.pipeline")
-    try:
-        pipeline = Pipeline(tuple(pd.get("times", ())), tuple(pd.get("sizes", ())))
-    except TypeError as exc:
-        raise ParameterError(f"bad pipeline: {exc}") from exc
+    pipeline = Pipeline(_nums(pd, "times"), _nums(pd, "sizes"))
     scenario = Scenario(
         model=_model_from_dict(sd["model"]),
         rho=_num(sd, "rho"),

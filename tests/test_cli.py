@@ -104,6 +104,16 @@ def test_boundary_sigma_sweep_needs_additive_model(capsys):
     assert "additive" in err
 
 
+@pytest.mark.parametrize("points", ["-3", "0", "1"])
+@pytest.mark.parametrize("sweep", [[], ["--sweep-sigma"]], ids=["table", "sweep"])
+def test_boundary_needs_two_points(points, sweep, capsys):
+    argv = ["boundary", "--scenario", "abm-power", "--points", points, *sweep]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "at least 2 grid points" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -387,6 +397,39 @@ def test_inadmissible_config_exits_2(tmp_path, capsys):
     code, _, err = run(["boundary", "--config", str(path)], capsys)
     assert code == 2
     assert "rho" in err
+
+    # booleans are not counts or seeds, and a seed is not negative
+    for key, value in [("n_paths", True), ("seed", False), ("seed", -1)]:
+        cfg = json.loads(dumps(get("gbm-growth")))
+        cfg["mc"][key] = value
+        path.write_text(json.dumps(cfg))
+        code, _, err = run(["boundary", "--config", str(path)], capsys)
+        assert code == 2
+        assert key in err
+
+
+@pytest.mark.parametrize("command", ["cost", "simulate", "verify"])
+def test_negative_seed_exits_2(command, capsys):
+    code, out, err = run([command, "--scenario", "cir-fast", "--paths", "10",
+                          "--seed", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "seed" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("times", ["x"]), ("times", ["-1"]), ("times", [True]), ("times", [None]),
+     ("sizes", ["1"]), ("times", "x"), ("sizes", 1.0)],
+)
+def test_pipeline_entries_must_be_json_numbers(tmp_path, capsys, key, value):
+    cfg = json.loads(dumps(get("gbm-growth")))
+    cfg["scenario"]["pipeline"] = {"times": [-1.0], "sizes": [1.0], key: value}
+    path = tmp_path / "bad_pipeline.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(["boundary", "--config", str(path)], capsys)
+    assert code == 2
+    assert key in err
 
 
 @pytest.mark.parametrize(

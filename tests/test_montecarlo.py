@@ -8,8 +8,11 @@ full size.
 """
 
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,6 +337,62 @@ def test_check_battery_equals_standalone_checks(name, horizon, eq_horizon, rule_
     assert eq == equilibrium_check(scn, horizon=eq_horizon, **common)
 
 
+def test_check_battery_equals_standalone_checks_over_many_slices(monkeypatch):
+    # 3000 paths on gbm-growth: slices of 2126 rows for the identity check
+    # alone at one worker, and 720, 360 or 180 rows on the battery's
+    # 200-year grid at 1, 2 or 4 workers
+    scn = get("gbm-growth").scenario
+    offsets = [-0.1 * scn.d, 0.0, 0.1 * scn.d]
+    common = dict(n_paths=3000, seed=5)
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
+    want = (
+        identity_check(scn, **common),
+        dominance_test(scn, offsets, horizon=150.0, **common),
+        equilibrium_check(scn, horizon=200.0, **common),
+    )
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+        got = check_battery(scn, offsets, horizon=150.0, equilibrium_horizon=200.0, **common)
+        assert got == want
+
+
+_BATTERY = """
+from buildlag.montecarlo import check_battery
+from buildlag.scenarios import get
+for name, horizon, eq_horizon in [("gbm-growth", 150.0, 200.0), ("abm-power", 40.0, 40.0)]:
+    scn = get(name).scenario
+    print(repr(check_battery(scn, [-0.1 * scn.d, 0.0, 0.1 * scn.d], horizon=horizon,
+                             equilibrium_horizon=eq_horizon, n_paths=3000, seed=5)))
+"""
+
+
+def test_check_battery_does_not_depend_on_the_blas_thread_count():
+    # the thread count is read when numpy loads, so each setting needs its
+    # own process; BLAS products rounded the abm-power case differently at
+    # 1 and 2 threads
+    src = str(Path(montecarlo.__file__).parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _BATTERY], env=env,
+                             capture_output=True, text=True, check=True)
+        reports.append(run.stdout)
+    assert reports[0].startswith("(IdentityReport(")
+    assert reports[0] == reports[1]
+
+
+def test_row_sums_do_not_depend_on_the_rows_beside_them():
+    rng = np.random.default_rng(0)
+    m, w = rng.standard_normal((1000, 1601)), rng.standard_normal(1601)
+    whole = montecarlo._row_sums(m, w)
+    for cut in (1, 3, 63, 64, 101, 474, 999):
+        parts = [montecarlo._row_sums(m[:cut], w), montecarlo._row_sums(m[cut:], w)]
+        assert np.array_equal(np.concatenate(parts), whole)
+    # a strided prefix, as a shorter request reads
+    prefix = montecarlo._row_sums(m[:, :700], w[:700])
+    assert np.array_equal(prefix, montecarlo._row_sums(m[:, :700].copy(), w[:700]))
+
+
 def test_check_battery_draws_each_path_once_and_builds_one_table(monkeypatch):
     rows, tables = [], []
     path_matrix, table = montecarlo._path_matrix, Boundary.table
@@ -391,8 +450,8 @@ def _checks_at(monkeypatch, workers, scn, offsets, **common):
 
 
 def test_results_do_not_depend_on_the_worker_count(monkeypatch):
-    # 150 years on cir-fast: blocks of 949, 949 and 102 rows, each with a
-    # row left over from the groups of four a matrix-vector product takes
+    # 150 years on cir-fast: slices of 949, 474 or 316 rows at 1, 2 or 3
+    # workers, so a path sits in another slice, at another row of it
     scn = get("cir-fast").scenario
     offsets = [-0.1 * scn.d, 0.0, 0.1 * scn.d]
     common = dict(horizon=150.0, n_paths=2000, seed=23)
@@ -403,8 +462,8 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
 
 
 def test_more_workers_than_cores_with_frequent_switches(monkeypatch):
-    # 600 years: blocks of 246, 246 and 108 rows, so five slices, all in
-    # flight at once, write disjoint rows of shared arrays
+    # 600 years at 8 workers: the 64-row floor binds, so ten slices, up to
+    # eight in flight at once, write disjoint rows of shared arrays
     scn = get("gbm-growth").scenario
     offsets = [-0.1 * scn.d, 0.0]
     common = dict(horizon=600.0, n_paths=600, seed=4)
@@ -446,20 +505,33 @@ def test_rule_and_custom_policy_run_on_the_calling_thread(monkeypatch):
     common = dict(horizon=150.0, n_paths=1200, seed=5)
     dominance_test(scn, [0.0, 0.1 * scn.d], **common)
     estimate_F(scn, PolicySpec.custom(custom), **common)
-    # blocks of 949 and 251 rows, two slices each: four calls per check
+    # slices of 316 rows at 3 workers, three of them and one of 252: four
+    # calls per check
     assert len(threads) == 8
     assert set(threads) == {threading.get_ident()}
 
 
-@pytest.mark.parametrize("rows", [1, 63, 64, 100, 127, 128, 251, 721, 949, 2126])
-def test_halves_cut_at_a_multiple_of_64_and_cover_the_block(rows):
-    cuts = montecarlo._halves(rows)
-    assert len(cuts) == (1 if rows < 128 else 2)
-    assert cuts[0].start == 0 and cuts[-1].stop == rows
-    for a, b in zip(cuts, cuts[1:]):
-        assert a.stop == b.start
-        assert b.start % 64 == 0
-        assert min(a.stop - a.start, b.stop - b.start) >= 64
+def test_slices_of_all_workers_share_one_budget(monkeypatch):
+    # 150 years at 4 workers: 3M cells / (3161 * 4) is 237 rows a slice,
+    # above the 64-row floor
+    seen = []
+    path_matrix = montecarlo._path_matrix
+
+    def recording_path_matrix(model, d0, grid, seqs, *args):
+        seen.append((grid.n_steps, len(seqs)))
+        return path_matrix(model, d0, grid, seqs, *args)
+
+    monkeypatch.setattr(montecarlo, "_path_matrix", recording_path_matrix)
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 4)
+    scn = get("gbm-growth").scenario
+    dominance_test(scn, [0.0, 0.1 * scn.d], horizon=150.0, n_paths=1000, seed=1)
+    (n_tot,) = {n for n, _ in seen}
+    limit = 3_000_000 // ((n_tot + 1) * 4)
+    assert limit > 64
+    rows = [r for _, r in seen]
+    assert sum(rows) == 1000
+    assert max(rows) <= limit
+    assert len(rows) == math.ceil(1000 / limit)
 
 
 # ---------------------------------------------------------------------------
