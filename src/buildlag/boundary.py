@@ -19,7 +19,10 @@ For affine drift mu(d) = a d + b the markdown is
 with psi the increasing solution of rho phi = mu phi' + sigma^2/2 phi''.
 Closed forms are implemented per model; `generic_boundary` recomputes the
 threshold from scratch by integrating the psi Riccati equation numerically
-and is used as an independent cross-check, never as a fallback.
+and is used as an independent cross-check, never as a fallback.  It solves
+with LSODA and falls back to Radau when LSODA fails, both at rtol 1e-10 and
+atol 1e-13; scipy.integrate is imported on the first oracle call, so only
+processes that run the oracle load it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .demand import (
     ABM,
@@ -297,9 +299,19 @@ def generic_boundary(model: DemandModel, rho: float, h: float, q0: float, d: flo
 
 
 def _solve(rhs, span, y0):
-    sol = solve_ivp(rhs, span, [y0], method="Radau", rtol=1e-10, atol=1e-13)
+    """y(span[1]) of the scalar ODE y' = rhs(t, y), y(span[0]) = y0.
+
+    LSODA (stiffness switching) first, Radau when LSODA's status is
+    nonzero; both at rtol 1e-10, atol 1e-13.  On these stiff 1-D problems
+    LSODA takes a fraction of Radau's time, and unlike Radau's its result
+    does not move with the BLAS thread count.  Raises NumericsError when
+    both fail or the result is not a positive finite number.
+    """
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(rhs, span, [y0], method="LSODA", rtol=1e-10, atol=1e-13)
     if sol.status != 0:
-        sol = solve_ivp(rhs, span, [y0], method="LSODA", rtol=1e-10, atol=1e-13)
+        sol = solve_ivp(rhs, span, [y0], method="Radau", rtol=1e-10, atol=1e-13)
     if sol.status != 0:
         raise NumericsError(f"psi ratio integration failed: {sol.message}")
     out = float(sol.y[0, -1])

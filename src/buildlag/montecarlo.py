@@ -411,6 +411,13 @@ def _summary(per_path: np.ndarray, horizon: float, tail: float) -> CostEstimate:
     )
 
 
+def _check_paths(n_paths: int) -> None:
+    """A check's tolerance is a multiple of a sample standard error, which
+    one path cannot give: with n_paths = 1 every tolerance would be 0."""
+    if n_paths < 2:
+        raise ParameterError(f"a Monte Carlo check needs n_paths >= 2, got {n_paths}")
+
+
 def _tail_guard(est: CostEstimate, name: str) -> None:
     if est.tail_bound > 0.01 * abs(est.mean):
         raise TruncationError(
@@ -558,6 +565,7 @@ def identity_check(
     here for symmetry with the dominance and equilibrium checks, where a
     scaled boundary is a negative control that must fail.
     """
+    _check_paths(n_paths)
     req = _Request(policy, _horizon(scenario, horizon), ("F", "GJ"))
     (res,) = _run(scenario, _prepare(scenario, rule_scale), [req], n_paths, seed,
                   dt, scheme, max_refine)
@@ -582,6 +590,7 @@ def dominance_test(
 
     With rule_scale != 1 the unshifted policy is deliberately wrong and some
     offset should beat it: a negative control for this very test."""
+    _check_paths(n_paths)
     offsets = [float(e) for e in offsets]
     reqs = _dominance_requests(offsets, _horizon(scenario, horizon))
     results = _run(scenario, _prepare(scenario, rule_scale), reqs, n_paths, seed,
@@ -609,6 +618,7 @@ def equilibrium_check(
     boundary this equals q0; strictly inside the continuation region it
     falls short.
     """
+    _check_paths(n_paths)
     base = _prepare(scenario, rule_scale)
     req = _Request(PolicySpec.optimal(), _horizon(scenario, horizon), ("rev_h",))
     (res,) = _run(scenario, base, [req], n_paths, seed, dt, scheme, max_refine)
@@ -630,6 +640,7 @@ def check_battery(
     scaled by rule_scale, from one path batch, one Boundary and one rule
     table.  Each report equals its standalone check's, bit for bit.
     """
+    _check_paths(n_paths)
     offsets = [float(e) for e in offsets]
     base = _prepare(scenario, rule_scale)
     reqs = [

@@ -2,10 +2,16 @@
 geometry, and equivalence with the generic ODE oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 
+import buildlag
 from buildlag.boundary import (
     Boundary,
     _table_nodes,
@@ -17,7 +23,7 @@ from buildlag.boundary import (
     generic_boundary,
 )
 from buildlag.demand import ABM, CIR, GBM, beta0
-from buildlag.errors import DomainError, ParameterError
+from buildlag.errors import DomainError, NumericsError, ParameterError
 
 RHO = 0.08
 GBM_REF = GBM(mu=0.03, sigma=0.1)  # admissibility: 0.08 > 0.06 + 0.01
@@ -334,3 +340,76 @@ def test_oracle_matches_closed_forms_random_draws():
         assert closed == pytest.approx(
             generic_boundary(model, rho, h, q0, d), rel=1e-5
         )
+
+
+def _failing_solver(monkeypatch, failing):
+    """Wrap solve_ivp so that the methods in `failing` report status -1;
+    returns the list of methods called, in order."""
+    methods = []
+    original = scipy.integrate.solve_ivp
+
+    def wrapped(*args, method, **kwargs):
+        methods.append(method)
+        sol = original(*args, method=method, **kwargs)
+        if method in failing:
+            sol.status, sol.message = -1, f"{method} made to fail"
+        return sol
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", wrapped)
+    return methods
+
+
+ORACLE_POINTS = [(GBM_REF, 1.0, 5.0, 1_000.0), (CIR_FAST, 8.0, 1.0, 10.0)]
+
+
+def test_oracle_runs_lsoda_alone_when_it_succeeds(monkeypatch):
+    methods = _failing_solver(monkeypatch, failing=())
+    for model, h, q0, d in ORACLE_POINTS:
+        generic_boundary(model, RHO, h, q0, d)
+    assert methods == ["LSODA", "LSODA"]
+
+
+def test_oracle_falls_back_to_radau_when_lsoda_fails(monkeypatch):
+    methods = _failing_solver(monkeypatch, failing=("LSODA",))
+    for model, h, q0, d in ORACLE_POINTS:
+        closed = float(Boundary(model, RHO, h, q0).eval(d))
+        assert closed == pytest.approx(generic_boundary(model, RHO, h, q0, d), rel=1e-5)
+    assert methods == ["LSODA", "Radau", "LSODA", "Radau"]
+
+
+def test_oracle_raises_when_both_solvers_fail(monkeypatch):
+    methods = _failing_solver(monkeypatch, failing=("LSODA", "Radau"))
+    with pytest.raises(NumericsError, match="Radau made to fail"):
+        generic_boundary(CIR_FAST, RHO, 8.0, 1.0, 10.0)
+    assert methods == ["LSODA", "Radau"]
+
+
+_IMPORT_PATH = """
+import importlib.util
+import sys
+
+import buildlag, buildlag.cli
+assert "scipy.integrate" not in sys.modules, "loaded by import buildlag"
+
+# load the figure script as a file, the way the benchmark does
+spec = importlib.util.spec_from_file_location("make_figure_data",
+                                              "scripts/make_figure_data.py")
+mod = importlib.util.module_from_spec(spec)
+sys.modules["make_figure_data"] = mod
+spec.loader.exec_module(mod)
+assert "scipy.integrate" not in sys.modules, "loaded by the figure script"
+
+from buildlag.boundary import generic_boundary
+from buildlag.demand import GBM
+generic_boundary(GBM(0.03, 0.1), 0.08, 1.0, 5.0, 1000.0)
+assert "scipy.integrate" in sys.modules, "not loaded by the oracle"
+"""
+
+
+def test_only_the_oracle_loads_scipy_integrate():
+    # a fresh process: this one has imported scipy.integrate already
+    src = Path(buildlag.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", _IMPORT_PATH], env=env, cwd=src.parent,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -5,6 +5,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +298,28 @@ def test_verify_oracle_solves_each_distinct_point_once(monkeypatch):
                       "max_rel_err": worst, "points": points}
 
 
+_ORACLE = """
+from buildlag import cli
+from buildlag.scenarios import get
+print(repr(cli._check_oracle(get("cir-slow").scenario)))
+"""
+
+
+def test_oracle_does_not_depend_on_the_blas_thread_count():
+    # the thread count is read when numpy loads, so each setting needs its
+    # own process; Radau's LAPACK calls rounded cir-slow's max_rel_err
+    # differently at 1 and 2 threads
+    src = str(Path(cli.__file__).parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _ORACLE], env=env,
+                             capture_output=True, text=True, check=True)
+        reports.append(run.stdout)
+    assert reports[0].startswith("{'name': 'boundary-oracle', 'status': 'PASS'")
+    assert reports[0] == reports[1]
+
+
 def test_verify_twice_in_one_process_is_byte_identical(tmp_path, capsys):
     # the second run reads its rule tables from the process-wide cache
     reports = []
@@ -415,6 +441,22 @@ def test_negative_seed_exits_2(command, capsys):
     assert code == 2
     assert out == ""
     assert "seed" in err
+
+
+@pytest.mark.parametrize("scenario", ["gbm-growth", "cir-fast"])
+def test_verify_on_one_path_exits_2(scenario, capsys):
+    # a check's tolerance is a multiple of a standard error, 0 on one path
+    code, out, err = run(["verify", "--scenario", scenario, "--paths", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "n_paths >= 2" in err
+
+
+def test_cost_on_one_path_is_legal(capsys):
+    code, out, _ = run(["cost", "--scenario", "gbm-growth", "--paths", "1",
+                        "--horizon", "20"], capsys)
+    assert code == 0
+    assert json.loads(out)["n_paths"] == 1
 
 
 @pytest.mark.parametrize(

@@ -101,6 +101,27 @@ def test_every_check_rejects_non_finite_rule_scale(scale):
             run_check()
 
 
+@pytest.mark.parametrize("check", ["identity", "dominance", "equilibrium", "battery"])
+def test_every_check_needs_two_paths(check):
+    # one path has no standard error, so every tolerance would be 0
+    sc = gbm_market()
+    run_check = {
+        "identity": lambda: identity_check(sc, n_paths=1),
+        "dominance": lambda: dominance_test(sc, [0.0], n_paths=1),
+        "equilibrium": lambda: equilibrium_check(sc, n_paths=1),
+        "battery": lambda: check_battery(sc, [0.0], n_paths=1),
+    }[check]
+    with pytest.raises(ParameterError, match="n_paths >= 2, got 1"):
+        run_check()
+
+
+def test_one_path_estimates_are_legal():
+    for estimate in (estimate_F, estimate_G_plus_J):
+        est = estimate(gbm_market(), n_paths=1, horizon=20.0)
+        assert est.n_paths == 1
+        assert est.std_error == 0.0
+
+
 def test_dominance_offsets_must_include_zero():
     with pytest.raises(ParameterError):
         dominance_test(cir_market(), [0.5, 1.0], n_paths=2)
