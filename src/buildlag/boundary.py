@@ -155,7 +155,11 @@ class Boundary:
             ratios = np.zeros_like(flat)
             pos = flat > 0.0
             if pos.any():
-                ratios[pos] = psi_ratio_second(self.model, self.rho, flat[pos])
+                points = flat[pos]
+                # a path matrix is evaluated without being kept
+                ratios[pos] = (psi_ratio_second(self.model, self.rho, points)
+                               if points.size > _RATIO_CACHE_POINTS
+                               else _psi_ratios(self.model, self.rho, points.tobytes()))
             out = (pref * flat * ratios).reshape(d.shape)
         return out if out.ndim else float(out)
 
@@ -218,6 +222,20 @@ def _table_nodes(model: CIR, rho: float, h: float, q0: float, d_lo: float, d_hi:
     grid.setflags(write=False)
     vals.setflags(write=False)
     return grid, vals
+
+
+# fast_rule's node count, the largest table the program builds
+_RATIO_CACHE_POINTS = 4097
+
+
+@functools.lru_cache(maxsize=8)
+def _psi_ratios(model: CIR, rho: float, d_bytes: bytes) -> np.ndarray:
+    """psi''/psi' at the positive float64 points in d_bytes, evaluated once
+    per process for each grid.  It involves neither h nor q0, so boundaries
+    that differ only in those share it; shared, hence read-only."""
+    out = psi_ratio_second(model, rho, np.frombuffer(d_bytes))
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import sys
@@ -76,7 +78,10 @@ def main(argv=None) -> int:
         return 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change
+    it, and every parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="buildlag",
         description="Irreversible capacity investment under a construction lag: "
@@ -189,9 +194,19 @@ def _emit_table(header, rows, outputs) -> None:
         ) + "\n"
     else:
         lines = [",".join(header)]
-        lines.extend(",".join(_cell(v) for v in row) for row in rows)
+        if set(map(type, itertools.chain.from_iterable(rows))) <= {float}:
+            # all cells are floats: one format string per row, as _cell writes them
+            fmt = ",".join(["%.17g"] * len(header))
+            lines.extend(fmt % row for row in rows)
+        else:
+            lines.extend(",".join(_cell(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
     _emit(text, outputs.path)
+
+
+def _rows(cols) -> list[tuple]:
+    """Table rows of Python floats from equal-length numeric columns."""
+    return list(zip(*(c.tolist() for c in cols)))
 
 
 def _emit_json(obj, outputs) -> None:
@@ -254,8 +269,7 @@ def _cmd_boundary(args) -> int:
             cir_asymptote(model, sc.rho, h, sc.q0, d),
             d,
         ]
-    rows = [tuple(float(c[i]) for c in cols) for i in range(len(d))]
-    _emit_table(header, rows, cfg.outputs)
+    _emit_table(header, _rows(cols), cfg.outputs)
     return 0
 
 
@@ -270,8 +284,9 @@ def _boundary_sigma_sweep(cfg, model, args) -> int:
         raise ParameterError("--sweep-sigma applies to the additive model only")
     lo = args.d_min if args.d_min is not None else 0.25 * model.sigma
     hi = args.d_max if args.d_max is not None else 2.0 * model.sigma
-    if not 0.0 < lo < hi:
-        raise ParameterError(f"need 0 < min < max for the sigma grid, got [{lo}, {hi}]")
+    if not (0.0 < lo < hi and math.isfinite(hi)):
+        raise ParameterError(
+            f"need finite 0 < --d-min < --d-max for the sigma grid, got [{lo}, {hi}]")
     sigmas = np.linspace(lo, hi, args.points)
     rows = []
     for s in sigmas:
@@ -323,7 +338,9 @@ def _cmd_simulate(args) -> int:
         )
         traj = simulate(sc, rule, DemandPath(grid, vals, rmax, cfg.mc.seed))
         d, c, k = traj.demand, traj.committed, traj.installed
-        q = lambda a, p: np.quantile(a, p, axis=0)
+        d05, d50, d95 = np.quantile(d, [0.05, 0.5, 0.95], axis=0)
+        c05, c95 = np.quantile(c, [0.05, 0.95], axis=0)
+        k05, k95 = np.quantile(k, [0.05, 0.95], axis=0)
         header = [
             "t",
             "d_mean", "d_q05", "d_q50", "d_q95",
@@ -333,13 +350,12 @@ def _cmd_simulate(args) -> int:
         ]
         cols = [
             t,
-            d.mean(axis=0), q(d, 0.05), q(d, 0.5), q(d, 0.95),
-            c.mean(axis=0), q(c, 0.05), q(c, 0.95),
-            k.mean(axis=0), q(k, 0.05), q(k, 0.95),
+            d.mean(axis=0), d05, d50, d95,
+            c.mean(axis=0), c05, c95,
+            k.mean(axis=0), k05, k95,
             traj.investment_increments.mean(axis=0), traj.price.mean(axis=0),
         ]
-    rows = [tuple(float(col[i]) for col in cols) for i in range(len(t))]
-    _emit_table(header, rows, cfg.outputs)
+    _emit_table(header, _rows(cols), cfg.outputs)
     return 0
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,11 @@ import pytest
 import scipy.integrate
 
 import buildlag
+from buildlag import kummer
 from buildlag.boundary import (
+    _RATIO_CACHE_POINTS,
     Boundary,
+    _psi_ratios,
     _table_nodes,
     abm_lambda,
     cir_asymptote,
@@ -278,6 +282,67 @@ def test_cached_table_nodes_are_read_only():
             arr[0] = 1.0
     fresh = Boundary(CIR_FAST, RHO, 8.0, 1.0)
     assert np.array_equal(vals, fresh.eval(np.linspace(0.01, 160.0, 65)))
+
+
+_PRECAUTIONARY = """
+import sys
+import numpy as np
+from buildlag.boundary import Boundary
+from buildlag.demand import CIR
+d = np.linspace(0.0, 400.0, 33)
+b = Boundary(CIR(gamma=0.6, delta=25.0, sigma=0.25), 0.08, 7.0, 3.0)
+sys.stdout.write(b.precautionary(d).tobytes().hex())
+"""
+
+
+def test_psi_ratios_are_shared_by_lags_and_costs(monkeypatch):
+    calls = []
+    original = kummer._series_log
+
+    def counting(a, b, z):
+        calls.append(z.size)
+        return original(a, b, z)
+
+    monkeypatch.setattr(kummer, "_series_log", counting)
+    # parameters no other test uses, so the process-wide cache is cold
+    model = CIR(gamma=0.6, delta=25.0, sigma=0.25)
+    d = np.linspace(0.0, 400.0, 33)
+    Boundary(model, RHO, 2.0, 1.0).precautionary(d)
+    runs = len(calls)
+    assert runs > 0
+    # psi''/psi' does not involve h or q0
+    Boundary(model, RHO, 7.0, 1.0).precautionary(d)
+    again = Boundary(model, RHO, 7.0, 3.0).precautionary(d)
+    assert len(calls) == runs
+    env = dict(os.environ, PYTHONPATH=str(Path(buildlag.__file__).parents[1]))
+    fresh = subprocess.run([sys.executable, "-c", _PRECAUTIONARY], env=env,
+                           capture_output=True, text=True, check=True).stdout
+    assert again.tobytes().hex() == fresh
+    # a different sigma or rho is a different ratio
+    Boundary(replace(model, sigma=0.26), RHO, 7.0, 3.0).precautionary(d)
+    assert len(calls) == 2 * runs
+    Boundary(model, 1.1 * RHO, 7.0, 3.0).precautionary(d)
+    assert len(calls) == 3 * runs
+
+
+def test_psi_ratio_cache_skips_path_matrices():
+    bound = Boundary(CIR(gamma=0.6, delta=25.0, sigma=0.3), RHO, 2.0, 1.0)
+    paths = np.linspace(1.0, 300.0, 2 * (_RATIO_CACHE_POINTS // 2 + 1)).reshape(2, -1)
+    assert paths.size > _RATIO_CACHE_POINTS
+    before = _psi_ratios.cache_info()
+    out = bound.precautionary(paths)
+    assert _psi_ratios.cache_info() == before
+    assert np.array_equal(out[1], bound.precautionary(paths[1]))
+
+
+def test_psi_ratios_are_read_only():
+    d = np.linspace(1.0, 200.0, 17)
+    ratios = _psi_ratios(CIR_FAST, RHO, d.tobytes())
+    with pytest.raises(ValueError):
+        ratios[0] = 1.0
+    # callers still get a fresh array
+    out = Boundary(CIR_FAST, RHO, 8.0, 1.0).precautionary(d)
+    out[0] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,17 @@ def test_boundary_sigma_sweep_needs_additive_model(capsys):
     assert "additive" in err
 
 
+@pytest.mark.parametrize("bounds", [["--d-max", "inf"], ["--d-max", "nan"],
+                                    ["--d-min", "nan"], ["--d-min=-inf"]])
+def test_boundary_sigma_sweep_needs_finite_bounds(bounds, capsys):
+    code, out, err = run(["boundary", "--scenario", "abm-power", "--sweep-sigma", *bounds],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite 0 < --d-min < --d-max for the sigma grid" in err
+    assert bounds[-1].split("=")[-1] in err
+
+
 @pytest.mark.parametrize("points", ["-3", "0", "1"])
 @pytest.mark.parametrize("sweep", [[], ["--sweep-sigma"]], ids=["table", "sweep"])
 def test_boundary_needs_two_points(points, sweep, capsys):
@@ -505,6 +516,27 @@ def test_out_file_and_json_format(tmp_path, capsys):
     rows = json.loads(path.read_text())
     assert len(rows) == 4
     assert set(rows[0]) >= {"d", "c_hat", "tangent"}
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process; each call parses afresh
+    code, out, _ = run(["simulate", "--scenario", "cir-fast", "--horizon", "1",
+                        "--paths", "3"], capsys)
+    assert code == 0 and table(out)[0][1] == "d_mean"
+    code, out, _ = run(["simulate", "--scenario", "cir-fast", "--horizon", "1"], capsys)
+    assert code == 0 and table(out)[0] == ["t", "D", "C", "K", "dI", "p"]
+
+    code, out, _ = run(["verify", "--scenario", "gbm-growth", "--paths", "300",
+                        "--debug-scale-boundary", "0.5"], capsys)
+    assert code == 4
+    assert json.loads(out)["debug_scale_boundary"] == 0.5
+    code, out, _ = run(["verify", "--scenario", "gbm-growth", "--paths", "300"], capsys)
+    assert json.loads(out)["debug_scale_boundary"] == 1.0
+
+    assert run(["boundary", "--scenario", "abm-power", "--points", "many"], capsys)[0] == 2
+    code, out, err = run(["boundary", "--scenario", "abm-power", "--points", "3"], capsys)
+    assert (code, err) == (0, "")
+    assert len(table(out)[1]) == 3
 
 
 def test_help_and_missing_subcommand(capsys):
