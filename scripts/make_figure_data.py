@@ -73,7 +73,7 @@ def _committed(cfg, horizon, n_paths):
     vals, rmax = sample_paths(sc.model, sc.d, grid, cfg.mc.seed, n_paths,
                               max_refine="bridge")
     rule = fast_rule(sc, Boundary(sc.model, sc.rho, sc.h, sc.q0))
-    traj = simulate(sc, rule, DemandPath(grid, vals, rmax, cfg.mc.seed))
+    traj = simulate(sc, rule, DemandPath(grid, vals, rmax))
     return sc, grid, vals, traj.committed
 
 

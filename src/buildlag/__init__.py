@@ -53,7 +53,6 @@ from .montecarlo import (
     estimate_G_plus_J,
     fast_rule,
     identity_check,
-    running_cost,
 )
 from .policy import (Pipeline, Scenario, Trajectory, committed_identity_check, increments,
                      reflect, simulate)

@@ -185,9 +185,10 @@ class Boundary:
         function twice, far too slow to repeat on every cell of a Monte
         Carlo path matrix; the surrogate evaluates the boundary at n
         equally spaced nodes and interpolates (linear extrapolation outside
-        the range).  The nodes are computed once per process for each
-        parameter set and shared by every table built from it.  ABM/GBM
-        boundaries are affine, so eval itself is returned.
+        the range).  The nodes' psi''/psi' ratios come from the per-process
+        psi-ratio cache, so a table rebuilt for the same nodes, at any h or
+        q0, runs no Kummer function.  ABM/GBM boundaries are affine, so eval
+        itself is returned.
         """
         if not isinstance(self.model, CIR):
             return self.eval
@@ -195,7 +196,8 @@ class Boundary:
             raise DomainError(f"need 0 < d_lo < d_hi, got [{d_lo}, {d_hi}]")
         if not n >= 2:
             raise ParameterError(f"need at least 2 table nodes, got n={n}")
-        grid, vals = _table_nodes(self.model, self.rho, self.h, self.q0, d_lo, d_hi, n)
+        grid = np.linspace(d_lo, d_hi, n)
+        vals = self.eval(grid)
         lo_slope = (vals[1] - vals[0]) / (grid[1] - grid[0])
         hi_slope = (vals[-1] - vals[-2]) / (grid[-1] - grid[-2])
 
@@ -210,18 +212,6 @@ class Boundary:
             return out if out.ndim else float(out)
 
         return interp
-
-
-@functools.lru_cache(maxsize=8)
-def _table_nodes(model: CIR, rho: float, h: float, q0: float, d_lo: float, d_hi: float,
-                 n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and boundary values of `Boundary.table`, evaluated once per
-    parameter set and shared, hence read-only."""
-    grid = np.linspace(d_lo, d_hi, n)
-    vals = Boundary(model, rho, h, q0).eval(grid)
-    grid.setflags(write=False)
-    vals.setflags(write=False)
-    return grid, vals
 
 
 # fast_rule's node count, the largest table the program builds

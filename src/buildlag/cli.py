@@ -227,6 +227,9 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_boundary(args) -> int:
+    for flag, value in (("--d-min", args.d_min), ("--d-max", args.d_max)):
+        if value is not None and not math.isfinite(value):
+            raise ParameterError(f"{flag} must be finite, got {value}")
     cfg = _load_config(args)
     sc = cfg.scenario
     model = sc.model
@@ -284,9 +287,8 @@ def _boundary_sigma_sweep(cfg, model, args) -> int:
         raise ParameterError("--sweep-sigma applies to the additive model only")
     lo = args.d_min if args.d_min is not None else 0.25 * model.sigma
     hi = args.d_max if args.d_max is not None else 2.0 * model.sigma
-    if not (0.0 < lo < hi and math.isfinite(hi)):
-        raise ParameterError(
-            f"need finite 0 < --d-min < --d-max for the sigma grid, got [{lo}, {hi}]")
+    if not 0.0 < lo < hi:
+        raise ParameterError(f"need 0 < --d-min < --d-max for the sigma grid, got [{lo}, {hi}]")
     sigmas = np.linspace(lo, hi, args.points)
     rows = []
     for s in sigmas:
@@ -336,7 +338,7 @@ def _cmd_simulate(args) -> int:
         vals, rmax = sample_paths(
             sc.model, sc.d, grid, cfg.mc.seed, n_paths, max_refine="bridge"
         )
-        traj = simulate(sc, rule, DemandPath(grid, vals, rmax, cfg.mc.seed))
+        traj = simulate(sc, rule, DemandPath(grid, vals, rmax))
         d, c, k = traj.demand, traj.committed, traj.installed
         d05, d50, d95 = np.quantile(d, [0.05, 0.5, 0.95], axis=0)
         c05, c95 = np.quantile(c, [0.05, 0.95], axis=0)

@@ -211,7 +211,6 @@ class DemandPath:
     grid: TimeGrid
     values: np.ndarray
     running_max: np.ndarray
-    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +563,7 @@ def sample_path(
     """Sample one path. Deterministic in all arguments."""
     _check_d0(model, d0)
     vals, rmax = _path_matrix(model, d0, grid, _stream_seeds(seed), scheme, max_refine)
-    return DemandPath(grid=grid, values=vals[0], running_max=rmax[0], seed=seed)
+    return DemandPath(grid=grid, values=vals[0], running_max=rmax[0])
 
 
 def sample_paths(

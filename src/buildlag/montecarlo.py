@@ -52,7 +52,6 @@ __all__ = [
     "DominanceRow",
     "DominanceReport",
     "EquilibriumReport",
-    "running_cost",
     "fast_rule",
     "estimate_F",
     "estimate_G_plus_J",
@@ -75,20 +74,17 @@ class CostEstimate:
 @dataclass(frozen=True)
 class PolicySpec:
     """A committed-capacity rule for the simulator: the optimal boundary,
-    a vertically shifted copy, a constant level, or an arbitrary callable."""
+    a vertically shifted copy, or a constant level."""
 
     kind: str
     offset: float = 0.0
     level: float = 0.0
-    fn: Callable | None = None
 
-    _KINDS = ("optimal", "shifted", "constant", "custom")
+    _KINDS = ("optimal", "shifted", "constant")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ParameterError(f"policy kind must be one of {self._KINDS}")
-        if self.kind == "custom" and not callable(self.fn):
-            raise ParameterError("custom policy needs a callable fn")
         require_finite("PolicySpec", offset=self.offset, level=self.level)
 
     @classmethod
@@ -103,10 +99,6 @@ class PolicySpec:
     def constant(cls, level: float) -> "PolicySpec":
         return cls("constant", level=float(level))
 
-    @classmethod
-    def custom(cls, fn: Callable) -> "PolicySpec":
-        return cls("custom", fn=fn)
-
     @property
     def reads_boundary(self) -> bool:
         return self.kind in ("optimal", "shifted")
@@ -118,9 +110,7 @@ class PolicySpec:
             return boundary_levels
         if self.kind == "shifted":
             return boundary_levels + self.offset
-        if self.kind == "constant":
-            return np.full(np.shape(d), self.level) if np.ndim(d) else self.level
-        return self.fn(d)
+        return np.full(np.shape(d), self.level)
 
 
 @dataclass(frozen=True)
@@ -155,16 +145,6 @@ class EquilibriumReport:
     std_error: float
     q0: float
     passed: bool
-
-
-def running_cost(model, rho: float, h: float, c, d):
-    """g(c, d): discounted expected flow loss of holding commitment c when
-    demand is at d, one lag ahead.  Nonnegative; vectorized."""
-    c = np.asarray(c, dtype=float)
-    b0 = beta0(model, d, h)
-    a0 = alpha0(model, d, h)
-    out = 0.5 * math.exp(-rho * h) * (c * c - 2.0 * b0 * c + a0)
-    return out if np.ndim(out) else float(out)
 
 
 def _default_dt(h: float) -> float:
@@ -247,7 +227,7 @@ def _row_sums(m, w):
     return np.einsum("ij,j->i", m, w)
 
 
-def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
+def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
     """Serve every request from one path batch; returns one _Functionals
     per request, in order.
 
@@ -264,23 +244,23 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
     thread pool with one thread per core, at most one slice per thread in
     flight.  A worker samples a slice's paths; the rule is read on them; a
     worker serves the requests from them and the slice is freed.  The rule
-    `base` and a custom policy's fn run on the calling thread, once per
-    slice as its paths arrive, because a caller may wrap them in code that
-    is not thread-safe (a tracer's span stack, say).  Workers run only the
+    `base` runs on the calling thread, once per slice as its paths arrive,
+    because a caller may wrap it in code that is not thread-safe (a
+    tracer's span stack, say).  Workers run only the
     sampler and numpy arithmetic, which releases the interpreter lock in its
     large loops.  Each path's functionals are row sums (_row_sums) and the
     tail bounds are means over all paths, so no result depends on the
     slicing, the number of threads, the order slices finish or BLAS.
 
-    Paths are sampled with bridge-refined running maxima by default: the
-    policy reads the continuous-time running max, whose grid version is
-    biased low by O(sqrt(dt)) and would systematically distort the marginal
-    revenue integrand.
+    Paths are sampled on steps of _default_dt(h), with bridge-refined
+    running maxima by default: the policy reads the continuous-time running
+    max, whose grid version is biased low by O(sqrt(dt)) and would
+    systematically distort the marginal revenue integrand.
     """
     if n_paths < 1:
         raise ParameterError(f"need n_paths >= 1, got {n_paths}")
     h, rho = scenario.h, scenario.rho
-    dt = _default_dt(h) if dt is None else float(dt)
+    dt = _default_dt(h)
     lag = lag_steps(TimeGrid(0.0, dt, 1), h)
     steps = [max(1, math.ceil(r.horizon / dt - 1e-9)) for r in requests]
     n_tot = max(steps) + lag
@@ -328,11 +308,8 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
         return vals, rmax, loss_a, b0m, a0m
 
     def read_rule(rmax):
-        # on the calling thread: the boundary and every custom policy's levels
-        base_levels = base(rmax[:, : n_base + 1]) if n_base >= 0 else None
-        custom = {p: p.levels(rmax[:, : n + 1])
-                  for p, n in reach_of.items() if p.kind == "custom"}
-        return base_levels, custom
+        # on the calling thread: the boundary, on the prefix the policies read
+        return base(rmax[:, : n_base + 1]) if n_base >= 0 else None
 
     def serve(j, C, vals, b0m, a0m, loss_a, rows):
         # request j's functionals on these rows, from C, its prefix of
@@ -353,14 +330,11 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
         if "rev_h" in wants:
             res.rev_h[rows] = egh * _row_sums(b0m[:, : n + 1] - C, gw)
 
-    def serve_slice(rows, vals, rmax, loss_a, b0m, a0m, base_levels, custom):
+    def serve_slice(rows, vals, rmax, loss_a, b0m, a0m, base_levels):
         for policy, js in members.items():
             n = reach_of[policy]
-            if policy.kind == "custom":
-                level = custom.pop(policy)
-            else:
-                bl = None if base_levels is None else base_levels[:, : n + 1]
-                level = policy.levels(rmax[:, : n + 1], bl)
+            bl = None if base_levels is None else base_levels[:, : n + 1]
+            level = policy.levels(rmax[:, : n + 1], bl)
             C = reflect(level, c0)
             for j in js:
                 serve(j, C[:, : steps[j] + 1], vals, b0m, a0m, loss_a, rows)
@@ -385,7 +359,7 @@ def _run(scenario, base, requests, n_paths, seed, dt, scheme, max_refine):
                     fut.result()
                 else:
                     sampled = fut.result()
-                    serving = pool.submit(serve_slice, rows, *sampled, *read_rule(sampled[1]))
+                    serving = pool.submit(serve_slice, rows, *sampled, read_rule(sampled[1]))
                     running[serving] = None
                     del sampled, serving
                 del fut  # the last reference to a served slice's paths
@@ -506,7 +480,6 @@ def estimate_F(
     n_paths: int = 1000,
     seed: int = 0,
     *,
-    dt: float | None = None,
     tail_check: bool = False,
     scheme: str = "exact",
     max_refine: str = "bridge",
@@ -514,8 +487,7 @@ def estimate_F(
     """Full-cost estimate: quadratic loss on [0, T+h] plus investment
     (including the t=0 atom) on [0, T]."""
     req = _Request(policy, _horizon(scenario, horizon), ("F",))
-    (res,) = _run(scenario, _prepare(scenario), [req], n_paths, seed, dt, scheme,
-                  max_refine)
+    (res,) = _run(scenario, _prepare(scenario), [req], n_paths, seed, scheme, max_refine)
     est = _summary(res.F, res.horizon, res.tail_F)
     if tail_check:
         _tail_guard(est, "estimate_F")
@@ -529,7 +501,6 @@ def estimate_G_plus_J(
     n_paths: int = 1000,
     seed: int = 0,
     *,
-    dt: float | None = None,
     tail_check: bool = False,
     scheme: str = "exact",
     max_refine: str = "bridge",
@@ -537,8 +508,7 @@ def estimate_G_plus_J(
     """Reduced-form estimate: closed-form running cost g on [0, T], the
     pipeline-window integral J on [0, h], and the same investment term."""
     req = _Request(policy, _horizon(scenario, horizon), ("GJ",))
-    (res,) = _run(scenario, _prepare(scenario), [req], n_paths, seed, dt, scheme,
-                  max_refine)
+    (res,) = _run(scenario, _prepare(scenario), [req], n_paths, seed, scheme, max_refine)
     est = _summary(res.GJ, res.horizon, res.tail_G)
     if tail_check:
         _tail_guard(est, "estimate_G_plus_J")
@@ -552,7 +522,6 @@ def identity_check(
     n_paths: int = 10_000,
     seed: int = 0,
     *,
-    dt: float | None = None,
     scheme: str = "exact",
     max_refine: str = "bridge",
     rule_scale: float = 1.0,
@@ -568,7 +537,7 @@ def identity_check(
     _check_paths(n_paths)
     req = _Request(policy, _horizon(scenario, horizon), ("F", "GJ"))
     (res,) = _run(scenario, _prepare(scenario, rule_scale), [req], n_paths, seed,
-                  dt, scheme, max_refine)
+                  scheme, max_refine)
     return _identity_report(res)
 
 
@@ -579,7 +548,6 @@ def dominance_test(
     n_paths: int = 10_000,
     seed: int = 0,
     *,
-    dt: float | None = None,
     scheme: str = "exact",
     max_refine: str = "bridge",
     rule_scale: float = 1.0,
@@ -594,7 +562,7 @@ def dominance_test(
     offsets = [float(e) for e in offsets]
     reqs = _dominance_requests(offsets, _horizon(scenario, horizon))
     results = _run(scenario, _prepare(scenario, rule_scale), reqs, n_paths, seed,
-                   dt, scheme, max_refine)
+                   scheme, max_refine)
     return _dominance_report(offsets, results)
 
 
@@ -604,7 +572,6 @@ def equilibrium_check(
     n_paths: int = 10_000,
     seed: int = 0,
     *,
-    dt: float | None = None,
     scheme: str = "exact",
     max_refine: str = "bridge",
     rule_scale: float = 1.0,
@@ -621,7 +588,7 @@ def equilibrium_check(
     _check_paths(n_paths)
     base = _prepare(scenario, rule_scale)
     req = _Request(PolicySpec.optimal(), _horizon(scenario, horizon), ("rev_h",))
-    (res,) = _run(scenario, base, [req], n_paths, seed, dt, scheme, max_refine)
+    (res,) = _run(scenario, base, [req], n_paths, seed, scheme, max_refine)
     return _equilibrium_report(scenario, base, res)
 
 
@@ -648,7 +615,7 @@ def check_battery(
         *_dominance_requests(offsets, _horizon(scenario, horizon)),
         _Request(PolicySpec.optimal(), _horizon(scenario, equilibrium_horizon), ("rev_h",)),
     ]
-    results = _run(scenario, base, reqs, n_paths, seed, None, "exact", "bridge")
+    results = _run(scenario, base, reqs, n_paths, seed, "exact", "bridge")
     return (
         _identity_report(results[0]),
         _dominance_report(offsets, results[1:-1]),

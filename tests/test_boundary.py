@@ -18,7 +18,6 @@ from buildlag.boundary import (
     _RATIO_CACHE_POINTS,
     Boundary,
     _psi_ratios,
-    _table_nodes,
     abm_lambda,
     cir_asymptote,
     cir_kink,
@@ -253,35 +252,28 @@ def test_table_needs_two_nodes(n):
 
 def test_table_nodes_are_evaluated_once_per_parameter_set(monkeypatch):
     calls = []
-    original = Boundary.eval
+    original = kummer._series_log
 
-    def counting_eval(self, d):
-        calls.append(np.size(d))
-        return original(self, d)
+    def counting(a, b, z):
+        calls.append(z.size)
+        return original(a, b, z)
 
-    monkeypatch.setattr(Boundary, "eval", counting_eval)
+    monkeypatch.setattr(kummer, "_series_log", counting)
     # parameters no other test uses, so the process-wide cache is cold
     model = CIR(gamma=0.5, delta=15.0, sigma=0.3)
     first = Boundary(model, RHO, 2.0, 1.0).table(0.01, 120.0, n=257)
+    runs = len(calls)
+    assert runs > 0
+    # the nodes' psi''/psi' ratios are shared: neither a second table nor
+    # one at another lag runs a log-series
     second = Boundary(CIR(0.5, 15.0, 0.3), RHO, 2.0, 1.0).table(0.01, 120.0, n=257)
-    assert calls == [257]
+    other = Boundary(model, RHO, 4.0, 1.0).table(0.01, 120.0, n=257)
+    assert len(calls) == runs
     probe = np.linspace(0.0, 130.0, 41)
     assert np.array_equal(first(probe), second(probe))
-
-    other = Boundary(model, RHO, 4.0, 1.0).table(0.01, 120.0, n=257)
-    assert calls == [257, 257]
     assert not np.array_equal(other(probe), first(probe))
     Boundary(model, RHO, 2.0, 1.0).table(0.01, 120.0, n=129)
-    assert calls == [257, 257, 129]
-
-
-def test_cached_table_nodes_are_read_only():
-    grid, vals = _table_nodes(CIR_FAST, RHO, 8.0, 1.0, 0.01, 160.0, 65)
-    for arr in (grid, vals):
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
-    fresh = Boundary(CIR_FAST, RHO, 8.0, 1.0)
-    assert np.array_equal(vals, fresh.eval(np.linspace(0.01, 160.0, 65)))
+    assert len(calls) > runs
 
 
 _PRECAUTIONARY = """

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,15 +109,26 @@ def test_boundary_sigma_sweep_needs_additive_model(capsys):
     assert "additive" in err
 
 
-@pytest.mark.parametrize("bounds", [["--d-max", "inf"], ["--d-max", "nan"],
-                                    ["--d-min", "nan"], ["--d-min=-inf"]])
+SWEEP = ["--scenario", "abm-power", "--sweep-sigma"]
+
+
+# the sigma sweep, then the plain table on the square-root and geometric models
+@pytest.mark.parametrize("bounds", [[*SWEEP, "--d-max", "inf"], [*SWEEP, "--d-max", "nan"],
+                                    [*SWEEP, "--d-min", "nan"], [*SWEEP, "--d-min=-inf"],
+                                    ["--scenario", "cir-fast", "--d-max", "inf"],
+                                    ["--scenario", "cir-fast", "--d-min=-inf"],
+                                    ["--scenario", "gbm-growth", "--d-max", "nan"],
+                                    ["--scenario", "gbm-growth", "--d-min", "nan"]])
 def test_boundary_sigma_sweep_needs_finite_bounds(bounds, capsys):
-    code, out, err = run(["boundary", "--scenario", "abm-power", "--sweep-sigma", *bounds],
-                         capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["boundary", *bounds], capsys)
     assert code == 2
     assert out == ""
-    assert "finite 0 < --d-min < --d-max for the sigma grid" in err
-    assert bounds[-1].split("=")[-1] in err
+    flag, value = bounds[-1].split("=") if "=" in bounds[-1] else bounds[-2:]
+    assert f"{flag} must be finite, got {value}" in err
+    assert "note:" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("points", ["-3", "0", "1"])

@@ -45,7 +45,6 @@ def test_figure_run_computes_each_log_series_once(tmp_path, monkeypatch, capsys)
 
     monkeypatch.setattr(kummer, "_series_log", counting)
     boundary._psi_ratios.cache_clear()
-    boundary._table_nodes.cache_clear()
     assert load_script().main(["--out-dir", str(tmp_path)]) == 0
     assert len(calls) == 12
 

@@ -72,12 +72,9 @@ def abm_market():
 def test_policy_spec_validation():
     with pytest.raises(ParameterError):
         PolicySpec("clever")
-    with pytest.raises(ParameterError):
-        PolicySpec("custom")
     assert PolicySpec.optimal().kind == "optimal"
     assert PolicySpec.shifted(-2).offset == -2.0
     assert PolicySpec.constant(7).level == 7.0
-    assert PolicySpec.custom(lambda d: d).fn is not None
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -503,7 +500,7 @@ def test_more_workers_than_cores_with_frequent_switches(monkeypatch):
     assert many == one
 
 
-def test_rule_and_custom_policy_run_on_the_calling_thread(monkeypatch):
+def test_rule_runs_on_the_calling_thread(monkeypatch):
     threads = []
     fast_rule = montecarlo.fast_rule
 
@@ -516,19 +513,13 @@ def test_rule_and_custom_policy_run_on_the_calling_thread(monkeypatch):
 
         return recorded
 
-    def custom(d):
-        threads.append(threading.get_ident())
-        return 1.1 * d
-
     monkeypatch.setattr(montecarlo, "fast_rule", recording_fast_rule)
     monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
     scn = get("cir-fast").scenario
-    common = dict(horizon=150.0, n_paths=1200, seed=5)
-    dominance_test(scn, [0.0, 0.1 * scn.d], **common)
-    estimate_F(scn, PolicySpec.custom(custom), **common)
-    # slices of 316 rows at 3 workers, three of them and one of 252: four
-    # calls per check
-    assert len(threads) == 8
+    dominance_test(scn, [0.0, 0.1 * scn.d], horizon=150.0, n_paths=1200, seed=5)
+    # slices of 316 rows at 3 workers, three of them and one of 252: one
+    # call each
+    assert len(threads) == 4
     assert set(threads) == {threading.get_ident()}
 
 

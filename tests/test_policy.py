@@ -137,7 +137,7 @@ def _simulated(sc, seed=4, n_steps=400, dt=0.05, n_paths=None):
     if n_paths is None:
         path = sample_path(sc.model, sc.d, grid, seed)
     else:
-        path = DemandPath(grid, *sample_paths(sc.model, sc.d, grid, seed, n_paths), seed)
+        path = DemandPath(grid, *sample_paths(sc.model, sc.d, grid, seed, n_paths))
     return bound, path, simulate(sc, bound, path)
 
 
@@ -188,7 +188,7 @@ def test_batch_simulate_equals_row_by_row(sc, n_steps):
     bound, path, batch = _simulated(sc, seed=7, n_steps=n_steps, n_paths=3)
     assert batch.committed.shape == (3, n_steps + 1)
     for i in range(3):
-        row = simulate(sc, bound, DemandPath(path.grid, path.values[i], path.running_max[i], 7))
+        row = simulate(sc, bound, DemandPath(path.grid, path.values[i], path.running_max[i]))
         for f in fields(Trajectory):
             if f.name != "grid":
                 assert np.array_equal(getattr(batch, f.name)[i], getattr(row, f.name)), f.name
@@ -284,7 +284,6 @@ def test_adaptedness_of_committed_path():
         grid=grid,
         values=b_values,
         running_max=np.maximum.accumulate(b_values),
-        seed=-1,
     )
     ta = simulate(sc, bound, a)
     tb = simulate(sc, bound, b)
