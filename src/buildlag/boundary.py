@@ -43,7 +43,7 @@ from .demand import (
     drift_affine,
     validate,
 )
-from .errors import DomainError, NumericsError, ParameterError, require_finite
+from .errors import DomainError, NumericsError, ParameterError
 from .kummer import psi_ratio_second
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
     "cir_asymptote",
     "cir_kink",
     "generic_boundary",
+    "require_nonnegative",
 ]
 
 
@@ -69,6 +70,14 @@ class BiasDecomposition:
     @property
     def total(self) -> float:
         return self.beta0 - self.discounting_bias - self.precautionary_bias
+
+
+def require_nonnegative(**values: float) -> None:
+    """Raise ParameterError naming the first of `values` (the lag h, the
+    unit cost q0) that is not a finite number >= 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ParameterError(f"need finite {name} >= 0, got {name}={value}")
 
 
 def abm_lambda(mu: float, sigma: float, rho: float) -> float:
@@ -90,6 +99,7 @@ def gbm_constants(mu: float, sigma: float, rho: float, h: float) -> tuple[float,
     cancellation-free form (exact in the sigma -> 0 limit).
     """
     validate(GBM(mu, sigma), rho)
+    require_nonnegative(h=h)
     s2 = sigma * sigma
     half = mu - 0.5 * s2
     root = math.sqrt(half * half + 2.0 * rho * s2)
@@ -108,12 +118,8 @@ class Boundary:
     """
 
     def __init__(self, model: DemandModel, rho: float, h: float, q0: float):
-        require_finite("Boundary", rho=rho, h=h, q0=q0)
         validate(model, rho)
-        if not h >= 0.0:
-            raise ParameterError(f"need h >= 0, got h={h}")
-        if not q0 >= 0.0:
-            raise ParameterError(f"need q0 >= 0, got q0={q0}")
+        require_nonnegative(h=h, q0=q0)
         self.model = model
         self.rho = rho
         self.h = h
@@ -235,10 +241,7 @@ def _psi_ratios(model: CIR, rho: float, d_bytes: bytes) -> np.ndarray:
 
 def _cir_args(model: CIR, rho: float, h: float, q0: float):
     validate(model, rho)
-    if not h >= 0.0:
-        raise ParameterError(f"need h >= 0, got h={h}")
-    if not q0 >= 0.0:
-        raise ParameterError(f"need q0 >= 0, got q0={q0}")
+    require_nonnegative(h=h, q0=q0)
     return model.gamma, model.delta, model.sigma, math.exp(-model.gamma * h)
 
 
@@ -287,10 +290,7 @@ def generic_boundary(model: DemandModel, rho: float, h: float, q0: float, d: flo
     closed forms, which are validated independently against quadrature.
     """
     validate(model, rho)
-    if not h >= 0.0:
-        raise ParameterError(f"need h >= 0, got h={h}")
-    if not q0 >= 0.0:
-        raise ParameterError(f"need q0 >= 0, got q0={q0}")
+    require_nonnegative(h=h, q0=q0)
     if isinstance(model, ABM):
         if not np.isfinite(d):
             raise DomainError("demand level must be finite")

@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import scenarios
-from .boundary import Boundary, cir_asymptote, cir_kink, cir_tangent, gbm_constants, generic_boundary
+from .boundary import Boundary, cir_asymptote, cir_tangent, generic_boundary
 from .demand import ABM, CIR, GBM, DemandPath, TimeGrid, beta0, sample_path, sample_paths
 from .errors import (
     DomainError,
@@ -41,7 +41,7 @@ from .montecarlo import (
     identity_check,
 )
 from .policy import simulate
-from .statics import abm_partials, finite_diff_check, gbm_elasticity, gbm_statics_table
+from .statics import sensitivity_checks, sensitivity_table
 
 _EPILOG = """\
 dataset recipes (each is deterministic under a fixed seed):
@@ -410,43 +410,8 @@ def _cmd_cost(args) -> int:
 
 def _cmd_statics(args) -> int:
     cfg = _load_config(args)
-    sc = cfg.scenario
     header = ["quantity", "wrt", "value", "kind", "verdict"]
-    rows: list[tuple] = []
-    if isinstance(sc.model, GBM):
-        for e, verdict in gbm_statics_table(sc.model.mu, sc.model.sigma, sc.rho, sc.h):
-            kind = "partial" if (e.quantity, e.wrt) == ("c_hat", "q0") else "elasticity"
-            rows.append((e.quantity, e.wrt, e.value, kind, verdict))
-    elif isinstance(sc.model, ABM):
-        p = abm_partials(sc.model.mu, sc.model.sigma, sc.rho, sc.h, sc.q0)
-        sign_mu = "ok" if p.d_mu > 0 else "violated"
-        sign_sigma = "ok" if p.d_sigma < 0 else "violated"
-        rows = [
-            ("c_hat", "mu", p.d_mu, "partial", sign_mu),
-            ("c_hat", "sigma", p.d_sigma, "partial", sign_sigma),
-            ("c_hat", "h", p.d_h, "partial", "ambiguous"),
-            ("c_hat", "rho", p.d_rho, "partial", "ambiguous"),
-            ("c_hat", "h*sigma", p.cross_h_sigma, "cross-partial",
-             "ok" if p.cross_h_sigma == 0.0 else "violated"),
-        ]
-    elif isinstance(sc.model, CIR):
-        model = sc.model
-        one = np.asarray(1.0)
-        zero = np.asarray(0.0)
-        t_slope = float(cir_tangent(model, sc.rho, sc.h, sc.q0, one) - cir_tangent(model, sc.rho, sc.h, sc.q0, zero))
-        t_int = float(cir_tangent(model, sc.rho, sc.h, sc.q0, zero))
-        a_slope = float(cir_asymptote(model, sc.rho, sc.h, sc.q0, one) - cir_asymptote(model, sc.rho, sc.h, sc.q0, zero))
-        a_int = float(cir_asymptote(model, sc.rho, sc.h, sc.q0, zero))
-        kd, kc = cir_kink(model, sc.rho, sc.h, sc.q0)
-        rows = [
-            ("tangent", "slope", t_slope, "geometry", "n/a"),
-            ("tangent", "intercept", t_int, "geometry", "n/a"),
-            ("asymptote", "slope", a_slope, "geometry", "n/a"),
-            ("asymptote", "intercept", a_int, "geometry", "n/a"),
-            ("kink", "d", kd, "geometry", "n/a"),
-            ("kink", "c_hat", kc, "geometry", "n/a"),
-        ]
-    _emit_table(header, rows, cfg.outputs)
+    _emit_table(header, sensitivity_table(cfg.scenario), cfg.outputs)
     return 0
 
 
@@ -551,89 +516,8 @@ def _check_monte_carlo(sc, mc, scale) -> list[dict]:
 
 
 def _check_sensitivities(sc) -> dict:
-    """Closed-form sensitivities against central finite differences, or the
-    small/large-demand geometry for the square-root model."""
-    entries = []
-    if isinstance(sc.model, GBM):
-        mu, sigma, rho, h = sc.model.mu, sc.model.sigma, sc.rho, sc.h
-
-        def A_of(**kw):
-            p = dict(mu=mu, sigma=sigma, rho=rho, h=h)
-            p.update(kw)
-            return gbm_constants(p["mu"], p["sigma"], p["rho"], p["h"])[1]
-
-        def bs_of(**kw):
-            p = dict(mu=mu, sigma=sigma, rho=rho, h=h)
-            p.update(kw)
-            b = Boundary(GBM(p["mu"], p["sigma"]), p["rho"], p["h"], sc.q0)
-            return b.decompose(sc.d).precautionary_bias
-
-        for quantity, base in (("A", A_of), ("b_sigma", bs_of)):
-            for wrt in ("h", "sigma", "mu", "rho"):
-                x0 = dict(h=h, sigma=sigma, mu=mu, rho=rho)[wrt]
-                el = gbm_elasticity(quantity, wrt, mu, sigma, rho, h).value
-                deriv = el * base() / x0
-                rep = finite_diff_check(
-                    lambda x, w=wrt: base(**{w: x}), x0, deriv, rel_step=1e-6
-                )
-                entries.append((f"{quantity}/{wrt}", rep.passed, rep.abs_err))
-        dq = gbm_elasticity("c_hat", "q0", mu, sigma, rho, h).value
-        rep = finite_diff_check(
-            lambda q: float(Boundary(sc.model, rho, h, q).eval(np.asarray(sc.d))),
-            sc.q0, dq, rel_step=1e-6,
-        )
-        entries.append(("c_hat/q0", rep.passed, rep.abs_err))
-    elif isinstance(sc.model, ABM):
-        mu, sigma, rho, h, q0 = sc.model.mu, sc.model.sigma, sc.rho, sc.h, sc.q0
-        parts = abm_partials(mu, sigma, rho, h, q0)
-
-        def chat(**kw):
-            p = dict(mu=mu, sigma=sigma, rho=rho, h=h, q0=q0)
-            p.update(kw)
-            b = Boundary(ABM(p["mu"], p["sigma"]), p["rho"], p["h"], p["q0"])
-            return float(b.eval(np.asarray(sc.d)))
-
-        for wrt, val in (
-            ("mu", parts.d_mu),
-            ("sigma", parts.d_sigma),
-            ("h", parts.d_h),
-            ("rho", parts.d_rho),
-        ):
-            x0 = dict(mu=mu, sigma=sigma, rho=rho, h=h)[wrt]
-            rep = finite_diff_check(
-                lambda x, w=wrt: chat(**{w: x}), x0, val, rel_step=1e-7
-            )
-            entries.append((f"c_hat/{wrt}", rep.passed, rep.abs_err))
-        rep = finite_diff_check(
-            lambda hh: abm_partials(mu, sigma, rho, hh, q0).d_sigma,
-            h, parts.cross_h_sigma, rel_step=1e-6,
-        )
-        entries.append(("c_hat/h*sigma", rep.passed, rep.abs_err))
-    else:
-        model = sc.model
-        bound = Boundary(model, sc.rho, sc.h, sc.q0)
-        dl = model.delta
-        tol = 1e-3 * dl
-        near = 1e-4 * dl
-        far = 1e3 * dl
-        gap_t = abs(
-            float(bound.eval(np.asarray(near)) - cir_tangent(model, sc.rho, sc.h, sc.q0, near))
-        )
-        gap_a = abs(
-            float(bound.eval(np.asarray(far)) - cir_asymptote(model, sc.rho, sc.h, sc.q0, far))
-        )
-        kd, kc = cir_kink(model, sc.rho, sc.h, sc.q0)
-        cross = abs(
-            float(
-                cir_tangent(model, sc.rho, sc.h, sc.q0, kd)
-                - cir_asymptote(model, sc.rho, sc.h, sc.q0, kd)
-            )
-        )
-        entries = [
-            ("tangent-at-origin", gap_t <= tol, gap_t),
-            ("asymptote-at-infinity", gap_a <= tol, gap_a),
-            ("kink-on-both-lines", cross <= 1e-9 * max(1.0, abs(kc)), cross),
-        ]
+    """statics.sensitivity_checks as one report entry."""
+    entries = sensitivity_checks(sc)
     return {
         "name": "sensitivities",
         "status": "PASS" if all(ok for _, ok, _ in entries) else "FAIL",

@@ -147,7 +147,8 @@ def drift_affine(model: DemandModel) -> tuple[float, float]:
 
 
 def validate(model: DemandModel, rho: float) -> None:
-    """Check that the discount rate dominates second-moment growth.
+    """Check that the discount rate is finite and dominates second-moment
+    growth.
 
     Model-level parameter constraints are already enforced by the dataclass
     constructors; this adds the discounting condition that keeps discounted
@@ -160,6 +161,7 @@ def validate(model: DemandModel, rho: float) -> None:
     """
     if not isinstance(model, (ABM, GBM, CIR)):
         raise TypeError(f"unknown demand model {model!r}")
+    require_finite(type(model).__name__, rho=rho)
     if not rho > 0.0:
         raise ParameterError(f"need rho > 0, got rho={rho}")
     if isinstance(model, GBM):
@@ -453,27 +455,21 @@ def _path_matrix(model, d0, grid, seeds, scheme, max_refine="grid"):
     def uniforms():
         return _draws(seeds, 2, lambda g: g.random(n))
 
-    if isinstance(model, ABM):
+    if isinstance(model, (ABM, GBM)):
+        # Brownian motion with drift: in d for ABM, in log d for GBM
+        log = isinstance(model, GBM)
         z = _draws(seeds, 0, lambda g: g.standard_normal(n))
-        vals = np.empty((m, n + 1))
-        vals[:, 0] = d0
-        tdrift = model.mu * dt * np.arange(1, n + 1)
-        vals[:, 1:] = d0 + tdrift + model.sigma * math.sqrt(dt) * np.cumsum(z, axis=1)
+        x0 = math.log(d0) if log else d0
+        drift = model.mu - 0.5 * model.sigma**2 if log else model.mu
+        x = np.empty((m, n + 1))
+        x[:, 0] = x0
+        x[:, 1:] = (x0 + drift * dt * np.arange(1, n + 1)
+                    + model.sigma * math.sqrt(dt) * np.cumsum(z, axis=1))
+        vals = np.exp(x) if log else x
         if max_refine == "grid":
             return vals, np.maximum.accumulate(vals, axis=1)
-        imax = _bridge_max(vals[:, :-1], vals[:, 1:], model.sigma**2 * dt, uniforms())
-        return vals, _running_max(vals, imax)
-    if isinstance(model, GBM):
-        z = _draws(seeds, 0, lambda g: g.standard_normal(n))
-        logs = np.empty((m, n + 1))
-        logs[:, 0] = math.log(d0)
-        texp = (model.mu - 0.5 * model.sigma**2) * dt * np.arange(1, n + 1)
-        logs[:, 1:] = logs[:, :1] + texp + model.sigma * math.sqrt(dt) * np.cumsum(z, axis=1)
-        vals = np.exp(logs)
-        if max_refine == "grid":
-            return vals, np.maximum.accumulate(vals, axis=1)
-        imax = _bridge_max(logs[:, :-1], logs[:, 1:], model.sigma**2 * dt, uniforms())
-        return vals, np.exp(_running_max(logs, imax))
+        rmax = _running_max(x, _bridge_max(x[:, :-1], x[:, 1:], model.sigma**2 * dt, uniforms()))
+        return vals, np.exp(rmax) if log else rmax
     if isinstance(model, CIR):
         if scheme == "exact":
             vals = _cir_exact(model, d0, n, dt, seeds)

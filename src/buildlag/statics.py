@@ -1,6 +1,8 @@
 """Comparative statics of the boundary: closed-form elasticities for the
-geometric model, level partials for the arithmetic model, and a
-finite-difference harness to check any of them.
+geometric model, level partials for the arithmetic model, the square-root
+model's tangent/asymptote/kink, and a finite-difference harness to check
+any of them.  One table per model (`sensitivity_table`) is both reported
+and checked against the live boundary code (`sensitivity_checks`).
 
 Conventions: an elasticity is (x / Q) dQ/dx at the given point.  The lone
 exception is the pair ("c_hat", "q0"), reported as the level derivative
@@ -10,10 +12,15 @@ every q0, so the elasticity form would just obscure it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .demand import ABM, GBM, validate
+import numpy as np
+
+from .boundary import (Boundary, cir_asymptote, cir_kink, cir_tangent, gbm_constants,
+                       require_nonnegative)
+from .demand import ABM, CIR, GBM, validate
 from .errors import ParameterError, StepError
 
 __all__ = [
@@ -24,6 +31,8 @@ __all__ = [
     "abm_partials",
     "FDReport",
     "finite_diff_check",
+    "sensitivity_table",
+    "sensitivity_checks",
 ]
 
 _QUANTITIES = ("A", "b_sigma", "c_hat")
@@ -35,7 +44,6 @@ class Elasticity:
     quantity: str
     wrt: str
     value: float
-    analytic: bool = True
 
 
 def gbm_elasticity(
@@ -54,6 +62,7 @@ def gbm_elasticity(
             f"parameters {_PARAMS}"
         )
     validate(GBM(mu, sigma), rho)
+    require_nonnegative(h=h)
     s2 = sigma * sigma
     half = mu - 0.5 * s2
     S = math.sqrt(half * half + 2.0 * rho * s2)
@@ -131,13 +140,11 @@ class ABMPartials:
     d_h: float
     d_rho: float
     cross_h_sigma: float
-    separable: bool
 
 
 def abm_partials(mu: float, sigma: float, rho: float, h: float, q0: float) -> ABMPartials:
     validate(ABM(mu, sigma), rho)
-    if not (h >= 0.0 and q0 >= 0.0):
-        raise ParameterError(f"need h >= 0 and q0 >= 0, got h={h}, q0={q0}")
+    require_nonnegative(h=h, q0=q0)
     root = math.sqrt(mu * mu + 2.0 * rho * sigma * sigma)
     erh = math.exp(rho * h)
     return ABMPartials(
@@ -147,7 +154,6 @@ def abm_partials(mu: float, sigma: float, rho: float, h: float, q0: float) -> AB
         d_rho=-q0 * (1.0 + rho * h) * erh
         + (mu * mu + rho * sigma * sigma - mu * root) / (2.0 * rho * rho * root),
         cross_h_sigma=0.0,
-        separable=True,
     )
 
 
@@ -182,3 +188,93 @@ def finite_diff_check(f, x0: float, analytic: float, rel_step: float = 1e-5) -> 
     tol = max(1e-6, 1e-4 * abs(analytic))
     err = abs(analytic - fd)
     return FDReport(float(analytic), float(fd), float(err), float(tol), bool(err <= tol))
+
+
+def sensitivity_table(sc) -> list[tuple]:
+    """Rows (quantity, wrt, value, kind, verdict) for the scenario's model.
+
+    kind is "elasticity", "partial", "cross-partial" or, for the
+    square-root model, "geometry" (slope and intercept of the tangent at
+    the origin and of the asymptote, and the kink where they meet).
+    """
+    model = sc.model
+    if isinstance(model, GBM):
+        return [
+            (e.quantity, e.wrt, e.value, "partial" if e.wrt == "q0" else "elasticity", verdict)
+            for e, verdict in gbm_statics_table(model.mu, model.sigma, sc.rho, sc.h)
+        ]
+    if isinstance(model, ABM):
+        p = abm_partials(model.mu, model.sigma, sc.rho, sc.h, sc.q0)
+        return [
+            ("c_hat", "mu", p.d_mu, "partial", "ok" if p.d_mu > 0 else "violated"),
+            ("c_hat", "sigma", p.d_sigma, "partial", "ok" if p.d_sigma < 0 else "violated"),
+            ("c_hat", "h", p.d_h, "partial", "ambiguous"),
+            ("c_hat", "rho", p.d_rho, "partial", "ambiguous"),
+            ("c_hat", "h*sigma", p.cross_h_sigma, "cross-partial",
+             "ok" if p.cross_h_sigma == 0.0 else "violated"),
+        ]
+    tangent, asymptote, (kd, kc) = _cir_geometry(sc)
+    one, zero = np.asarray(1.0), np.asarray(0.0)
+    rows = []
+    for name, line in (("tangent", tangent), ("asymptote", asymptote)):
+        rows.append((name, "slope", float(line(one) - line(zero)), "geometry", "n/a"))
+        rows.append((name, "intercept", float(line(zero)), "geometry", "n/a"))
+    return rows + [("kink", "d", kd, "geometry", "n/a"), ("kink", "c_hat", kc, "geometry", "n/a")]
+
+
+def sensitivity_checks(sc) -> list[tuple[str, bool, float]]:
+    """Entries (name, passed, abs_err) checking `sensitivity_table`.
+
+    Each elasticity and partial of the geometric and arithmetic models is
+    compared with a central difference of the quantity the boundary code
+    computes, named "quantity/wrt" after its row.  For the square-root
+    model the boundary must meet its tangent near the origin and its
+    asymptote far out, and the kink must lie on both lines.
+    """
+    model = sc.model
+    if isinstance(model, CIR):
+        tangent, asymptote, (kd, kc) = _cir_geometry(sc)
+        bound = Boundary(model, sc.rho, sc.h, sc.q0)
+        tol = 1e-3 * model.delta
+        near, far = 1e-4 * model.delta, 1e3 * model.delta
+        gap_t = abs(float(bound.eval(np.asarray(near)) - tangent(near)))
+        gap_a = abs(float(bound.eval(np.asarray(far)) - asymptote(far)))
+        cross = abs(float(tangent(kd) - asymptote(kd)))
+        return [
+            ("tangent-at-origin", gap_t <= tol, gap_t),
+            ("asymptote-at-infinity", gap_a <= tol, gap_a),
+            ("kink-on-both-lines", cross <= 1e-9 * max(1.0, abs(kc)), cross),
+        ]
+    params = dict(mu=model.mu, sigma=model.sigma, rho=sc.rho, h=sc.h, q0=sc.q0)
+    entries = []
+    for quantity, wrt, value, kind, _ in sensitivity_table(sc):
+        if kind == "cross-partial":
+            # differences the closed-form d c_hat / d sigma in h
+            x0, rel_step = sc.h, 1e-6
+            f = lambda x: abm_partials(**(params | {"h": x})).d_sigma
+        else:
+            x0, rel_step = params[wrt], (1e-6 if isinstance(model, GBM) else 1e-7)
+            f = lambda x: _quantity(sc, quantity, **(params | {wrt: x}))
+        deriv = value * f(x0) / x0 if kind == "elasticity" else value
+        rep = finite_diff_check(f, x0, deriv, rel_step=rel_step)
+        entries.append((f"{quantity}/{wrt}", rep.passed, rep.abs_err))
+    return entries
+
+
+def _quantity(sc, quantity, mu, sigma, rho, h, q0) -> float:
+    """A, b_sigma(d) or c_hat(d) at the scenario's demand level d, for the
+    scenario's model type at the given parameters."""
+    if quantity == "A":
+        return gbm_constants(mu, sigma, rho, h)[1]
+    bound = Boundary(type(sc.model)(mu, sigma), rho, h, q0)
+    if quantity == "b_sigma":
+        return bound.decompose(sc.d).precautionary_bias
+    return float(bound.eval(np.asarray(sc.d)))
+
+
+def _cir_geometry(sc):
+    """The square-root boundary's tangent at the origin and asymptote, as
+    functions of d, and the kink (d, c_hat) where they meet."""
+    args = (sc.model, sc.rho, sc.h, sc.q0)
+    tangent = functools.partial(cir_tangent, *args)
+    return tangent, functools.partial(cir_asymptote, *args), cir_kink(*args)

@@ -25,8 +25,9 @@ from buildlag.boundary import (
     gbm_constants,
     generic_boundary,
 )
-from buildlag.demand import ABM, CIR, GBM, beta0
+from buildlag.demand import ABM, CIR, GBM, beta0, beta_resolvent
 from buildlag.errors import DomainError, NumericsError, ParameterError
+from buildlag.statics import abm_partials, gbm_elasticity
 
 RHO = 0.08
 GBM_REF = GBM(mu=0.03, sigma=0.1)  # admissibility: 0.08 > 0.06 + 0.01
@@ -158,6 +159,27 @@ def test_invalid_parameters_rejected():
 def test_non_finite_parameters_rejected(rho, h, q0):
     with pytest.raises(ParameterError, match="finite"):
         Boundary(GBM_REF, rho, h, q0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cir_tangent(CIR_FAST, RHO, math.inf, 1.0, 1.0),
+        lambda: cir_kink(CIR_FAST, RHO, 8.0, math.inf),
+        lambda: cir_asymptote(CIR_FAST, math.inf, 8.0, 1.0, 1.0),
+        lambda: generic_boundary(GBM(0.03, 0.06), RHO, math.inf, 5.0, 1000.0),
+        lambda: beta_resolvent(ABM(1.0, 1.0), 1.0, math.inf, 1.0),
+        lambda: gbm_constants(0.03, 0.1, RHO, math.inf),
+        lambda: abm_partials(1.0, 2.0, 0.1, math.inf, 1.0),
+        lambda: gbm_elasticity("A", "h", 0.03, 0.1, RHO, math.inf),
+    ],
+    ids=["cir_tangent-h", "cir_kink-q0", "cir_asymptote-rho", "generic_boundary-h",
+         "beta_resolvent-rho", "gbm_constants-h", "abm_partials-h", "gbm_elasticity-h"],
+)
+def test_non_finite_rate_lag_or_cost_is_rejected(call):
+    # each returned nan or +-inf instead of raising
+    with pytest.raises(ParameterError, match="finite"):
+        call()
 
 
 def test_domain_errors():

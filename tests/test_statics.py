@@ -1,19 +1,25 @@
 """Comparative statics: closed forms against finite differences of the
-live boundary code, frozen reference values, and sign verdicts."""
+live boundary code, frozen reference values, sign verdicts, and the
+sensitivity table that `statics` prints and `verify` checks."""
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from buildlag import cli, statics
 from buildlag.boundary import Boundary, gbm_constants
 from buildlag.demand import ABM, GBM
 from buildlag.errors import ParameterError, StepError
+from buildlag.scenarios import get
 from buildlag.statics import (
     abm_partials,
     finite_diff_check,
     gbm_elasticity,
     gbm_statics_table,
+    sensitivity_checks,
 )
 
 BASE = {"mu": 0.03, "sigma": 0.1, "rho": 0.08, "h": 1.0}
@@ -156,7 +162,6 @@ def test_abm_partials_frozen_values_and_signs():
     assert part.d_sigma < 0.0
     assert part.d_mu > 0.0
     assert part.d_h > 0.0  # drift outruns the price-timing cost here
-    assert part.separable
 
 
 def test_abm_lag_and_volatility_do_not_interact():
@@ -208,3 +213,58 @@ def test_finite_diff_near_admissibility_edge_raises_step_error():
 
     with pytest.raises(StepError):
         finite_diff_check(f, edge + 1e-8, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the sensitivity table shared by `statics` and `verify`
+
+
+@pytest.mark.parametrize("scenario", ["gbm-growth", "abm-power"])
+def test_verify_checks_each_statics_row_by_name(scenario, capsys):
+    assert cli.main(["statics", "--scenario", scenario, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    checked = cli._check_sensitivities(get(scenario).scenario)["entries"]
+    assert [e["name"] for e in checked] == [f"{r['quantity']}/{r['wrt']}" for r in rows]
+
+
+def _wrong_gbm(monkeypatch):
+    original = statics.gbm_elasticity
+
+    def wrong(quantity, wrt, *args):
+        e = original(quantity, wrt, *args)
+        return replace(e, value=e.value * (1.0 + 1e-3)) if (quantity, wrt) == ("A", "sigma") else e
+
+    monkeypatch.setattr(statics, "gbm_elasticity", wrong)
+
+
+def _wrong_abm(monkeypatch):
+    original = statics.abm_partials
+
+    def wrong(*args, **kwargs):
+        p = original(*args, **kwargs)
+        return replace(p, d_mu=p.d_mu * (1.0 + 1e-3))
+
+    monkeypatch.setattr(statics, "abm_partials", wrong)
+
+
+def _wrong_cir(monkeypatch):
+    original = statics.cir_tangent
+    monkeypatch.setattr(statics, "cir_tangent", lambda *args: original(*args) * (1.0 + 1e-3))
+
+
+# the cir-fast tangent is off by 0.0198 near the origin, inside that entry's
+# tolerance of 1e-3 delta = 0.02; the kink, computed apart, no longer lies on it
+@pytest.mark.parametrize("scenario, break_closed_form, entry", [
+    ("gbm-growth", _wrong_gbm, "A/sigma"),
+    ("abm-power", _wrong_abm, "c_hat/mu"),
+    ("cir-fast", _wrong_cir, "kink-on-both-lines"),
+])
+def test_sensitivity_check_fails_on_a_closed_form_off_by_a_thousandth(
+        scenario, break_closed_form, entry, monkeypatch):
+    """Negative controls: one closed form wrong by 1e-3 relative turns its
+    entry, and so the whole check, to FAIL."""
+    sc = get(scenario).scenario
+    assert all(ok for _, ok, _ in sensitivity_checks(sc))
+    break_closed_form(monkeypatch)
+    assert [name for name, ok, _ in sensitivity_checks(sc) if not ok] == [entry]
+    assert cli._check_sensitivities(sc)["status"] == "FAIL"
