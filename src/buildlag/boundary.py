@@ -43,7 +43,7 @@ from .demand import (
     drift_affine,
     validate,
 )
-from .errors import DomainError, NumericsError, ParameterError
+from .errors import DomainError, NumericsError, ParameterError, require_nonnegative
 from .kummer import psi_ratio_second
 
 __all__ = [
@@ -70,14 +70,6 @@ class BiasDecomposition:
     @property
     def total(self) -> float:
         return self.beta0 - self.discounting_bias - self.precautionary_bias
-
-
-def require_nonnegative(**values: float) -> None:
-    """Raise ParameterError naming the first of `values` (the lag h, the
-    unit cost q0) that is not a finite number >= 0."""
-    for name, value in values.items():
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ParameterError(f"need finite {name} >= 0, got {name}={value}")
 
 
 def abm_lambda(mu: float, sigma: float, rho: float) -> float:
@@ -198,8 +190,8 @@ class Boundary:
         """
         if not isinstance(self.model, CIR):
             return self.eval
-        if not (d_hi > d_lo > 0.0):
-            raise DomainError(f"need 0 < d_lo < d_hi, got [{d_lo}, {d_hi}]")
+        if not (math.isfinite(d_hi) and d_hi > d_lo > 0.0):
+            raise DomainError(f"need 0 < d_lo < d_hi < inf, got [{d_lo}, {d_hi}]")
         if not n >= 2:
             raise ParameterError(f"need at least 2 table nodes, got n={n}")
         grid = np.linspace(d_lo, d_hi, n)

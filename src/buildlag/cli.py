@@ -67,10 +67,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ParameterError, DomainError, GridError, StepError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParameterError, DomainError, GridError, StepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericsError, TruncationError, OverflowError) as exc:
@@ -243,12 +240,8 @@ def _cmd_boundary(args) -> int:
 
     bound = Boundary(model, sc.rho, h, sc.q0)
     is_cir = isinstance(model, CIR)
-    lo = args.d_min
-    hi = args.d_max
-    if hi is None:
-        hi = 2.0 * (model.delta if is_cir else sc.d)
-    if lo is None:
-        lo = 0.0
+    lo = 0.0 if args.d_min is None else args.d_min
+    hi = 2.0 * (model.delta if is_cir else sc.d) if args.d_max is None else args.d_max
     if isinstance(model, GBM) and lo <= 0.0:
         shifted = 1e-9 * max(hi, 1.0)
         print(
@@ -460,6 +453,14 @@ def _check_oracle(sc) -> dict:
     }
 
 
+def _dominance_offsets(sc) -> list[float]:
+    """The shifts of the boundary that verify's dominance check prices."""
+    if isinstance(sc.model, ABM):
+        return [-300.0, -100.0, 0.0, 100.0, 300.0]
+    ref = abs(float(Boundary(sc.model, sc.rho, sc.h, sc.q0).eval(np.asarray(sc.d))))
+    return [f * max(ref, 1.0) for f in (-0.15, -0.05, 0.0, 0.05, 0.15)]
+
+
 def _check_monte_carlo(sc, mc, scale) -> list[dict]:
     """Cost identity, dominance and equilibrium.
 
@@ -468,12 +469,7 @@ def _check_monte_carlo(sc, mc, scale) -> list[dict]:
     times the Monte Carlo layer per check name, so verify keeps the three
     calls until that tracer learns the shared entry.
     """
-    if isinstance(sc.model, ABM):
-        offsets = [-300.0, -100.0, 0.0, 100.0, 300.0]
-    else:
-        ref = abs(float(Boundary(sc.model, sc.rho, sc.h, sc.q0).eval(np.asarray(sc.d))))
-        unit = max(ref, 1.0)
-        offsets = [f * unit for f in (-0.15, -0.05, 0.0, 0.05, 0.15)]
+    offsets = _dominance_offsets(sc)
     horizon = mc.horizon if mc.horizon is not None else 150.0
     eq_horizon = mc.horizon if mc.horizon is not None else _EQ_HORIZON[type(sc.model)]
     common = dict(n_paths=mc.n_paths, seed=mc.seed, rule_scale=scale)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, require_finite
+from .errors import ParameterError, require_finite, require_nonnegative
 
 __all__ = [
     "ABM",
@@ -262,6 +262,7 @@ def beta_resolvent(model: DemandModel, d, rho: float, h: float):
     has a closed form; it is affine in d for all three models.
     """
     validate(model, rho)
+    require_nonnegative(h=h)
     d = np.asarray(d, dtype=float)
     if isinstance(model, ABM):
         out = model.mu * h / rho + d / rho + model.mu / rho**2
@@ -391,13 +392,13 @@ class _SeedWords:
 np.random.bit_generator.ISeedSequence.register(_SeedWords)
 
 
-def _draws(seeds, stream, draw):
-    """draw(generator) for every path's generator of one stream, stacked
-    row by row."""
-    return np.stack([
-        draw(np.random.Generator(np.random.PCG64(_SeedWords(words))))
-        for words in seeds[:, stream]
-    ])
+def _draws(seeds, stream, n, draw):
+    """An (len(seeds), n) matrix of one stream's draws: draw(generator, row)
+    fills each path's row in place from that path's generator."""
+    out = np.empty((len(seeds), n))
+    for row, words in zip(out, seeds[:, stream]):
+        draw(np.random.Generator(np.random.PCG64(_SeedWords(words))), row)
+    return out
 
 
 def _bridge_max(a, b, var_dt, u):
@@ -453,12 +454,12 @@ def _path_matrix(model, d0, grid, seeds, scheme, max_refine="grid"):
         raise ParameterError(f"unknown max_refine {max_refine!r}")
 
     def uniforms():
-        return _draws(seeds, 2, lambda g: g.random(n))
+        return _draws(seeds, 2, n, lambda g, row: g.random(out=row))
 
     if isinstance(model, (ABM, GBM)):
         # Brownian motion with drift: in d for ABM, in log d for GBM
         log = isinstance(model, GBM)
-        z = _draws(seeds, 0, lambda g: g.standard_normal(n))
+        z = _draws(seeds, 0, n, lambda g, row: g.standard_normal(out=row))
         x0 = math.log(d0) if log else d0
         drift = model.mu - 0.5 * model.sigma**2 if log else model.mu
         x = np.empty((m, n + 1))
@@ -498,8 +499,10 @@ def _cir_exact(model, d0, n, dt, seeds):
     edt = math.exp(-g * dt)
     c = 2.0 * g / (s**2 * (1.0 - edt))
     df = 4.0 * g * dl / s**2
-    z = _draws(seeds, 0, lambda g: g.standard_normal(n))
-    x2 = _draws(seeds, 1, lambda g: g.chisquare(df - 1.0, n))
+    z = _draws(seeds, 0, n, lambda g, row: g.standard_normal(out=row))
+    # numpy's chisquare(df - 1) on the same draws: twice a standard gamma
+    x2 = _draws(seeds, 1, n, lambda g, row: g.standard_gamma((df - 1.0) / 2.0, out=row))
+    x2 *= 2.0
     m = len(seeds)
     vals = np.empty((m, n + 1))
     vals[:, 0] = d0
@@ -530,7 +533,7 @@ def _cir_milstein(model, d0, n, dt, seeds):
     sampler, so the two schemes are path-paired under a shared seed.
     """
     g, dl, s = model.gamma, model.delta, model.sigma
-    z = _draws(seeds, 0, lambda g: g.standard_normal(n))
+    z = _draws(seeds, 0, n, lambda g, row: g.standard_normal(out=row))
     m = len(seeds)
     vals = np.empty((m, n + 1))
     vals[:, 0] = d0

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the finite-value guard."""
+"""Exception types shared across the package, and the value guards."""
 
 import math
 
@@ -36,3 +36,10 @@ def require_finite(owner: str, **values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ParameterError(f"{owner} needs finite {name}, got {name}={value}")
+
+
+def require_nonnegative(**values: float) -> None:
+    """Raise ParameterError naming the first of `values` not finite and >= 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ParameterError(f"need finite {name} >= 0, got {name}={value}")

@@ -43,7 +43,7 @@ import numpy as np
 from .boundary import Boundary
 from .demand import CIR, TimeGrid, alpha0, beta0, _path_matrix, _stream_seeds
 from .errors import ParameterError, TruncationError, require_finite
-from .policy import Scenario, increments, lag_steps, pipeline_levels, reflect
+from .policy import Scenario, increments, lag_steps, pipeline_levels
 
 __all__ = [
     "CostEstimate",
@@ -102,15 +102,6 @@ class PolicySpec:
     @property
     def reads_boundary(self) -> bool:
         return self.kind in ("optimal", "shifted")
-
-    def levels(self, d, boundary_levels=None):
-        """Target levels at d, vectorized.  boundary_levels is the boundary
-        evaluated at d, needed when reads_boundary."""
-        if self.kind == "optimal":
-            return boundary_levels
-        if self.kind == "shifted":
-            return boundary_levels + self.offset
-        return np.full(np.shape(d), self.level)
 
 
 @dataclass(frozen=True)
@@ -235,9 +226,10 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
     streams are prefix-consistent and the policy is causal, so a shorter
     request reads exact prefixes of the same paths and of the same committed
     capacity.  The boundary is evaluated once per slice of paths, on the
-    longest prefix any optimal or shifted policy needs; each distinct policy
-    is formed from it once per slice, on the longest prefix its requests
-    need, and freed before the next.
+    longest prefix any optimal or shifted policy needs, and its running
+    maximum R taken once, in place.  Each distinct policy is formed once per
+    slice, as max(c0, R + offset) (policy.reflect of its levels, bit for
+    bit) or a constant, on the longest prefix its requests need.
 
     The paths are cut into slices sized so that the slices of all workers
     together hold about 3M grid cells per matrix, and the slices run on a
@@ -330,15 +322,19 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
         if "rev_h" in wants:
             res.rev_h[rows] = egh * _row_sums(b0m[:, : n + 1] - C, gw)
 
-    def serve_slice(rows, vals, rmax, loss_a, b0m, a0m, base_levels):
+    def serve_slice(rows, vals, loss_a, b0m, a0m, base_levels):
+        if base_levels is not None:
+            np.maximum.accumulate(base_levels, axis=1, out=base_levels)
         for policy, js in members.items():
             n = reach_of[policy]
-            bl = None if base_levels is None else base_levels[:, : n + 1]
-            level = policy.levels(rmax[:, : n + 1], bl)
-            C = reflect(level, c0)
+            if policy.reads_boundary:
+                C = base_levels[:, : n + 1] + policy.offset
+                np.maximum(c0, C, out=C)
+            else:
+                C = np.full((len(vals), n + 1), max(c0, policy.level))
             for j in js:
                 serve(j, C[:, : steps[j] + 1], vals, b0m, a0m, loss_a, rows)
-            del C, level
+            del C
 
     workers = _workers()
     size = max(64, 3_000_000 // ((n_tot + 1) * workers))
@@ -358,10 +354,10 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
                 if rows is None:
                     fut.result()
                 else:
-                    sampled = fut.result()
-                    serving = pool.submit(serve_slice, rows, *sampled, read_rule(sampled[1]))
+                    vals, rmax, *sums = fut.result()
+                    serving = pool.submit(serve_slice, rows, vals, *sums, read_rule(rmax))
                     running[serving] = None
-                    del sampled, serving
+                    del vals, rmax, sums, serving
                 del fut  # the last reference to a served slice's paths
 
     for j, res in enumerate(out):

@@ -147,7 +147,10 @@ def pipeline_levels(k: float, pipeline: Pipeline, h: float, times: np.ndarray) -
 def reflect(levels, c0: float) -> np.ndarray:
     """Committed capacity under the reflection policy: the running maximum,
     along the last axis, of max(c0, levels).  `levels` is the rule read at
-    the running maximum of demand; the result is one new array."""
+    the running maximum of demand; the result is one new array.  max is
+    exact and rounding is monotone, so for a constant offset o,
+    reflect(b + o, c0) == max(c0, max.accumulate(b) + o) bit for bit: one
+    running maximum of the rule serves every shifted policy."""
     committed = np.maximum(c0, levels)
     np.maximum.accumulate(committed, axis=-1, out=committed)
     return committed

@@ -24,7 +24,6 @@ __all__ = [
     "from_dict",
     "dumps",
     "loads",
-    "save",
     "load",
     "library",
     "get",
@@ -230,11 +229,6 @@ def loads(text: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ParameterError(f"invalid JSON: {exc}") from exc
     return from_dict(d)
-
-
-def save(config: RunConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(config))
 
 
 def load(path: str) -> RunConfig:

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import (Boundary, cir_asymptote, cir_kink, cir_tangent, gbm_constants,
-                       require_nonnegative)
+from .boundary import Boundary, cir_asymptote, cir_kink, cir_tangent, gbm_constants
 from .demand import ABM, CIR, GBM, validate
-from .errors import ParameterError, StepError
+from .errors import ParameterError, StepError, require_nonnegative
 
 __all__ = [
     "Elasticity",
@@ -235,16 +234,23 @@ def sensitivity_checks(sc) -> list[tuple[str, bool, float]]:
     if isinstance(model, CIR):
         tangent, asymptote, (kd, kc) = _cir_geometry(sc)
         bound = Boundary(model, sc.rho, sc.h, sc.q0)
-        tol = 1e-3 * model.delta
-        near, far = 1e-4 * model.delta, 1e3 * model.delta
-        gap_t = abs(float(bound.eval(np.asarray(near)) - tangent(near)))
-        gap_a = abs(float(bound.eval(np.asarray(far)) - asymptote(far)))
+        g, s2, dl = model.gamma, model.sigma**2, model.delta
+        a, b, pref = sc.rho / g, 2.0 * g * dl / s2, 0.5 * s2 * math.exp(-g * sc.h) / (sc.rho + g)
+        # A line leaves the boundary by pref times the next term of psi''/psi'
+        # about z = 2 gamma d / sigma^2 = 0 or infinity.  Allow twice that plus
+        # rounding: z eps of the boundary's parts (Kummer ratio), eps delta.
+        entries = []
+        for name, line, x, z, term in (
+                ("tangent-at-origin", tangent, 1e-4 * dl, 1e-4 * b,
+                 pref * (a + 1.0) * (b - a) * (1e-4 * b / (b + 1.0))**2 / (b + 2.0)),
+                ("asymptote-at-infinity", asymptote, 1e3 * dl, 1e3 * b,
+                 pref * a * (b - a) / (1e3 * b))):
+            parts = bound.decompose(x)
+            gap = abs(parts.total - float(line(x)))
+            scale = max(1.0, parts.beta0 + parts.discounting_bias + parts.precautionary_bias)
+            entries.append((name, gap <= 2.0 * abs(term) + 1e-14 * ((1.0 + z) * scale + dl), gap))
         cross = abs(float(tangent(kd) - asymptote(kd)))
-        return [
-            ("tangent-at-origin", gap_t <= tol, gap_t),
-            ("asymptote-at-infinity", gap_a <= tol, gap_a),
-            ("kink-on-both-lines", cross <= 1e-9 * max(1.0, abs(kc)), cross),
-        ]
+        return entries + [("kink-on-both-lines", cross <= 1e-9 * max(1.0, abs(kc)), cross)]
     params = dict(mu=model.mu, sigma=model.sigma, rho=sc.rho, h=sc.h, q0=sc.q0)
     entries = []
     for quantity, wrt, value, kind, _ in sensitivity_table(sc):

@@ -169,12 +169,15 @@ def test_non_finite_parameters_rejected(rho, h, q0):
         lambda: cir_asymptote(CIR_FAST, math.inf, 8.0, 1.0, 1.0),
         lambda: generic_boundary(GBM(0.03, 0.06), RHO, math.inf, 5.0, 1000.0),
         lambda: beta_resolvent(ABM(1.0, 1.0), 1.0, math.inf, 1.0),
+        lambda: beta_resolvent(ABM(1.0, 1.0), 1.0, RHO, math.inf),
+        lambda: beta_resolvent(CIR_FAST, 1.0, RHO, -math.inf),
         lambda: gbm_constants(0.03, 0.1, RHO, math.inf),
         lambda: abm_partials(1.0, 2.0, 0.1, math.inf, 1.0),
         lambda: gbm_elasticity("A", "h", 0.03, 0.1, RHO, math.inf),
     ],
     ids=["cir_tangent-h", "cir_kink-q0", "cir_asymptote-rho", "generic_boundary-h",
-         "beta_resolvent-rho", "gbm_constants-h", "abm_partials-h", "gbm_elasticity-h"],
+         "beta_resolvent-rho", "beta_resolvent-h", "beta_resolvent-negative-h",
+         "gbm_constants-h", "abm_partials-h", "gbm_elasticity-h"],
 )
 def test_non_finite_rate_lag_or_cost_is_rejected(call):
     # each returned nan or +-inf instead of raising
@@ -270,6 +273,14 @@ def test_table_is_identity_for_affine_boundaries():
 def test_table_needs_two_nodes(n):
     with pytest.raises(ParameterError):
         Boundary(CIR_FAST, RHO, 8.0, 1.0).table(0.01, 160.0, n=n)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d_hi", [math.inf, math.nan])
+def test_table_checks_its_bounds_before_building(d_hi):
+    # a bound that is not finite raises before np.linspace, which would warn
+    with pytest.raises(DomainError):
+        Boundary(CIR_FAST, RHO, 1.0, 1.0).table(1.0, d_hi)
 
 
 def test_table_nodes_are_evaluated_once_per_parameter_set(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from buildlag import demand
 from buildlag.demand import (
     ABM,
     CIR,
@@ -24,6 +25,7 @@ from buildlag.demand import (
 )
 from buildlag.demand import _SeedWords, _stream_seeds
 from buildlag.errors import ParameterError
+from buildlag.scenarios import get
 
 MODELS = [ABM(0.3, 0.8), GBM(0.03, 0.2), CIR(0.8, 20.0, 0.2)]
 IDS = [type(m).__name__ for m in MODELS]
@@ -372,6 +374,56 @@ def test_milstein_shares_increments_with_exact_scheme():
     vm, _ = sample_paths(model, 10.0, grid, seed=5, n_paths=400, scheme="milstein")
     corr = np.corrcoef(ve[:, -1], vm[:, -1])[0, 1]
     assert corr > 0.99
+
+
+def _numpy_generators(seed, n_paths, stream):
+    # path i, stream j: SeedSequence(seed).spawn(n_paths)[i].spawn(3)[j]
+    return [np.random.default_rng(kid.spawn(3)[stream])
+            for kid in np.random.SeedSequence(seed).spawn(n_paths)]
+
+
+def test_cir_nodes_follow_numpys_own_chisquare_and_normal_draws():
+    # the sampler writes each path's draws in place; the node values must
+    # equal the exact recursion run per path on numpy's chisquare(df - 1, n)
+    # and standard_normal(n)
+    sc = get("cir-fast").scenario
+    model, d0, n, dt = sc.model, sc.d, 40, 0.05
+    vals, _ = sample_paths(model, d0, TimeGrid(0.0, dt, n), seed=12, n_paths=5)
+    g, dl, s = model.gamma, model.delta, model.sigma
+    edt = math.exp(-g * dt)
+    c = 2.0 * g / (s**2 * (1.0 - edt))
+    df = 4.0 * g * dl / s**2
+    normals, chis = _numpy_generators(12, 5, 0), _numpy_generators(12, 5, 1)
+    for row, gz, gx in zip(vals, normals, chis):
+        z, x2 = gz.standard_normal(n), gx.chisquare(df - 1.0, n)
+        want = [float(d0)]
+        for j in range(n):
+            step = math.sqrt(want[-1] * (2.0 * c * edt)) + z[j]
+            want.append((step * step + x2[j]) / (2.0 * c))
+        assert row.tobytes() == np.array(want).tobytes()
+
+
+def test_brownian_nodes_and_bridge_uniforms_follow_numpys_own_draws(monkeypatch):
+    sc = get("abm-power").scenario
+    model, d0, n, dt = sc.model, sc.d, 40, 0.05
+    uniforms = []
+    bridge_max = demand._bridge_max
+
+    def recording(a, b, var_dt, u):
+        uniforms.append(u.copy())
+        return bridge_max(a, b, var_dt, u)
+
+    monkeypatch.setattr(demand, "_bridge_max", recording)
+    vals, _ = sample_paths(model, d0, TimeGrid(0.0, dt, n), seed=12, n_paths=5,
+                           max_refine="bridge")
+    steps = model.mu * dt * np.arange(1, n + 1)
+    for row, gz in zip(vals, _numpy_generators(12, 5, 0)):
+        want = d0 + steps + model.sigma * math.sqrt(dt) * np.cumsum(gz.standard_normal(n))
+        assert row[0] == d0
+        assert row[1:].tobytes() == want.tobytes()
+    (u,) = uniforms
+    want = np.array([gu.random(n) for gu in _numpy_generators(12, 5, 2)])
+    assert u.tobytes() == want.tobytes()
 
 
 def test_running_max_includes_start():

@@ -7,6 +7,7 @@ checks then run at modest path counts; the acceptance suite repeats them at
 full size.
 """
 
+import hashlib
 import math
 import os
 import subprocess
@@ -31,7 +32,7 @@ from buildlag.montecarlo import (
     estimate_G_plus_J,
     identity_check,
 )
-from buildlag.policy import Scenario
+from buildlag.policy import Scenario, reflect
 from buildlag.scenarios import get
 
 RHO = 0.08
@@ -451,6 +452,74 @@ def test_shifted_policies_share_one_boundary_evaluation(monkeypatch):
     offsets = [-0.2 * scn.d, -0.1 * scn.d, 0.0, 0.1 * scn.d, 0.2 * scn.d]
     dominance_test(scn, offsets, horizon=20.0, n_paths=100, seed=3)
     assert len(calls) == 1
+
+
+def _recording_committed(monkeypatch):
+    # the engine's committed capacity of each request, in the order served,
+    # and the running maxima it sampled
+    committed, rmaxes = [], []
+    increments, path_matrix = montecarlo.increments, montecarlo._path_matrix
+
+    def recording_increments(C, c0):
+        committed.append(C.copy())
+        return increments(C, c0)
+
+    def recording_path_matrix(*args):
+        vals, rmax = path_matrix(*args)
+        rmaxes.append(rmax.copy())
+        return vals, rmax
+
+    monkeypatch.setattr(montecarlo, "increments", recording_increments)
+    monkeypatch.setattr(montecarlo, "_path_matrix", recording_path_matrix)
+    return committed, rmaxes
+
+
+@pytest.mark.parametrize("rule_scale", [1.0, 0.5, 0.999])
+@pytest.mark.parametrize("name", ["gbm-growth", "cir-fast", "cir-slow", "abm-power"])
+def test_each_policy_is_the_reflected_shifted_rule_bit_for_bit(name, rule_scale, monkeypatch):
+    # one running maximum of the rule per slice serves every offset of
+    # verify's dominance check: each committed capacity must equal
+    # reflect(rule(running max) + offset, c0) exactly
+    committed, rmaxes = _recording_committed(monkeypatch)
+    scn = get(name).scenario
+    offsets = cli._dominance_offsets(scn)
+    dominance_test(scn, offsets, horizon=20.0, n_paths=40, seed=9, rule_scale=rule_scale)
+    (rmax,) = rmaxes
+    assert len(committed) == len(offsets)
+    rule = montecarlo._prepare(scn, rule_scale)
+    for C, e in zip(committed, offsets):
+        want = reflect(rule(rmax[:, : C.shape[1]]) + e, scn.committed_start)
+        assert C.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_constant_policy_is_the_reflected_constant(below, monkeypatch):
+    committed, _ = _recording_committed(monkeypatch)
+    scn = cir_market()
+    level = scn.committed_start + (-3.0 if below else 3.0)
+    estimate_F(scn, PolicySpec.constant(level), horizon=20.0, n_paths=40, seed=9)
+    (C,) = committed
+    want = reflect(np.full(C.shape, level), scn.committed_start)
+    assert C.tobytes() == want.tobytes()
+
+
+# sha256 of repr(check_battery(...)) at 400 paths with verify's offsets and
+# horizons: the engine's reports are pinned to the bit
+_BATTERY_DIGESTS = {
+    "gbm-growth": "67006af0438a3c76b175932db0c7a535cb51feca3ef92ffb33d61fc75680096f",
+    "cir-fast": "bfe6c2058552b266a7388b98e5e290a964bf50db9c07be1985ade665a5550b77",
+    "cir-slow": "c5a0b3578b7d8d6c59ba58328e5c218641d0afb1e7b7dbe4c34b00fe568fcdbc",
+    "abm-power": "1fb7bff97c402624b5c052a47cfbd028bbe55d0c529df67ebaa0a060e03ee29b",
+}
+
+
+@pytest.mark.parametrize("name", list(_BATTERY_DIGESTS))
+def test_check_battery_reports_are_pinned(name):
+    scn = get(name).scenario
+    reports = check_battery(scn, cli._dominance_offsets(scn), horizon=150.0,
+                            equilibrium_horizon=cli._EQ_HORIZON[type(scn.model)],
+                            n_paths=400, seed=11)
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == _BATTERY_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from buildlag import cli, statics
 from buildlag.boundary import Boundary, gbm_constants
-from buildlag.demand import ABM, GBM
+from buildlag.demand import ABM, CIR, GBM
 from buildlag.errors import ParameterError, StepError
 from buildlag.scenarios import get
 from buildlag.statics import (
@@ -252,19 +254,50 @@ def _wrong_cir(monkeypatch):
     monkeypatch.setattr(statics, "cir_tangent", lambda *args: original(*args) * (1.0 + 1e-3))
 
 
-# the cir-fast tangent is off by 0.0198 near the origin, inside that entry's
-# tolerance of 1e-3 delta = 0.02; the kink, computed apart, no longer lies on it
-@pytest.mark.parametrize("scenario, break_closed_form, entry", [
-    ("gbm-growth", _wrong_gbm, "A/sigma"),
-    ("abm-power", _wrong_abm, "c_hat/mu"),
-    ("cir-fast", _wrong_cir, "kink-on-both-lines"),
+def _wrong_cir_asymptote(monkeypatch):
+    original = statics.cir_asymptote
+    monkeypatch.setattr(statics, "cir_asymptote", lambda *args: original(*args) * (1.0 + 1e-3))
+
+
+# a wrong cir-fast line fails its own entry, and the kink, computed apart,
+# no longer lies on it
+@pytest.mark.parametrize("scenario, break_closed_form, entries", [
+    ("gbm-growth", _wrong_gbm, ["A/sigma"]),
+    ("abm-power", _wrong_abm, ["c_hat/mu"]),
+    ("cir-fast", _wrong_cir, ["tangent-at-origin", "kink-on-both-lines"]),
+    ("cir-fast", _wrong_cir_asymptote, ["asymptote-at-infinity", "kink-on-both-lines"]),
 ])
 def test_sensitivity_check_fails_on_a_closed_form_off_by_a_thousandth(
-        scenario, break_closed_form, entry, monkeypatch):
+        scenario, break_closed_form, entries, monkeypatch):
     """Negative controls: one closed form wrong by 1e-3 relative turns its
     entry, and so the whole check, to FAIL."""
     sc = get(scenario).scenario
     assert all(ok for _, ok, _ in sensitivity_checks(sc))
     break_closed_form(monkeypatch)
-    assert [name for name, ok, _ in sensitivity_checks(sc) if not ok] == [entry]
+    assert [name for name, ok, _ in sensitivity_checks(sc) if not ok] == entries
     assert cli._check_sensitivities(sc)["status"] == "FAIL"
+
+
+@given(gamma=st.floats(0.01, 5.0), delta=st.floats(0.1, 1000.0), b=st.floats(1.0, 5000.0),
+       rho=st.floats(0.01, 0.3), h=st.floats(0.1, 20.0), q0=st.floats(0.01, 10.0))
+@example(gamma=0.08, delta=1.0, b=4.0, rho=0.08, h=8.0, q0=1.0)  # cir-slow at delta = 1
+@settings(max_examples=100, deadline=None)
+def test_cir_sensitivity_checks_pass_on_any_feller_model(gamma, delta, b, rho, h, q0):
+    """Far out the boundary leaves its asymptote by a 1/d term that, for b =
+    2 gamma delta / sigma^2 near 1, exceeds 1e-7 of the line; near the
+    origin it leaves its tangent by a d^2 term.  Every entry passes for
+    every model that meets the Feller condition b >= 1."""
+    sigma = math.sqrt(2.0 * gamma * delta / b)
+    assume(2.0 * gamma * delta >= sigma**2)
+    sc = replace(get("cir-slow").scenario, model=CIR(gamma, delta, sigma), rho=rho, h=h, q0=q0)
+    assert [name for name, ok, _ in sensitivity_checks(sc) if not ok] == []
+
+
+def test_cir_slow_at_delta_one_fails_on_an_asymptote_off_by_a_thousandth(monkeypatch):
+    """At b = 4 the boundary is 1.9e-7 of the line off its asymptote at
+    d = 1e3 delta, and a line 1e-3 off still fails."""
+    sc = replace(get("cir-slow").scenario, model=CIR(0.08, 1.0, 0.2))
+    assert all(ok for _, ok, _ in sensitivity_checks(sc))
+    _wrong_cir_asymptote(monkeypatch)
+    failed = [name for name, ok, _ in sensitivity_checks(sc) if not ok]
+    assert failed == ["asymptote-at-infinity", "kink-on-both-lines"]
