@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, require_finite, require_nonnegative
+from .errors import ParameterError, require_count, require_finite, require_nonnegative
 
 __all__ = [
     "ABM",
@@ -189,8 +189,7 @@ class TimeGrid:
         require_finite("TimeGrid", t0=self.t0, dt=self.dt)
         if not self.dt > 0.0:
             raise ParameterError(f"need dt > 0, got dt={self.dt}")
-        if not self.n_steps >= 1:
-            raise ParameterError(f"need n_steps >= 1, got {self.n_steps}")
+        require_count(1, n_steps=self.n_steps)
 
     def times(self) -> np.ndarray:
         # i*dt rather than repeated addition: no accumulated rounding drift
@@ -392,13 +391,24 @@ class _SeedWords:
 np.random.bit_generator.ISeedSequence.register(_SeedWords)
 
 
-def _draws(seeds, stream, n, draw):
-    """An (len(seeds), n) matrix of one stream's draws: draw(generator, row)
-    fills each path's row in place from that path's generator."""
-    out = np.empty((len(seeds), n))
+def _draws(seeds, stream, out, draw):
+    """Fill out, a (len(seeds), n) matrix whose rows are contiguous, with
+    one stream's draws and return it: draw(generator, row) fills each
+    path's row in place from that path's generator."""
     for row, words in zip(out, seeds[:, stream]):
         draw(np.random.Generator(np.random.PCG64(_SeedWords(words))), row)
     return out
+
+
+# rows per block of the passes after the draws: a block of a 3000-step
+# matrix is under 1 MB, so it stays in a core's L2 cache.  A path's values
+# depend only on its own row, so the block size changes no result.
+_BLOCK = 32
+
+
+def _row_blocks(m):
+    """Row slices of at most _BLOCK rows covering rows 0..m-1, in order."""
+    return [slice(i, min(i + _BLOCK, m)) for i in range(0, m, _BLOCK)]
 
 
 def _bridge_max(a, b, var_dt, u):
@@ -421,8 +431,9 @@ def _bridge_max(a, b, var_dt, u):
     return out
 
 
-def _running_max(vals, interval_max):
-    out = np.empty_like(vals)
+def _running_max(vals, interval_max, out):
+    """Into out: the running maximum of vals with each step's interval
+    maximum folded in.  interval_max is overwritten."""
     out[:, 0] = vals[:, 0]
     np.maximum(interval_max, vals[:, 1:], out=interval_max)
     np.maximum.accumulate(interval_max, axis=1, out=out[:, 1:])
@@ -446,6 +457,13 @@ def _path_matrix(model, d0, grid, seeds, scheme, max_refine="grid"):
     frozen at the step mean, an O(dt) approximation).  The node values are
     identical under both settings and under both CIR schemes' shared seed
     layout.
+
+    Every pass after the draws runs on row blocks (_row_blocks), so its
+    temporaries stay in cache: the bridge maximum, with each block's
+    uniforms drawn for that block alone, fills one preallocated running-max
+    matrix, and for ABM and GBM the cumulative sum and affine map turn the
+    normal draws into the path in place.  GBM's exp also runs in place, so
+    a GBM or ABM batch holds two matrices, values and running max.
     """
     n = grid.n_steps
     dt = grid.dt
@@ -453,24 +471,42 @@ def _path_matrix(model, d0, grid, seeds, scheme, max_refine="grid"):
     if max_refine not in ("grid", "bridge"):
         raise ParameterError(f"unknown max_refine {max_refine!r}")
 
-    def uniforms():
-        return _draws(seeds, 2, n, lambda g, row: g.random(out=row))
+    def running_max(x, var_dt):
+        # the running maximum of x, block by block; var_dt(b) is sigma^2 dt
+        # of the steps of rows b, for the bridge
+        rmax = np.empty_like(x)
+        for b in _row_blocks(m):
+            if max_refine == "grid":
+                np.maximum.accumulate(x[b], axis=1, out=rmax[b])
+                continue
+            u = _draws(seeds[b], 2, np.empty((b.stop - b.start, n)),
+                       lambda g, row: g.random(out=row))
+            _running_max(x[b], _bridge_max(x[b, :-1], x[b, 1:], var_dt(b), u), rmax[b])
+        return rmax
 
     if isinstance(model, (ABM, GBM)):
         # Brownian motion with drift: in d for ABM, in log d for GBM
         log = isinstance(model, GBM)
-        z = _draws(seeds, 0, n, lambda g, row: g.standard_normal(out=row))
         x0 = math.log(d0) if log else d0
         drift = model.mu - 0.5 * model.sigma**2 if log else model.mu
+        trend = x0 + drift * dt * np.arange(1, n + 1)
         x = np.empty((m, n + 1))
         x[:, 0] = x0
-        x[:, 1:] = (x0 + drift * dt * np.arange(1, n + 1)
-                    + model.sigma * math.sqrt(dt) * np.cumsum(z, axis=1))
-        vals = np.exp(x) if log else x
-        if max_refine == "grid":
-            return vals, np.maximum.accumulate(vals, axis=1)
-        rmax = _running_max(x, _bridge_max(x[:, :-1], x[:, 1:], model.sigma**2 * dt, uniforms()))
-        return vals, np.exp(rmax) if log else rmax
+        # x = trend + sigma sqrt(dt) cumsum(z), in place on the draws z
+        z = _draws(seeds, 0, x[:, 1:], lambda g, row: g.standard_normal(out=row))
+        for b in _row_blocks(m):
+            zb = z[b]
+            np.cumsum(zb, axis=1, out=zb)
+            zb *= model.sigma * math.sqrt(dt)
+            zb += trend
+        if log and max_refine == "grid":
+            # the grid maximum of a GBM path is taken on its values
+            np.exp(x, out=x)
+        rmax = running_max(x, lambda b: model.sigma**2 * dt)
+        if log and max_refine == "bridge":
+            np.exp(x, out=x)
+            np.exp(rmax, out=rmax)
+        return x, rmax
     if isinstance(model, CIR):
         if scheme == "exact":
             vals = _cir_exact(model, d0, n, dt, seeds)
@@ -478,11 +514,8 @@ def _path_matrix(model, d0, grid, seeds, scheme, max_refine="grid"):
             vals = _cir_milstein(model, d0, n, dt, seeds)
         else:
             raise ParameterError(f"unknown scheme {scheme!r}")
-        if max_refine == "grid":
-            return vals, np.maximum.accumulate(vals, axis=1)
-        var_dt = model.sigma**2 * 0.5 * (vals[:, :-1] + vals[:, 1:]) * dt
-        imax = _bridge_max(vals[:, :-1], vals[:, 1:], var_dt, uniforms())
-        return vals, _running_max(vals, imax)
+        var_dt = lambda b: model.sigma**2 * 0.5 * (vals[b, :-1] + vals[b, 1:]) * dt
+        return vals, running_max(vals, var_dt)
     raise TypeError(f"unknown demand model {model!r}")
 
 
@@ -499,11 +532,12 @@ def _cir_exact(model, d0, n, dt, seeds):
     edt = math.exp(-g * dt)
     c = 2.0 * g / (s**2 * (1.0 - edt))
     df = 4.0 * g * dl / s**2
-    z = _draws(seeds, 0, n, lambda g, row: g.standard_normal(out=row))
-    # numpy's chisquare(df - 1) on the same draws: twice a standard gamma
-    x2 = _draws(seeds, 1, n, lambda g, row: g.standard_gamma((df - 1.0) / 2.0, out=row))
-    x2 *= 2.0
     m = len(seeds)
+    z = _draws(seeds, 0, np.empty((m, n)), lambda g, row: g.standard_normal(out=row))
+    # numpy's chisquare(df - 1) on the same draws: twice a standard gamma
+    x2 = _draws(seeds, 1, np.empty((m, n)),
+                lambda g, row: g.standard_gamma((df - 1.0) / 2.0, out=row))
+    x2 *= 2.0
     vals = np.empty((m, n + 1))
     vals[:, 0] = d0
     cur = np.full(m, float(d0))
@@ -533,8 +567,8 @@ def _cir_milstein(model, d0, n, dt, seeds):
     sampler, so the two schemes are path-paired under a shared seed.
     """
     g, dl, s = model.gamma, model.delta, model.sigma
-    z = _draws(seeds, 0, n, lambda g, row: g.standard_normal(out=row))
     m = len(seeds)
+    z = _draws(seeds, 0, np.empty((m, n)), lambda g, row: g.standard_normal(out=row))
     vals = np.empty((m, n + 1))
     vals[:, 0] = d0
     x = np.full(m, float(d0))
@@ -582,7 +616,6 @@ def sample_paths(
     is the row-wise prefix of a batch of 8 with the same master seed.
     """
     _check_d0(model, d0)
-    if n_paths < 1:
-        raise ParameterError(f"need n_paths >= 1, got {n_paths}")
+    require_count(1, n_paths=n_paths)
     seeds = _stream_seeds(seed, np.arange(n_paths))
     return _path_matrix(model, d0, grid, seeds, scheme, max_refine)

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the value guards."""
 
 import math
+import numbers
 
 
 class ParameterError(ValueError):
@@ -43,3 +44,12 @@ def require_nonnegative(**values: float) -> None:
     for name, value in values.items():
         if not (math.isfinite(value) and value >= 0.0):
             raise ParameterError(f"need finite {name} >= 0, got {name}={value}")
+
+
+def require_count(least: int, **values) -> None:
+    """Raise ParameterError naming the first of `values` that is not an
+    integer >= `least`.  A bool is not a count, though Python makes it an
+    int; numpy integers are counts."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ParameterError(f"need integer {name} >= {least}, got {name}={value!r}")

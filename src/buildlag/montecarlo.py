@@ -41,8 +41,8 @@ from typing import Callable
 import numpy as np
 
 from .boundary import Boundary
-from .demand import CIR, TimeGrid, alpha0, beta0, _path_matrix, _stream_seeds
-from .errors import ParameterError, TruncationError, require_finite
+from .demand import CIR, TimeGrid, alpha0, beta0, _path_matrix, _row_blocks, _stream_seeds
+from .errors import ParameterError, TruncationError, require_count, require_finite
 from .policy import Scenario, increments, lag_steps, pipeline_levels
 
 __all__ = [
@@ -226,10 +226,16 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
     streams are prefix-consistent and the policy is causal, so a shorter
     request reads exact prefixes of the same paths and of the same committed
     capacity.  The boundary is evaluated once per slice of paths, on the
-    longest prefix any optimal or shifted policy needs, and its running
-    maximum R taken once, in place.  Each distinct policy is formed once per
-    slice, as max(c0, R + offset) (policy.reflect of its levels, bit for
-    bit) or a constant, on the longest prefix its requests need.
+    longest prefix any optimal or shifted policy needs.
+
+    A slice is served in row blocks of demand._BLOCK rows, small enough
+    that a block's matrices stay in cache.  Per block, the running maximum
+    R of the rule is taken once, in place; each distinct policy is formed
+    once, as max(c0, R + offset) (policy.reflect of its levels, bit for
+    bit) or a constant, on the longest prefix its requests need; and the
+    pipeline-window loss and the lag moments beta0 and alpha0 are computed
+    for the block alone.  A slice thus holds two path-sized matrices while
+    it is served, its values and the rule's levels.
 
     The paths are cut into slices sized so that the slices of all workers
     together hold about 3M grid cells per matrix, and the slices run on a
@@ -242,15 +248,15 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
     sampler and numpy arithmetic, which releases the interpreter lock in its
     large loops.  Each path's functionals are row sums (_row_sums) and the
     tail bounds are means over all paths, so no result depends on the
-    slicing, the number of threads, the order slices finish or BLAS.
+    slicing, the blocking, the number of threads, the order slices finish
+    or BLAS.
 
     Paths are sampled on steps of _default_dt(h), with bridge-refined
     running maxima by default: the policy reads the continuous-time running
     max, whose grid version is biased low by O(sqrt(dt)) and would
     systematically distort the marginal revenue integrand.
     """
-    if n_paths < 1:
-        raise ParameterError(f"need n_paths >= 1, got {n_paths}")
+    require_count(1, n_paths=n_paths)
     h, rho = scenario.h, scenario.rho
     dt = _default_dt(h)
     lag = lag_steps(TimeGrid(0.0, dt, 1), h)
@@ -293,19 +299,15 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
     seeds = _stream_seeds(seed, np.arange(n_paths))
 
     def sample(rows):
-        vals, rmax = _path_matrix(model, d0, grid, seeds[rows], scheme, max_refine)
-        loss_a = _row_sums(0.5 * (vals[:, : lag + 1] - k0) ** 2, aw)
-        b0m = beta0(model, vals[:, : n_b0 + 1], h)
-        a0m = alpha0(model, vals[:, : n_a0 + 1], h)
-        return vals, rmax, loss_a, b0m, a0m
+        return _path_matrix(model, d0, grid, seeds[rows], scheme, max_refine)
 
     def read_rule(rmax):
         # on the calling thread: the boundary, on the prefix the policies read
         return base(rmax[:, : n_base + 1]) if n_base >= 0 else None
 
     def serve(j, C, vals, b0m, a0m, loss_a, rows):
-        # request j's functionals on these rows, from C, its prefix of
-        # committed capacity
+        # request j's functionals on the rows of one block, from C, its
+        # prefix of committed capacity
         n, res, wants = steps[j], out[j], requests[j].wants
         gw = trap(n) * disc[: n + 1]
         if "F" in wants or "GJ" in wants:
@@ -322,19 +324,25 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
         if "rev_h" in wants:
             res.rev_h[rows] = egh * _row_sums(b0m[:, : n + 1] - C, gw)
 
-    def serve_slice(rows, vals, loss_a, b0m, a0m, base_levels):
-        if base_levels is not None:
-            np.maximum.accumulate(base_levels, axis=1, out=base_levels)
-        for policy, js in members.items():
-            n = reach_of[policy]
-            if policy.reads_boundary:
-                C = base_levels[:, : n + 1] + policy.offset
-                np.maximum(c0, C, out=C)
-            else:
-                C = np.full((len(vals), n + 1), max(c0, policy.level))
-            for j in js:
-                serve(j, C[:, : steps[j] + 1], vals, b0m, a0m, loss_a, rows)
-            del C
+    def serve_slice(rows, vals, levels):
+        # block by block: every matrix below has a block's rows
+        for b in _row_blocks(len(vals)):
+            v = vals[b]
+            at = slice(rows.start + b.start, rows.start + b.stop)
+            loss_a = _row_sums(0.5 * (v[:, : lag + 1] - k0) ** 2, aw)
+            b0m = beta0(model, v[:, : n_b0 + 1], h)
+            a0m = alpha0(model, v[:, : n_a0 + 1], h)
+            if levels is not None:
+                R = np.maximum.accumulate(levels[b], axis=1, out=levels[b])
+            for policy, js in members.items():
+                n = reach_of[policy]
+                if policy.reads_boundary:
+                    C = R[:, : n + 1] + policy.offset
+                    np.maximum(c0, C, out=C)
+                else:
+                    C = np.full((len(v), n + 1), max(c0, policy.level))
+                for j in js:
+                    serve(j, C[:, : steps[j] + 1], v, b0m, a0m, loss_a, at)
 
     workers = _workers()
     size = max(64, 3_000_000 // ((n_tot + 1) * workers))
@@ -354,10 +362,10 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
                 if rows is None:
                     fut.result()
                 else:
-                    vals, rmax, *sums = fut.result()
-                    serving = pool.submit(serve_slice, rows, vals, *sums, read_rule(rmax))
+                    vals, rmax = fut.result()
+                    serving = pool.submit(serve_slice, rows, vals, read_rule(rmax))
                     running[serving] = None
-                    del vals, rmax, sums, serving
+                    del vals, rmax, serving
                 del fut  # the last reference to a served slice's paths
 
     for j, res in enumerate(out):
@@ -408,7 +416,15 @@ def _prepare(scenario, rule_scale=1.0):
 
 
 def _horizon(scenario, horizon):
-    return 5.0 / scenario.rho if horizon is None else float(horizon)
+    """5 / rho for None, else the given horizon, which must be finite and
+    > 0: a grid always has at least one step, so any other value would
+    silently run one."""
+    if horizon is None:
+        return 5.0 / scenario.rho
+    horizon = float(horizon)
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ParameterError(f"need finite horizon > 0, got horizon={horizon}")
+    return horizon
 
 
 def _dominance_requests(offsets, horizon):

@@ -161,7 +161,7 @@ def increments(committed: np.ndarray, c0: float) -> np.ndarray:
     at t=0, then the steps of committed capacity."""
     out = np.empty_like(committed)
     out[..., 0] = committed[..., 0] - c0
-    out[..., 1:] = np.diff(committed, axis=-1)
+    np.subtract(committed[..., 1:], committed[..., :-1], out=out[..., 1:])
     return out
 
 

@@ -185,10 +185,8 @@ def from_dict(d: dict) -> RunConfig:
     if not isinstance(gd, dict):
         raise ParameterError("grid section must be an object")
     _check_keys(gd, {"dt", "n_steps"}, "grid")
-    n_steps = gd.get("n_steps")
-    if isinstance(n_steps, bool) or not isinstance(n_steps, int):
-        raise ParameterError(f"grid.n_steps must be an integer, got {n_steps!r}")
-    grid = TimeGrid(t0=0.0, dt=_num(gd, "dt"), n_steps=n_steps)
+    # TimeGrid rejects a step count that is not an integer, JSON's bools too
+    grid = TimeGrid(t0=0.0, dt=_num(gd, "dt"), n_steps=gd.get("n_steps"))
 
     md = d.get("mc", {})
     if not isinstance(md, dict):

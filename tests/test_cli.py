@@ -448,9 +448,11 @@ def test_inadmissible_config_exits_2(tmp_path, capsys):
     assert "rho" in err
 
     # booleans are not counts or seeds, and a seed is not negative
-    for key, value in [("n_paths", True), ("seed", False), ("seed", -1)]:
+    for section, key, value in [("mc", "n_paths", True), ("mc", "seed", False),
+                                ("mc", "seed", -1), ("grid", "n_steps", True),
+                                ("grid", "n_steps", 2.5)]:
         cfg = json.loads(dumps(get("gbm-growth")))
-        cfg["mc"][key] = value
+        cfg[section][key] = value
         path.write_text(json.dumps(cfg))
         code, _, err = run(["boundary", "--config", str(path)], capsys)
         assert code == 2

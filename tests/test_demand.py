@@ -80,6 +80,24 @@ def test_timegrid_validation():
         TimeGrid(0.0, 0.1, 0)
 
 
+@pytest.mark.parametrize("n_steps", [2.5, 3.0, True, np.float64(4.0), "5"])
+def test_timegrid_needs_an_integer_step_count(n_steps):
+    with pytest.raises(ParameterError, match="integer n_steps"):
+        TimeGrid(0.0, 0.1, n_steps)
+
+
+def test_timegrid_takes_numpy_integers():
+    assert TimeGrid(0.0, 0.1, np.int64(3)).times().size == 4
+
+
+@pytest.mark.parametrize("n_paths", [2.5, 2.0, True, np.float64(3.0)])
+def test_sample_paths_needs_an_integer_path_count(n_paths):
+    grid = TimeGrid(0.0, 0.05, 10)
+    with pytest.raises(ParameterError, match="integer n_paths"):
+        sample_paths(MODELS[0], 2.0, grid, seed=1, n_paths=n_paths)
+    assert sample_paths(MODELS[0], 2.0, grid, seed=1, n_paths=np.int32(2))[0].shape == (2, 11)
+
+
 @pytest.mark.parametrize(
     "build",
     [

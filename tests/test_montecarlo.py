@@ -13,13 +13,14 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from buildlag import cli, montecarlo
+from buildlag import cli, demand, montecarlo
 from buildlag.boundary import Boundary
 from buildlag.demand import ABM, CIR, GBM, alpha0
 from buildlag.errors import ParameterError, TruncationError
@@ -128,6 +129,31 @@ def test_dominance_offsets_must_include_zero():
 def test_n_paths_must_be_positive():
     with pytest.raises(ParameterError):
         estimate_F(cir_market(), n_paths=0)
+
+
+def test_n_paths_must_be_an_integer():
+    with pytest.raises(ParameterError, match="integer n_paths"):
+        estimate_F(cir_market(), n_paths=2.5)
+    with pytest.raises(ParameterError, match="integer n_paths"):
+        identity_check(cir_market(), n_paths=2.5)
+
+
+@pytest.mark.parametrize("horizon", [-5.0, 0.0, math.inf, -math.inf, math.nan])
+def test_every_entry_point_rejects_a_horizon_not_finite_and_positive(horizon):
+    # a grid has at least one step, so horizon 0 or -5 would otherwise run
+    # one 0.05-year step and report horizon 0.05
+    sc = get("gbm-growth").scenario
+    for run in (
+        lambda: estimate_F(sc, horizon=horizon, n_paths=4),
+        lambda: estimate_G_plus_J(sc, horizon=horizon, n_paths=4),
+        lambda: identity_check(sc, horizon=horizon, n_paths=4),
+        lambda: dominance_test(sc, [0.0], horizon=horizon, n_paths=4),
+        lambda: equilibrium_check(sc, horizon=horizon, n_paths=4),
+        lambda: check_battery(sc, [0.0], horizon=horizon, n_paths=4),
+        lambda: check_battery(sc, [0.0], equilibrium_horizon=horizon, n_paths=4),
+    ):
+        with pytest.raises(ParameterError, match="finite horizon > 0"):
+            run()
 
 
 def test_estimate_metadata():
@@ -455,19 +481,25 @@ def test_shifted_policies_share_one_boundary_evaluation(monkeypatch):
 
 
 def _recording_committed(monkeypatch):
-    # the engine's committed capacity of each request, in the order served,
-    # and the running maxima it sampled
-    committed, rmaxes = [], []
+    # committed(k) is the engine's committed capacity of each of k
+    # policies, in the order served, and rmaxes the running maxima it
+    # sampled.  One slice of paths is served block by block, each block
+    # every policy in turn, so policy i's blocks are calls i, i + k, ...
+    calls, rmaxes = [], []
     increments, path_matrix = montecarlo.increments, montecarlo._path_matrix
 
     def recording_increments(C, c0):
-        committed.append(C.copy())
+        calls.append(C.copy())
         return increments(C, c0)
 
     def recording_path_matrix(*args):
         vals, rmax = path_matrix(*args)
         rmaxes.append(rmax.copy())
         return vals, rmax
+
+    def committed(k):
+        assert len(calls) % k == 0
+        return [np.concatenate(calls[i::k]) for i in range(k)]
 
     monkeypatch.setattr(montecarlo, "increments", recording_increments)
     monkeypatch.setattr(montecarlo, "_path_matrix", recording_path_matrix)
@@ -485,9 +517,9 @@ def test_each_policy_is_the_reflected_shifted_rule_bit_for_bit(name, rule_scale,
     offsets = cli._dominance_offsets(scn)
     dominance_test(scn, offsets, horizon=20.0, n_paths=40, seed=9, rule_scale=rule_scale)
     (rmax,) = rmaxes
-    assert len(committed) == len(offsets)
     rule = montecarlo._prepare(scn, rule_scale)
-    for C, e in zip(committed, offsets):
+    for C, e in zip(committed(len(offsets)), offsets):
+        assert C.shape[0] == 40
         want = reflect(rule(rmax[:, : C.shape[1]]) + e, scn.committed_start)
         assert C.tobytes() == want.tobytes()
 
@@ -498,7 +530,8 @@ def test_constant_policy_is_the_reflected_constant(below, monkeypatch):
     scn = cir_market()
     level = scn.committed_start + (-3.0 if below else 3.0)
     estimate_F(scn, PolicySpec.constant(level), horizon=20.0, n_paths=40, seed=9)
-    (C,) = committed
+    (C,) = committed(1)
+    assert C.shape[0] == 40
     want = reflect(np.full(C.shape, level), scn.committed_start)
     assert C.tobytes() == want.tobytes()
 
@@ -520,6 +553,35 @@ def test_check_battery_reports_are_pinned(name):
                             equilibrium_horizon=cli._EQ_HORIZON[type(scn.model)],
                             n_paths=400, seed=11)
     assert hashlib.sha256(repr(reports).encode()).hexdigest() == _BATTERY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("block", [1, 7, 10**6])
+def test_check_battery_reports_do_not_depend_on_the_block_size(block, monkeypatch):
+    # the passes after the draws run on row blocks; at one row, at a size
+    # that leaves a ragged last block, and at one block a slice, every
+    # report stays pinned
+    monkeypatch.setattr(demand, "_BLOCK", block)
+    for name in _BATTERY_DIGESTS:
+        test_check_battery_reports_are_pinned(name)
+
+
+def test_serving_a_slice_holds_few_slice_matrices(monkeypatch):
+    # one worker, one full slice of 949 paths on the 3161-node grid.  The
+    # peak is the rule's read of the running maximum: values, running
+    # maximum, the rule's contiguous copy of its input and its output.
+    # Serving whole slices at once, not in cache-sized blocks, peaks at
+    # 5.0 slice matrices here.
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
+    scn = get("cir-fast").scenario
+    offsets = cli._dominance_offsets(scn)
+    slice_bytes = 949 * 3161 * 8
+    tracemalloc.start()
+    try:
+        dominance_test(scn, offsets, horizon=150.0, n_paths=949, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * slice_bytes
 
 
 # ---------------------------------------------------------------------------
