@@ -192,8 +192,17 @@ class TimeGrid:
         require_count(1, n_steps=self.n_steps)
 
     def times(self) -> np.ndarray:
+        """The grid's times.  ParameterError if they cannot be allocated: a
+        horizon that far out is not a grid this process can hold."""
+        try:
+            steps = np.arange(self.n_steps + 1)
+        except (ValueError, MemoryError) as exc:
+            raise ParameterError(
+                f"horizon {self.t_end:g} needs {self.n_steps + 1} grid points at "
+                f"dt={self.dt:g}, more than can be allocated"
+            ) from exc
         # i*dt rather than repeated addition: no accumulated rounding drift
-        return self.t0 + self.dt * np.arange(self.n_steps + 1)
+        return self.t0 + self.dt * steps
 
     @property
     def t_end(self) -> float:
@@ -441,13 +450,21 @@ def _running_max(vals, interval_max, out):
     return out
 
 
-def _path_matrix(model, d0, grid, seeds, scheme, max_refine="grid"):
-    """Sample len(seeds) paths; returns (values, running_max), each of shape
-    (len(seeds), n_steps+1).  Row i consumes only the three streams seeded
-    by seeds[i] (see _stream_seeds), so it does not depend on the other
-    rows: the Monte Carlo engine samples its paths in slices on worker
-    threads.  This function calls no caller-supplied code, so it may run
-    off the calling thread; the threshold rule may not, and the engine
+def _buffers(m, grid):
+    """An uninitialised (values, running max) pair for m paths on grid, the
+    two matrices _path_matrix fills."""
+    shape = (m, grid.n_steps + 1)
+    return np.empty(shape), np.empty(shape)
+
+
+def _path_matrix(model, d0, grid, seeds, scheme, max_refine, vals, rmax):
+    """Sample len(seeds) paths into vals and rmax and return them: two
+    (len(seeds), n_steps+1) float matrices with contiguous rows, the paths'
+    values and their running maxima.  Row i consumes only the three streams
+    seeded by seeds[i] (see _stream_seeds), so it does not depend on the
+    other rows: the Monte Carlo engine samples its paths in slices on
+    worker threads.  This function calls no caller-supplied code, so it may
+    run off the calling thread; the threshold rule may not, and the engine
     reads it on the calling thread.
 
     max_refine selects how the running maximum is formed: "grid" takes the
@@ -458,12 +475,15 @@ def _path_matrix(model, d0, grid, seeds, scheme, max_refine="grid"):
     identical under both settings and under both CIR schemes' shared seed
     layout.
 
-    Every pass after the draws runs on row blocks (_row_blocks), so its
-    temporaries stay in cache: the bridge maximum, with each block's
-    uniforms drawn for that block alone, fills one preallocated running-max
-    matrix, and for ABM and GBM the cumulative sum and affine map turn the
-    normal draws into the path in place.  GBM's exp also runs in place, so
-    a GBM or ABM batch holds two matrices, values and running max.
+    No path-sized matrix is allocated: the draws are written into the two
+    buffers.  ABM and GBM draw their normals into vals[:, 1:] and turn them
+    into the path in place.  CIR draws its normals into vals[:, 1:], which
+    the recursion overwrites chunk by chunk once it has copied the chunk,
+    and the exact scheme's chi-square into rmax[:, 1:], which the running
+    maximum overwrites.  Every pass after the draws runs on row blocks
+    (_row_blocks), so its temporaries stay in cache: the bridge maximum,
+    with each block's uniforms drawn for that block alone, and for ABM and
+    GBM the cumulative sum, the affine map and GBM's exp.
     """
     n = grid.n_steps
     dt = grid.dt
@@ -471,18 +491,17 @@ def _path_matrix(model, d0, grid, seeds, scheme, max_refine="grid"):
     if max_refine not in ("grid", "bridge"):
         raise ParameterError(f"unknown max_refine {max_refine!r}")
 
-    def running_max(x, var_dt):
-        # the running maximum of x, block by block; var_dt(b) is sigma^2 dt
-        # of the steps of rows b, for the bridge
-        rmax = np.empty_like(x)
+    def running_max(var_dt):
+        # the running maximum of vals into rmax, block by block; var_dt(b)
+        # is sigma^2 dt of the steps of rows b, for the bridge
         for b in _row_blocks(m):
             if max_refine == "grid":
-                np.maximum.accumulate(x[b], axis=1, out=rmax[b])
+                np.maximum.accumulate(vals[b], axis=1, out=rmax[b])
                 continue
             u = _draws(seeds[b], 2, np.empty((b.stop - b.start, n)),
                        lambda g, row: g.random(out=row))
-            _running_max(x[b], _bridge_max(x[b, :-1], x[b, 1:], var_dt(b), u), rmax[b])
-        return rmax
+            _running_max(vals[b], _bridge_max(vals[b, :-1], vals[b, 1:], var_dt(b), u), rmax[b])
+        return vals, rmax
 
     if isinstance(model, (ABM, GBM)):
         # Brownian motion with drift: in d for ABM, in log d for GBM
@@ -490,10 +509,9 @@ def _path_matrix(model, d0, grid, seeds, scheme, max_refine="grid"):
         x0 = math.log(d0) if log else d0
         drift = model.mu - 0.5 * model.sigma**2 if log else model.mu
         trend = x0 + drift * dt * np.arange(1, n + 1)
-        x = np.empty((m, n + 1))
-        x[:, 0] = x0
+        vals[:, 0] = x0
         # x = trend + sigma sqrt(dt) cumsum(z), in place on the draws z
-        z = _draws(seeds, 0, x[:, 1:], lambda g, row: g.standard_normal(out=row))
+        z = _draws(seeds, 0, vals[:, 1:], lambda g, row: g.standard_normal(out=row))
         for b in _row_blocks(m):
             zb = z[b]
             np.cumsum(zb, axis=1, out=zb)
@@ -501,52 +519,52 @@ def _path_matrix(model, d0, grid, seeds, scheme, max_refine="grid"):
             zb += trend
         if log and max_refine == "grid":
             # the grid maximum of a GBM path is taken on its values
-            np.exp(x, out=x)
-        rmax = running_max(x, lambda b: model.sigma**2 * dt)
+            np.exp(vals, out=vals)
+        running_max(lambda b: model.sigma**2 * dt)
         if log and max_refine == "bridge":
-            np.exp(x, out=x)
+            np.exp(vals, out=vals)
             np.exp(rmax, out=rmax)
-        return x, rmax
+        return vals, rmax
     if isinstance(model, CIR):
         if scheme == "exact":
-            vals = _cir_exact(model, d0, n, dt, seeds)
+            _cir_exact(model, d0, n, dt, seeds, vals, rmax[:, 1:])
         elif scheme == "milstein":
-            vals = _cir_milstein(model, d0, n, dt, seeds)
+            _cir_milstein(model, d0, n, dt, seeds, vals)
         else:
             raise ParameterError(f"unknown scheme {scheme!r}")
-        var_dt = lambda b: model.sigma**2 * 0.5 * (vals[b, :-1] + vals[b, 1:]) * dt
-        return vals, running_max(vals, var_dt)
+        return running_max(lambda b: model.sigma**2 * 0.5 * (vals[b, :-1] + vals[b, 1:]) * dt)
     raise TypeError(f"unknown demand model {model!r}")
 
 
-def _cir_exact(model, d0, n, dt, seeds):
-    """Exact CIR transitions via the noncentral chi-square representation.
+def _cir_exact(model, d0, n, dt, seeds, vals, x2):
+    """Exact CIR transitions via the noncentral chi-square representation,
+    into vals; x2 is an (m, n) scratch matrix with contiguous rows.
 
     Over a step, 2c D_(t+dt) ~ ncx2(df, 2c e^(-gamma dt) D_t) with
     c = 2 gamma / (sigma^2 (1 - e^(-gamma dt))) and df = 4 gamma delta / sigma^2.
     The Feller condition gives df >= 2, so the draw splits into one normal
     plus a chi-square with df-1 >= 1 degrees of freedom; both blocks are
-    drawn per path up front and the recursion is pure arithmetic.
+    drawn per path up front, the normals into vals[:, 1:] and the
+    chi-square into x2, and the recursion is pure arithmetic.
     """
     g, dl, s = model.gamma, model.delta, model.sigma
     edt = math.exp(-g * dt)
     c = 2.0 * g / (s**2 * (1.0 - edt))
     df = 4.0 * g * dl / s**2
     m = len(seeds)
-    z = _draws(seeds, 0, np.empty((m, n)), lambda g, row: g.standard_normal(out=row))
-    # numpy's chisquare(df - 1) on the same draws: twice a standard gamma
-    x2 = _draws(seeds, 1, np.empty((m, n)),
-                lambda g, row: g.standard_gamma((df - 1.0) / 2.0, out=row))
-    x2 *= 2.0
-    vals = np.empty((m, n + 1))
+    z = _draws(seeds, 0, vals[:, 1:], lambda g, row: g.standard_normal(out=row))
+    _draws(seeds, 1, x2, lambda g, row: g.standard_gamma((df - 1.0) / 2.0, out=row))
     vals[:, 0] = d0
     cur = np.full(m, float(d0))
     nc_rate, scale = 2.0 * c * edt, 2.0 * c
     # the recursion runs on chunks of steps transposed to one row per step,
-    # so each step reads and writes contiguous memory
+    # so each step reads and writes contiguous memory; a chunk's draws are
+    # copied out before its path values overwrite the normals
     for j0 in range(0, n, 64):
         j1 = min(j0 + 64, n)
         zc, xc = z[:, j0:j1].T.copy(), x2[:, j0:j1].T.copy()
+        # numpy's chisquare(df - 1) on the same draws: twice a standard gamma
+        xc *= 2.0
         chunk = np.empty((j1 - j0, m))
         for j in range(j1 - j0):
             # D_(j+1) = (x2 + (z + sqrt(2 c e^(-gamma dt) D_j))^2) / (2 c)
@@ -555,23 +573,22 @@ def _cir_exact(model, d0, n, dt, seeds):
             step *= step
             step += xc[j]
             cur = np.divide(step, scale, out=step)
-        vals[:, j0 + 1 : j1 + 1] = chunk.T
-    return vals
+        z[:, j0:j1] = chunk.T
 
 
-def _cir_milstein(model, d0, n, dt, seeds):
-    """Full-truncation Milstein fallback for cross-checks.
+def _cir_milstein(model, d0, n, dt, seeds, vals):
+    """Full-truncation Milstein fallback for cross-checks, into vals.
 
     Biased at coarse dt and can touch zero; use the exact sampler for
     anything quantitative.  Consumes the same increment stream as the exact
-    sampler, so the two schemes are path-paired under a shared seed.
+    sampler, so the two schemes are path-paired under a shared seed.  The
+    increments are drawn into vals[:, 1:], and step j's overwrites its own
+    normal once read.
     """
     g, dl, s = model.gamma, model.delta, model.sigma
-    m = len(seeds)
-    z = _draws(seeds, 0, np.empty((m, n)), lambda g, row: g.standard_normal(out=row))
-    vals = np.empty((m, n + 1))
+    z = _draws(seeds, 0, vals[:, 1:], lambda g, row: g.standard_normal(out=row))
     vals[:, 0] = d0
-    x = np.full(m, float(d0))
+    x = np.full(len(seeds), float(d0))
     sq = math.sqrt(dt)
     for j in range(n):
         xp = np.maximum(x, 0.0)
@@ -582,7 +599,6 @@ def _cir_milstein(model, d0, n, dt, seeds):
             + 0.25 * s**2 * dt * (z[:, j] ** 2 - 1.0) * (x > 0.0)
         )
         vals[:, j + 1] = np.maximum(x, 0.0)
-    return vals
 
 
 def sample_path(
@@ -595,7 +611,8 @@ def sample_path(
 ) -> DemandPath:
     """Sample one path. Deterministic in all arguments."""
     _check_d0(model, d0)
-    vals, rmax = _path_matrix(model, d0, grid, _stream_seeds(seed), scheme, max_refine)
+    vals, rmax = _path_matrix(model, d0, grid, _stream_seeds(seed), scheme, max_refine,
+                              *_buffers(1, grid))
     return DemandPath(grid=grid, values=vals[0], running_max=rmax[0])
 
 
@@ -618,4 +635,4 @@ def sample_paths(
     _check_d0(model, d0)
     require_count(1, n_paths=n_paths)
     seeds = _stream_seeds(seed, np.arange(n_paths))
-    return _path_matrix(model, d0, grid, seeds, scheme, max_refine)
+    return _path_matrix(model, d0, grid, seeds, scheme, max_refine, *_buffers(n_paths, grid))

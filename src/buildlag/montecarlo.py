@@ -41,8 +41,10 @@ from typing import Callable
 import numpy as np
 
 from .boundary import Boundary
-from .demand import CIR, TimeGrid, alpha0, beta0, _path_matrix, _row_blocks, _stream_seeds
-from .errors import ParameterError, TruncationError, require_count, require_finite
+from .demand import (CIR, TimeGrid, alpha0, beta0, _buffers, _path_matrix, _row_blocks,
+                     _stream_seeds)
+from .errors import (NumericsError, ParameterError, TruncationError, require_count,
+                     require_finite)
 from .policy import Scenario, increments, lag_steps, pipeline_levels
 
 __all__ = [
@@ -225,31 +227,37 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
     Paths are drawn once, on the grid of the longest request.  The per-path
     streams are prefix-consistent and the policy is causal, so a shorter
     request reads exact prefixes of the same paths and of the same committed
-    capacity.  The boundary is evaluated once per slice of paths, on the
+    capacity.  The boundary is evaluated once per path and node, on the
     longest prefix any optimal or shifted policy needs.
-
-    A slice is served in row blocks of demand._BLOCK rows, small enough
-    that a block's matrices stay in cache.  Per block, the running maximum
-    R of the rule is taken once, in place; each distinct policy is formed
-    once, as max(c0, R + offset) (policy.reflect of its levels, bit for
-    bit) or a constant, on the longest prefix its requests need; and the
-    pipeline-window loss and the lag moments beta0 and alpha0 are computed
-    for the block alone.  A slice thus holds two path-sized matrices while
-    it is served, its values and the rule's levels.
 
     The paths are cut into slices sized so that the slices of all workers
     together hold about 3M grid cells per matrix, and the slices run on a
     thread pool with one thread per core, at most one slice per thread in
-    flight.  A worker samples a slice's paths; the rule is read on them; a
-    worker serves the requests from them and the slice is freed.  The rule
-    `base` runs on the calling thread, once per slice as its paths arrive,
-    because a caller may wrap it in code that is not thread-safe (a
-    tracer's span stack, say).  Workers run only the
-    sampler and numpy arithmetic, which releases the interpreter lock in its
-    large loops.  Each path's functionals are row sums (_row_sums) and the
-    tail bounds are means over all paths, so no result depends on the
-    slicing, the blocking, the number of threads, the order slices finish
-    or BLAS.
+    flight.  Each slice in flight owns one slot, a (values, running max)
+    buffer pair allocated once per call, min(workers, slices) of them, and
+    reused from slice to slice.  A worker samples a slice's paths into the
+    first rows of a free slot (demand._path_matrix writes its draws there
+    too); the rule is read on them; a worker serves the requests from them,
+    and the slot goes back on the free list.  The rule `base` runs on the
+    calling thread, one row block of demand._BLOCK rows at a time, because
+    a caller may wrap it in code that is not thread-safe (a tracer's span
+    stack, say).  Its levels overwrite the running maximum's prefix, which
+    nothing reads afterwards, so reading it allocates only block-sized
+    matrices.  Workers run only the sampler and numpy arithmetic, which
+    releases the interpreter lock in its large loops.
+
+    A slice is served in row blocks too, small enough that a block's
+    matrices stay in cache.  Per block, the running maximum R of the
+    rule's levels is taken once, in place; each distinct policy is formed
+    once, as max(c0, R + offset) (policy.reflect of its levels, bit for
+    bit) or a constant, on the longest prefix its requests need; and the
+    pipeline-window loss and the lag moments beta0 and alpha0 are computed
+    for the block alone.  So the paths in flight hold two path-sized
+    matrices per worker, and nothing else path-sized.  Each path's
+    functionals are row sums (_row_sums) and the tail bounds are means over
+    all paths, so no result depends on the slicing, the blocking, the
+    number of threads, the order slices finish or BLAS.  A per-path value
+    or tail bound out of float range raises NumericsError.
 
     Paths are sampled on steps of _default_dt(h), with bridge-refined
     running maxima by default: the policy reads the continuous-time running
@@ -298,12 +306,21 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
     n_base = max((n for r, n in zip(requests, steps) if r.policy.reads_boundary), default=-1)
     seeds = _stream_seeds(seed, np.arange(n_paths))
 
-    def sample(rows):
-        return _path_matrix(model, d0, grid, seeds[rows], scheme, max_refine)
+    def sample(rows, slot):
+        # into the first rows of a slot's buffer pair
+        vals, rmax = (buf[: rows.stop - rows.start] for buf in slot)
+        return _path_matrix(model, d0, grid, seeds[rows], scheme, max_refine, vals, rmax)
 
     def read_rule(rmax):
-        # on the calling thread: the boundary, on the prefix the policies read
-        return base(rmax[:, : n_base + 1]) if n_base >= 0 else None
+        # on the calling thread, block by block: the rule's levels on the
+        # prefix the policies read overwrite that prefix of the running
+        # maximum, which nothing reads afterwards
+        if n_base < 0:
+            return None
+        levels = rmax[:, : n_base + 1]
+        for b in _row_blocks(len(levels)):
+            levels[b] = base(levels[b])
+        return levels
 
     def serve(j, C, vals, b0m, a0m, loss_a, rows):
         # request j's functionals on the rows of one block, from C, its
@@ -324,6 +341,8 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
         if "rev_h" in wants:
             res.rev_h[rows] = egh * _row_sums(b0m[:, : n + 1] - C, gw)
 
+    # overflow leaves inf or nan in a per-path value, which raises below
+    @np.errstate(over="ignore", invalid="ignore")
     def serve_slice(rows, vals, levels):
         # block by block: every matrix below has a block's rows
         for b in _row_blocks(len(vals)):
@@ -347,26 +366,27 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
     workers = _workers()
     size = max(64, 3_000_000 // ((n_tot + 1) * workers))
     todo = deque(slice(i0, min(i0 + size, n_paths)) for i0 in range(0, n_paths, size))
+    # one (values, running max) buffer pair per slice in flight, reused
+    # from slice to slice
+    free = [_buffers(min(size, n_paths), grid) for _ in range(min(workers, len(todo)))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # at most one slice per worker in flight, sampling or being served;
-        # a sampling future maps to its rows, a serving one to None
+        # a future maps to its slot and, while it samples, to its rows;
+        # serving maps to None rows, and hands the slot back when done
         running: dict = {}
         while todo or running:
-            while todo and len(running) < workers:
-                rows = todo.popleft()
-                running[pool.submit(sample, rows)] = rows
+            while todo and free:
+                rows, slot = todo.popleft(), free.pop()
+                running[pool.submit(sample, rows, slot)] = rows, slot
             done, _ = wait(running, return_when=FIRST_COMPLETED)
-            while done:
-                fut = done.pop()
-                rows = running.pop(fut)
+            for fut in done:
+                rows, slot = running.pop(fut)
                 if rows is None:
                     fut.result()
+                    free.append(slot)
                 else:
                     vals, rmax = fut.result()
                     serving = pool.submit(serve_slice, rows, vals, read_rule(rmax))
-                    running[serving] = None
-                    del vals, rmax, serving
-                del fut  # the last reference to a served slice's paths
+                    running[serving] = None, slot
 
     for j, res in enumerate(out):
         t_end = res.horizon + lag * dt
@@ -375,12 +395,24 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
             res.tail_F = np.sum(last_F[j]) / n_paths * ratio
         if last_G[j] is not None:
             res.tail_G = np.sum(last_G[j]) / n_paths * math.exp(rho * h) * ratio
+        per_path = [getattr(res, w) for w in requests[j].wants]
+        if not (all(np.isfinite(v).all() for v in per_path)
+                and math.isfinite(res.tail_F) and math.isfinite(res.tail_G)):
+            raise NumericsError(
+                f"a per-path value or tail bound of {'/'.join(requests[j].wants)} to "
+                f"horizon {res.horizon:g} is not finite: the policy or the demand "
+                f"leaves the float range"
+            )
     return out
 
 
 def _se(per_path: np.ndarray) -> float:
     n = per_path.size
-    return float(np.std(per_path, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    with np.errstate(over="ignore"):
+        se = float(np.std(per_path, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if not math.isfinite(se):
+        raise NumericsError(f"the standard error of {n} finite per-path values overflows")
+    return se
 
 
 def _summary(per_path: np.ndarray, horizon: float, tail: float) -> CostEstimate:

@@ -248,6 +248,34 @@ def test_cost_tail_check_fails_on_short_horizon(capsys):
     assert "tail" in err
 
 
+@pytest.mark.parametrize("policy", ["const=1e200", "shift=1e308"])
+def test_cost_out_of_float_range_exits_3(policy, capsys):
+    # the per-path costs overflow: no infinite estimate reported as "ok",
+    # and no numpy warning before the one error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["cost", "--scenario", "cir-fast", "--paths", "5",
+                              "--policy", policy], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert "not finite" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("horizon", ["1e17", "1e20"])
+@pytest.mark.parametrize("command", ["cost", "verify", "simulate"])
+def test_horizon_beyond_memory_exits_2(command, horizon, capsys):
+    # a grid this long cannot be allocated; the size is rejected before any
+    # memory is touched
+    code, out, err = run([command, "--scenario", "gbm-growth", "--paths", "3",
+                          "--horizon", horizon], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: horizon 1e+") and err.count("\n") == 1
+    assert "more than can be allocated" in err
+
+
 # ---------------------------------------------------------------------------
 # statics
 

@@ -451,6 +451,30 @@ def test_running_max_includes_start():
     assert np.all(path.running_max >= 10.0 - 1e-12)
 
 
+@pytest.mark.parametrize("rows", [1, 33, 100])
+@pytest.mark.parametrize("max_refine", ["grid", "bridge"])
+@pytest.mark.parametrize(
+    "model, scheme",
+    [(MODELS[0], "exact"), (MODELS[1], "exact"), (MODELS[2], "exact"), (MODELS[2], "milstein")],
+    ids=["ABM", "GBM", "CIR-exact", "CIR-milstein"],
+)
+def test_path_matrix_fills_every_cell_of_the_buffers_it_is_given(model, scheme, max_refine,
+                                                                 rows):
+    # the Monte Carlo engine passes the first rows of buffers it reuses from
+    # slice to slice: NaN-filled ones must come back as freshly allocated
+    # output, bit for bit, and the rows past the slice stay untouched
+    grid = TimeGrid(0.0, 0.05, 130)
+    want = sample_paths(model, _d0(model), grid, seed=6, n_paths=rows, scheme=scheme,
+                        max_refine=max_refine)
+    bufs = [np.full((120, 131), np.nan) for _ in range(2)]
+    got = demand._path_matrix(model, _d0(model), grid, _stream_seeds(6, np.arange(rows)),
+                              scheme, max_refine, *(b[:rows] for b in bufs))
+    for g, w, b in zip(got, want, bufs):
+        assert np.shares_memory(g, b)
+        assert g.tobytes() == w.tobytes()
+        assert np.isnan(b[rows:]).all()
+
+
 def test_in_state_space():
     assert in_state_space(ABM(0.0, 1.0), -3.0)
     assert not in_state_space(GBM(0.0, 1.0), 0.0)

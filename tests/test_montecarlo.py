@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from scipy.integrate import quad
 from buildlag import cli, demand, montecarlo
 from buildlag.boundary import Boundary
 from buildlag.demand import ABM, CIR, GBM, alpha0
-from buildlag.errors import ParameterError, TruncationError
+from buildlag.errors import NumericsError, ParameterError, TruncationError
 from buildlag.montecarlo import (
     PolicySpec,
     check_battery,
@@ -460,7 +461,8 @@ def test_check_battery_draws_each_path_once_and_builds_one_table(monkeypatch):
 
 
 def test_shifted_policies_share_one_boundary_evaluation(monkeypatch):
-    # five offsets, one block of paths: the boundary is read once
+    # one offset or five, one slice of 100 paths: the boundary is read once
+    # per row block, however many policies shift it
     calls = []
     fast_rule = montecarlo.fast_rule
 
@@ -475,9 +477,12 @@ def test_shifted_policies_share_one_boundary_evaluation(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "fast_rule", counting_fast_rule)
     scn = get("cir-fast").scenario
-    offsets = [-0.2 * scn.d, -0.1 * scn.d, 0.0, 0.1 * scn.d, 0.2 * scn.d]
-    dominance_test(scn, offsets, horizon=20.0, n_paths=100, seed=3)
-    assert len(calls) == 1
+    counts = []
+    for offsets in ([0.0], [-0.2 * scn.d, -0.1 * scn.d, 0.0, 0.1 * scn.d, 0.2 * scn.d]):
+        calls.clear()
+        dominance_test(scn, offsets, horizon=20.0, n_paths=100, seed=3)
+        counts.append(len(calls))
+    assert counts == [len(demand._row_blocks(100))] * 2
 
 
 def _recording_committed(monkeypatch):
@@ -567,10 +572,11 @@ def test_check_battery_reports_do_not_depend_on_the_block_size(block, monkeypatc
 
 def test_serving_a_slice_holds_few_slice_matrices(monkeypatch):
     # one worker, one full slice of 949 paths on the 3161-node grid.  The
-    # peak is the rule's read of the running maximum: values, running
-    # maximum, the rule's contiguous copy of its input and its output.
-    # Serving whole slices at once, not in cache-sized blocks, peaks at
-    # 5.0 slice matrices here.
+    # slice's values and running maximum fill one buffer pair, the draws
+    # included, and the rule's levels overwrite the running maximum, so the
+    # peak is the pair plus block-sized temporaries.  Fresh matrices for the
+    # CIR draws and the rule's copy of its input and its output peak at 3.9
+    # slice matrices here.
     monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
     scn = get("cir-fast").scenario
     offsets = cli._dominance_offsets(scn)
@@ -581,7 +587,36 @@ def test_serving_a_slice_holds_few_slice_matrices(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * slice_bytes
+    assert peak < 2.5 * slice_bytes
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_slices_reuse_one_buffer_pair_per_worker(workers, monkeypatch):
+    # 150 years on gbm-growth, 1000 paths: 2, 3 or 5 slices at 1, 2 or 4
+    # workers.  Each slice's values and running maximum are views of one of
+    # min(workers, slices) buffer pairs.
+    seen = []
+    path_matrix = montecarlo._path_matrix
+
+    def recording_path_matrix(*args):
+        vals, rmax = path_matrix(*args)
+        seen.append((vals, rmax))
+        return vals, rmax
+
+    monkeypatch.setattr(montecarlo, "_path_matrix", recording_path_matrix)
+    monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+    estimate_F(get("gbm-growth").scenario, horizon=150.0, n_paths=1000, seed=1)
+    pairs = []
+    for vals, rmax in seen:
+        assert not np.shares_memory(vals, rmax)
+        owners = [p for p in pairs if np.shares_memory(vals, p[0])]
+        if not owners:
+            pairs.append((vals, rmax))
+            continue
+        (owner,) = owners
+        assert np.shares_memory(rmax, owner[1])
+    assert len(seen) == {1: 2, 2: 3, 4: 5}[workers]
+    assert len(pairs) == min(workers, len(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +684,8 @@ def test_rule_runs_on_the_calling_thread(monkeypatch):
     scn = get("cir-fast").scenario
     dominance_test(scn, [0.0, 0.1 * scn.d], horizon=150.0, n_paths=1200, seed=5)
     # slices of 316 rows at 3 workers, three of them and one of 252: one
-    # call each
-    assert len(threads) == 4
+    # call per row block of each
+    assert len(threads) == sum(len(demand._row_blocks(n)) for n in (316, 316, 316, 252))
     assert set(threads) == {threading.get_ident()}
 
 
@@ -700,6 +735,24 @@ def test_tail_bound_decreases_with_horizon():
     t30 = estimate_F(scn, horizon=30.0, n_paths=400, seed=3).tail_bound
     t60 = estimate_F(scn, horizon=60.0, n_paths=400, seed=3).tail_bound
     assert t30 > t60 > 0.0
+
+
+@pytest.mark.parametrize("policy", [PolicySpec.constant(1e200), PolicySpec.shifted(1e308)])
+@pytest.mark.parametrize("estimator", [estimate_F, estimate_G_plus_J, identity_check])
+def test_costs_out_of_float_range_raise_numerics_error(estimator, policy):
+    # each path's cost overflows to inf: the estimate must not come back as
+    # inf with a nan standard error, and numpy warns of nothing on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="not finite"):
+            estimator(get("cir-fast").scenario, policy, n_paths=5, seed=0)
+
+
+def test_a_standard_error_out_of_float_range_raises_numerics_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="standard error"):
+            montecarlo._se(np.array([1e200, -1e200, 3e200]))
 
 
 # ---------------------------------------------------------------------------
