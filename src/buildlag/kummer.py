@@ -33,6 +33,11 @@ sums pairwise, so its grouping depends on the term count), but reads
 log(a+s), log(b+s) and log1p(s) from one table per call.  log z, the final
 log and the ratios' exp use `math` once per point.
 
+The large-z prefactor's log Gamma is `_lgamma`, a transcription of Cephes
+`lgam` (S. L. Moshier, 1989), the routine behind scipy.special.gammaln, for
+x > 0 only.  It equals gammaln bit for bit (tests/test_kummer.py checks every
+branch), so importing this module loads numpy and the standard library only.
+
 Ratios of two M values never leave log space, so quantities like psi''/psi'
 are finite even when each M alone would overflow.
 """
@@ -42,7 +47,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .demand import CIR, validate
 from .errors import DomainError, NumericsError
@@ -59,6 +63,52 @@ __all__ = [
 Z_SWITCH = 50.0
 
 _LOG_MAX = math.log(np.finfo(np.float64).max)  # ~709.78
+
+# Cephes lgam: log(2 pi)/2, the Stirling correction in 1/x^2 (A), and the
+# rational approximation on [2, 3) (B over C, C with a leading 1)
+_LS2PI = 0.91893853320467274178
+_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+      -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+      -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+      -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+
+
+def _horner(x: float, coef, lead: float = 0.0) -> float:
+    """sum of coef[i] x^(n-1-i), plus lead x^n, by Horner's rule in Cephes'
+    order (polevl for lead 0, p1evl for lead 1)."""
+    ans = lead
+    for c in coef:
+        ans = ans * x + c
+    return ans
+
+
+def _lgamma(x: float) -> float:
+    """log Gamma(x) for x > 0, with the arithmetic of Cephes lgam."""
+    if x < 13.0:
+        # shift x into [2, 3), collecting the factors in z
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * _horner(x, _B) / _horner(x, _C, 1.0)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _horner(p, _A) / x
 
 
 def _check_args(a: float, b: float, z) -> None:
@@ -138,7 +188,7 @@ def _asymptotic_log(a: float, b: float, z: np.ndarray) -> np.ndarray:
 
     out = np.full_like(z, np.nan)
     ok = ~((totals <= 0.0) | (smallests > 1e-11 * np.abs(totals)))
-    gb, ga = gammaln(b), gammaln(a)
+    gb, ga = _lgamma(b), _lgamma(a)
     for i, zi, t in zip(np.flatnonzero(ok), z[ok].tolist(), totals[ok].tolist()):
         out[i] = zi + (a - b) * math.log(zi) + gb - ga + math.log(t)
     return out

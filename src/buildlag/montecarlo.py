@@ -170,6 +170,18 @@ def _alpha_tail(model, d0: float, rho: float, T: float) -> float:
     )
 
 
+def _tail_ratio(model, d0: float, rho: float, horizon: float, lag: float) -> float:
+    """_alpha_tail over alpha0 at horizon + lag, the grid's end; raises
+    NumericsError naming the horizon where either leaves the float range."""
+    t_end = horizon + lag
+    try:
+        return _alpha_tail(model, d0, rho, t_end) / float(alpha0(model, d0, t_end))
+    except OverflowError:
+        raise NumericsError(
+            f"horizon {horizon:g}: the second moment of demand at the grid's end "
+            f"({t_end:g}) leaves the float range; shorten the horizon") from None
+
+
 def fast_rule(scenario: Scenario, boundary: Boundary) -> Callable:
     """Boundary evaluator for hot loops: exact for the affine boundaries,
     a dense interpolation table for the square-root model."""
@@ -243,8 +255,11 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
     a caller may wrap it in code that is not thread-safe (a tracer's span
     stack, say).  Its levels overwrite the running maximum's prefix, which
     nothing reads afterwards, so reading it allocates only block-sized
-    matrices.  Workers run only the sampler and numpy arithmetic, which
-    releases the interpreter lock in its large loops.
+    matrices.  Workers run only the sampler and numpy arithmetic.  numpy
+    releases the interpreter lock only in loops over more than 500
+    elements, and on the 150-year grids a slice has 474 rows at two workers,
+    so every step of the CIR recursion, a call on 474-element vectors,
+    holds it.
 
     A slice is served in row blocks too, small enough that a block's
     matrices stay in cache.  Per block, the running maximum R of the
@@ -257,7 +272,8 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
     functionals are row sums (_row_sums) and the tail bounds are means over
     all paths, so no result depends on the slicing, the blocking, the
     number of threads, the order slices finish or BLAS.  A per-path value
-    or tail bound out of float range raises NumericsError.
+    or tail bound out of float range raises NumericsError, and so does a
+    horizon whose tail moments leave it, before any path is drawn.
 
     Paths are sampled on steps of _default_dt(h), with bridge-refined
     running maxima by default: the policy reads the continuous-time running
@@ -273,6 +289,9 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
     grid = TimeGrid(0.0, dt, n_tot)
     times = grid.times()
     disc = np.exp(-rho * times)
+    model, d0 = scenario.model, scenario.d
+    # each tail bound's moments at its grid end, before any path is drawn
+    ratios = [_tail_ratio(model, d0, rho, n * dt, lag * dt) for n in steps]
 
     def trap(n):
         w = np.full(n + 1, dt)
@@ -284,7 +303,6 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
     c0 = scenario.committed_start
     q0 = scenario.q0
     egh = math.exp(-rho * h)
-    model, d0 = scenario.model, scenario.d
 
     def reach(*names):
         # longest prefix read by a request wanting any of `names`; -1 if none
@@ -388,9 +406,7 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
                     serving = pool.submit(serve_slice, rows, vals, read_rule(rmax))
                     running[serving] = None, slot
 
-    for j, res in enumerate(out):
-        t_end = res.horizon + lag * dt
-        ratio = _alpha_tail(model, d0, rho, t_end) / float(alpha0(model, d0, t_end))
+    for j, (res, ratio) in enumerate(zip(out, ratios)):
         if last_F[j] is not None:
             res.tail_F = np.sum(last_F[j]) / n_paths * ratio
         if last_G[j] is not None:

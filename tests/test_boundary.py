@@ -478,8 +478,12 @@ _IMPORT_PATH = """
 import importlib.util
 import sys
 
+def no_scipy(when):
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert not loaded, f"{loaded[0]} loaded by {when}"
+
 import buildlag, buildlag.cli
-assert "scipy.integrate" not in sys.modules, "loaded by import buildlag"
+no_scipy("import buildlag")
 
 # load the figure script as a file, the way the benchmark does
 spec = importlib.util.spec_from_file_location("make_figure_data",
@@ -487,7 +491,19 @@ spec = importlib.util.spec_from_file_location("make_figure_data",
 mod = importlib.util.module_from_spec(spec)
 sys.modules["make_figure_data"] = mod
 spec.loader.exec_module(mod)
-assert "scipy.integrate" not in sys.modules, "loaded by the figure script"
+no_scipy("the figure script")
+
+# the large-z form, with its log-gamma prefactor
+from buildlag.kummer import _asymptotic_log, kummer_m_log
+calls = []
+_inner = _asymptotic_log
+def _counted(*args):
+    calls.append(args)
+    return _inner(*args)
+buildlag.kummer._asymptotic_log = _counted
+kummer_m_log(1.1, 801.0, 5000.0)
+assert calls, "the large-z form was not taken"
+no_scipy("the large-z form")
 
 from buildlag.boundary import generic_boundary
 from buildlag.demand import GBM

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from buildlag import cli
+from buildlag import cli, montecarlo
 from buildlag.boundary import Boundary
 from buildlag.scenarios import dumps, get, load
 
@@ -260,6 +260,26 @@ def test_cost_out_of_float_range_exits_3(policy, capsys):
     assert out == ""
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
     assert "not finite" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("horizon", ["2e4", "1e5"])
+def test_cost_horizon_out_of_float_range_exits_3_before_sampling(horizon, capsys,
+                                                                monkeypatch):
+    # E[D^2] at the grid's end overflows on gbm-growth: one error line that
+    # names the horizon, raised before any path is drawn, and no numpy warning
+    def no_paths(*args):
+        raise AssertionError("paths were drawn")
+
+    monkeypatch.setattr(montecarlo, "_path_matrix", no_paths)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["cost", "--scenario", "gbm-growth", "--paths", "3",
+                              "--horizon", horizon], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"numeric failure: horizon {float(horizon):g}: ")
+    assert err.count("\n") == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

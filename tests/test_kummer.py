@@ -16,6 +16,7 @@ from buildlag.demand import CIR
 from buildlag.errors import DomainError
 from buildlag.kummer import (
     Z_SWITCH,
+    _lgamma,
     _m_log,
     kummer_m,
     kummer_m_log,
@@ -98,6 +99,48 @@ def test_log_form_tracks_scipy_into_large_z():
     for z in (80.0, 200.0, 600.0):
         want = math.log(hyp1f1(1.1, 2.2, z))
         assert kummer_m_log(1.1, 2.2, z) == pytest.approx(want, rel=1e-10)
+
+
+def _log_uniform(rng, lo, hi, n):
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+
+# each branch of Cephes lgam, with its end points
+LGAMMA_BRANCHES = {
+    "below 2": (lambda rng: _log_uniform(rng, 1e-300, 2.0, 3000), [5e-324, 1.0, 1.5]),
+    "2 to 3": (lambda rng: rng.uniform(2.0, 3.0, 3000), [2.0, 2.5, np.nextafter(3.0, 0.0)]),
+    "3 to 13": (lambda rng: rng.uniform(3.0, 13.0, 3000), [3.0, 4.0, np.nextafter(13.0, 0.0)]),
+    "13 to 1000": (lambda rng: rng.uniform(13.0, 1000.0, 3000),
+                   [13.0, 81.99999999999999, np.nextafter(1000.0, 0.0)]),
+    "1000 to 1e8": (lambda rng: _log_uniform(rng, 1000.0, 1e8, 3000),
+                    [1000.0, 12800.999999999998, 1e8]),
+    "above 1e8": (lambda rng: _log_uniform(rng, 1e8, 1e300, 3000),
+                  [np.nextafter(1e8, np.inf), 1e300]),
+}
+
+# the (a, b) pairs the figure run hands the large-z form, as the floats
+# _cir_abx forms them
+FIGURE_AB = [(1.1, 12800.999999999998), (1.1, 3200.9999999999995),
+             (2.1, 801.9999999999999), (1.1, 800.9999999999999),
+             (3.0, 81.99999999999999), (2.0, 80.99999999999999)]
+
+
+@pytest.mark.parametrize("branch", sorted(LGAMMA_BRANCHES))
+def test_lgamma_equals_scipy_gammaln_bit_for_bit(branch):
+    from scipy.special import gammaln
+
+    draw, edges = LGAMMA_BRANCHES[branch]
+    x = np.concatenate([draw(np.random.default_rng(7)), edges])
+    got = np.array([_lgamma(v) for v in x.tolist()])
+    bad = got != gammaln(x)
+    assert not bad.any(), f"{bad.sum()} mismatches, first at x={x[bad][0]!r}"
+
+
+def test_lgamma_equals_scipy_gammaln_on_the_figure_pairs():
+    from scipy.special import gammaln
+
+    for a, b in FIGURE_AB:
+        assert (_lgamma(a), _lgamma(b)) == (gammaln(a), gammaln(b))
 
 
 def test_log_form_finite_at_extreme_z():
