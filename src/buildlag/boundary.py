@@ -22,7 +22,9 @@ threshold from scratch by integrating the psi Riccati equation numerically
 and is used as an independent cross-check, never as a fallback.  It solves
 with LSODA and falls back to Radau when LSODA fails, both at rtol 1e-10 and
 atol 1e-13; scipy.integrate is imported on the first oracle call, so only
-processes that run the oracle load it.
+processes that run the oracle load it.  `verify` makes that call after its
+Monte Carlo checks, so scipy's modules and the checks' path buffers are
+never resident at the same time.
 """
 
 from __future__ import annotations

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, require_count, require_finite, require_nonnegative
+from .errors import (NumericsError, ParameterError, require_count, require_finite,
+                     require_nonnegative)
 
 __all__ = [
     "ABM",
@@ -611,8 +612,7 @@ def sample_path(
 ) -> DemandPath:
     """Sample one path. Deterministic in all arguments."""
     _check_d0(model, d0)
-    vals, rmax = _path_matrix(model, d0, grid, _stream_seeds(seed), scheme, max_refine,
-                              *_buffers(1, grid))
+    vals, rmax = _sampled(model, d0, grid, _stream_seeds(seed), scheme, max_refine)
     return DemandPath(grid=grid, values=vals[0], running_max=rmax[0])
 
 
@@ -630,9 +630,26 @@ def sample_paths(
 
     Path i draws from independent streams derived from (seed, i) as by
     SeedSequence spawning, so row i does not depend on n_paths: a batch of 5
-    is the row-wise prefix of a batch of 8 with the same master seed.
+    is the row-wise prefix of a batch of 8 with the same master seed.  A
+    path out of float range raises NumericsError.
     """
     _check_d0(model, d0)
     require_count(1, n_paths=n_paths)
-    seeds = _stream_seeds(seed, np.arange(n_paths))
-    return _path_matrix(model, d0, grid, seeds, scheme, max_refine, *_buffers(n_paths, grid))
+    return _sampled(model, d0, grid, _stream_seeds(seed, np.arange(n_paths)), scheme,
+                    max_refine)
+
+
+def _sampled(model, d0, grid, seeds, scheme, max_refine):
+    """_path_matrix into fresh buffers.  A path out of float range (a GBM
+    path on a long enough horizon) raises NumericsError naming the horizon,
+    in place of numpy's overflow warning and an inf demand level."""
+    with np.errstate(over="ignore"):
+        vals, rmax = _path_matrix(model, d0, grid, seeds, scheme, max_refine,
+                                  *_buffers(len(seeds), grid))
+    # each path's last running maximum bounds its values and carries any inf
+    # or nan among them
+    if not np.isfinite(rmax[:, -1]).all():
+        raise NumericsError(
+            f"horizon {grid.t_end:g}: a sampled demand path leaves the float range; "
+            f"shorten the horizon")
+    return vals, rmax

@@ -198,6 +198,24 @@ def test_simulate_deterministic_output(tmp_path, capsys):
     assert a.read_bytes() != c.read_bytes()
 
 
+@pytest.mark.parametrize("horizon, paths", [("1e5", []), ("1e5", ["--paths", "3"]),
+                                           ("25219.7", [])])
+def test_simulate_out_of_float_range_exits_3(horizon, paths, capsys):
+    # gbm-growth's paths overflow long before 1e5 years; at 25219.7 years the
+    # seed's path stays just inside the float range and the policy leaves it.
+    # One error line that names the horizon, not a demand level the user
+    # never gave nor inf or nan in the table, and no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["simulate", "--scenario", "gbm-growth",
+                              "--horizon", horizon, *paths], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"numeric failure: horizon {float(horizon):g}: ")
+    assert err.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 # ---------------------------------------------------------------------------
 # cost
 
@@ -337,11 +355,12 @@ def test_verify_battery_passes(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["passed"] is True
-    names = {c["name"] for c in report["checks"]}
-    assert names == {
+    # the report keeps this order, whatever order the checks run in
+    names = [c["name"] for c in report["checks"]]
+    assert names == [
         "boundary-oracle", "cost-identity", "dominance",
         "equilibrium", "sensitivities",
-    }
+    ]
     assert all(c["status"] == "PASS" for c in report["checks"])
 
 
@@ -389,6 +408,50 @@ def test_oracle_does_not_depend_on_the_blas_thread_count():
         reports.append(run.stdout)
     assert reports[0].startswith("{'name': 'boundary-oracle', 'status': 'PASS'")
     assert reports[0] == reports[1]
+
+
+_FRESH_VERIFY = """
+import os
+import sys
+from buildlag import cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+first_check = cli.identity_check
+def identity_check(*args, **kwargs):
+    assert not scipy_loaded(), f"{scipy_loaded()[0]} loaded before the Monte Carlo checks"
+    return first_check(*args, **kwargs)
+
+cli.identity_check = identity_check
+code = cli.main(["verify", "--scenario", "cir-fast", "--out", os.devnull, *sys.argv[1:]])
+print(code, *scipy_loaded())
+"""
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--paths", "200"], 0, ""),
+    (["--paths", "1"], 2, "error: a Monte Carlo check needs n_paths >= 2, got 1\n"),
+    (["--paths", "300", "--horizon", "5"], 3,
+     "numeric failure: equilibrium horizon 5 leaves up to "),
+], ids=["pass", "one-path", "truncation"])
+def test_verify_runs_the_monte_carlo_checks_before_scipy_loads(argv, code, message):
+    # a fresh process: this one has imported scipy already.  The oracle's
+    # first call imports scipy.integrate; when the path buffers are freed
+    # first, the two are never resident together.  A run that stops at a
+    # Monte Carlo check never loads scipy at all
+    src = str(Path(cli.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", _FRESH_VERIFY, *argv],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    exit_code, *loaded = run.stdout.split()
+    assert int(exit_code) == code
+    assert run.stderr.startswith(message)
+    if code == 0:
+        assert "scipy.integrate" in loaded
+    else:
+        assert not loaded
 
 
 def test_verify_twice_in_one_process_is_byte_identical(tmp_path, capsys):
