@@ -22,7 +22,7 @@ import numpy as np
 
 from buildlag.boundary import Boundary
 from buildlag.cli import main as cli
-from buildlag.demand import DemandPath, TimeGrid, sample_paths
+from buildlag.demand import DemandPath, TimeGrid, grid_steps, sample_paths
 from buildlag.montecarlo import fast_rule
 from buildlag.policy import simulate
 from buildlag.scenarios import get
@@ -69,7 +69,7 @@ def run(argv) -> None:
 
 def _committed(cfg, horizon, n_paths):
     sc = cfg.scenario
-    grid = TimeGrid(0.0, cfg.grid.dt, int(round(horizon / cfg.grid.dt)))
+    grid = TimeGrid(0.0, cfg.grid.dt, grid_steps(horizon, cfg.grid.dt))
     vals, rmax = sample_paths(sc.model, sc.d, grid, cfg.mc.seed, n_paths,
                               max_refine="bridge")
     rule = fast_rule(sc, Boundary(sc.model, sc.rho, sc.h, sc.q0))

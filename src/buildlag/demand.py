@@ -29,6 +29,7 @@ __all__ = [
     "CIR",
     "DemandModel",
     "TimeGrid",
+    "grid_steps",
     "DemandPath",
     "validate",
     "state_space",
@@ -208,6 +209,14 @@ class TimeGrid:
     @property
     def t_end(self) -> float:
         return self.t0 + self.dt * self.n_steps
+
+
+def grid_steps(horizon: float, dt: float) -> int:
+    """Steps of dt from t = 0 to the first node at or past horizon, at least
+    one: the horizon rounds up to the grid, and a horizon at most 1e-9
+    steps past a node ends on that node.  Every grid built to a horizon,
+    the Monte Carlo engine's and simulate's, takes its length from here."""
+    return max(1, math.ceil(horizon / dt - 1e-9))
 
 
 @dataclass(frozen=True)

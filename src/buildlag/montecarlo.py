@@ -41,8 +41,8 @@ from typing import Callable
 import numpy as np
 
 from .boundary import Boundary
-from .demand import (CIR, TimeGrid, alpha0, beta0, _buffers, _path_matrix, _row_blocks,
-                     _stream_seeds)
+from .demand import (CIR, TimeGrid, alpha0, beta0, grid_steps, _buffers, _path_matrix,
+                     _row_blocks, _stream_seeds)
 from .errors import (NumericsError, ParameterError, TruncationError, require_count,
                      require_finite)
 from .policy import Scenario, increments, lag_steps, pipeline_levels
@@ -66,11 +66,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CostEstimate:
+    """A control-variate estimate (see _estimate); variance_ratio is its
+    variance over the plain sample mean's, 1 where no control was fitted."""
+
     mean: float
     std_error: float
     n_paths: int
     horizon: float
     tail_bound: float
+    variance_ratio: float
 
 
 @dataclass(frozen=True)
@@ -123,6 +127,7 @@ class DominanceRow:
     delta: float
     paired_se: float
     passed: bool
+    variance_ratio: float
 
 
 @dataclass(frozen=True)
@@ -138,6 +143,7 @@ class EquilibriumReport:
     std_error: float
     q0: float
     passed: bool
+    variance_ratio: float
 
 
 def _default_dt(h: float) -> float:
@@ -203,10 +209,22 @@ class _Request:
     wants: tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class _Controls:
+    """Per-path control variates, one row per control, and their exact
+    means: X1 = sum_i w_i D_i and X2 = sum_i w_i D_i^2 over a request's
+    nodes, w its trapezoid-discount weights.  The samplers are exact at the
+    nodes, so E[D_t] = beta0(d0, t) and E[D_t^2] = alpha0(d0, t) there."""
+
+    values: np.ndarray
+    means: np.ndarray
+
+
 @dataclass
 class _Functionals:
     """Per-path values of the functionals a request wanted (None for the
-    others), the grid horizon, and the tail bounds of F and G+J."""
+    others), the grid horizon, the tail bounds of F and G+J, and the
+    controls of the request's horizon (None where the nodes are not exact)."""
 
     horizon: float
     F: np.ndarray | None = None
@@ -214,6 +232,7 @@ class _Functionals:
     rev_h: np.ndarray | None = None
     tail_F: float = 0.0
     tail_G: float = 0.0
+    controls: _Controls | None = None
 
 
 def _workers() -> int:
@@ -279,12 +298,17 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
     running maxima by default: the policy reads the continuous-time running
     max, whose grid version is biased low by O(sqrt(dt)) and would
     systematically distort the marginal revenue integrand.
+
+    Each distinct request horizon gets the two controls of _Controls, two
+    more row sums per block, with means from the closed-form moments at
+    its nodes.  The Milstein CIR scheme is not exact at the nodes, so it
+    gets none, and its estimates are plain means.
     """
     require_count(1, n_paths=n_paths)
     h, rho = scenario.h, scenario.rho
     dt = _default_dt(h)
     lag = lag_steps(TimeGrid(0.0, dt, 1), h)
-    steps = [max(1, math.ceil(r.horizon / dt - 1e-9)) for r in requests]
+    steps = [grid_steps(r.horizon, dt) for r in requests]
     n_tot = max(steps) + lag
     grid = TimeGrid(0.0, dt, n_tot)
     times = grid.times()
@@ -299,6 +323,8 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
         return w
 
     aw = trap(lag) * disc[: lag + 1]
+    # the trapezoid-discount weights of each distinct request horizon
+    weights = {n: trap(n) * disc[: n + 1] for n in steps}
     k0 = pipeline_levels(scenario.k, scenario.pipeline, h, times[: lag + 1])
     c0 = scenario.committed_start
     q0 = scenario.q0
@@ -310,7 +336,15 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
         return max(wanted, default=-1)
 
     n_b0, n_a0 = reach("GJ", "rev_h"), reach("GJ")
-    out = [_Functionals(n * dt, **{w: np.empty(n_paths) for w in r.wants})
+    controls = {}
+    if scheme == "exact" or not isinstance(model, CIR):
+        t = times[: max(steps) + 1]
+        moments = np.array([[beta0(model, d0, ti) for ti in t],
+                            [alpha0(model, d0, ti) for ti in t]])
+        controls = {n: _Controls(np.empty((2, n_paths)), _row_sums(moments[:, : n + 1], w))
+                    for n, w in weights.items()}
+    out = [_Functionals(n * dt, controls=controls.get(n),
+                        **{w: np.empty(n_paths) for w in r.wants})
            for r, n in zip(requests, steps)]
     # per-path last-node integrands of F and G, for the tail bounds
     last_F = [np.empty(n_paths) if "F" in r.wants else None for r in requests]
@@ -344,7 +378,7 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
         # request j's functionals on the rows of one block, from C, its
         # prefix of committed capacity
         n, res, wants = steps[j], out[j], requests[j].wants
-        gw = trap(n) * disc[: n + 1]
+        gw = weights[n]
         if "F" in wants or "GJ" in wants:
             inv = q0 * _row_sums(increments(C, c0), disc[: n + 1])
         if "F" in wants:
@@ -369,6 +403,11 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
             loss_a = _row_sums(0.5 * (v[:, : lag + 1] - k0) ** 2, aw)
             b0m = beta0(model, v[:, : n_b0 + 1], h)
             a0m = alpha0(model, v[:, : n_a0 + 1], h)
+            if controls:
+                sq = v[:, : max(controls) + 1] ** 2
+                for n, c in controls.items():
+                    c.values[0, at] = _row_sums(v[:, : n + 1], weights[n])
+                    c.values[1, at] = _row_sums(sq[:, : n + 1], weights[n])
             if levels is not None:
                 R = np.maximum.accumulate(levels[b], axis=1, out=levels[b])
             for policy, js in members.items():
@@ -412,6 +451,8 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
         if last_G[j] is not None:
             res.tail_G = np.sum(last_G[j]) / n_paths * math.exp(rho * h) * ratio
         per_path = [getattr(res, w) for w in requests[j].wants]
+        if res.controls is not None:
+            per_path.append(res.controls.values)
         if not (all(np.isfinite(v).all() for v in per_path)
                 and math.isfinite(res.tail_F) and math.isfinite(res.tail_G)):
             raise NumericsError(
@@ -431,10 +472,63 @@ def _se(per_path: np.ndarray) -> float:
     return se
 
 
-def _summary(per_path: np.ndarray, horizon: float, tail: float) -> CostEstimate:
-    return CostEstimate(
-        float(np.mean(per_path)), _se(per_path), per_path.size, horizon, float(tail)
-    )
+# a control whose centred sum of squares left after the control before it
+# is at most this share of its own adds nothing the first does not give
+_COLLINEAR = 1e-10
+
+
+def _coefficients(S, s_y):
+    """OLS coefficients of y on the two controls, from their centred cross
+    sums S (2 x 2) and their centred sums with y, and how many controls
+    they fit: 0 when the first control does not vary, 1 when the second is
+    collinear with it (its coefficient is then 0), else 2."""
+    s11, s12, s22 = S[0, 0], S[0, 1], S[1, 1]
+    if not s11 > 0.0:
+        return np.zeros(2), 0
+    r22 = s22 - s12 * s12 / s11
+    if not r22 > _COLLINEAR * s22:
+        return np.array([s_y[0] / s11, 0.0]), 1
+    b2 = (s_y[1] - s12 * s_y[0] / s11) / r22
+    return np.array([(s_y[0] - s12 * b2) / s11, b2]), 2
+
+
+def _estimate(per_path: np.ndarray, controls: _Controls | None) -> tuple[float, float, float]:
+    """Mean, standard error and variance ratio of a functional from its
+    per-path values: the control-variate estimator of Glasserman, Monte
+    Carlo Methods in Financial Engineering, section 4.1, the one estimator
+    of every report.
+
+    mean - b . (mean of X - E[X]), b the OLS coefficient of the values on
+    the controls X, from centred sums taken without BLAS (einsum and
+    np.sum), so no estimate depends on the BLAS thread count.  The
+    standard error is that of the regression residuals, on n - p - 1
+    degrees of freedom for p fitted controls.  With no controls, or fewer
+    than p + 2 paths, b is 0: the plain mean and sample standard error.
+    The variance ratio is the squared ratio of the two standard errors,
+    1 where the plain one is 0.
+    """
+    n = per_path.size
+    mean, se = float(np.mean(per_path)), _se(per_path)
+    if controls is None or n < len(controls.means) + 2:
+        return mean, se, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        xbar = np.mean(controls.values, axis=1)
+        xc = controls.values - xbar[:, None]
+        yc = per_path - mean
+        b, p = _coefficients(np.einsum("ij,kj->ik", xc, xc), _row_sums(xc, yc))
+        resid = yc - np.einsum("ij,i->j", xc, b)
+        adjusted = mean - float(np.sum(b * (xbar - controls.means)))
+        adjusted_se = math.sqrt(float(np.sum(resid * resid)) / (n - p - 1) / n)
+    if not (math.isfinite(adjusted) and math.isfinite(adjusted_se)):
+        raise NumericsError(f"the control-variate estimate of {n} finite per-path values "
+                            f"overflows")
+    return adjusted, adjusted_se, (adjusted_se / se) ** 2 if se > 0.0 else 1.0
+
+
+def _summary(per_path: np.ndarray, horizon: float, tail: float,
+             controls: _Controls | None) -> CostEstimate:
+    mean, se, ratio = _estimate(per_path, controls)
+    return CostEstimate(mean, se, per_path.size, horizon, float(tail), ratio)
 
 
 def _check_paths(n_paths: int) -> None:
@@ -486,15 +580,15 @@ def _dominance_requests(offsets, horizon):
 
 
 def _identity_report(res: _Functionals) -> IdentityReport:
-    f = _summary(res.F, res.horizon, res.tail_F)
-    gj = _summary(res.GJ, res.horizon, res.tail_G)
-    diff = res.F - res.GJ
+    f = _summary(res.F, res.horizon, res.tail_F, res.controls)
+    gj = _summary(res.GJ, res.horizon, res.tail_G, res.controls)
+    diff_mean, diff_se, _ = _estimate(res.F - res.GJ, res.controls)
     tol = 3.0 * (f.std_error + gj.std_error)
     return IdentityReport(
         f=f,
         gj=gj,
-        diff_mean=float(np.mean(diff)),
-        diff_se=_se(diff),
+        diff_mean=diff_mean,
+        diff_se=diff_se,
         tolerance=tol,
         passed=bool(abs(f.mean - gj.mean) <= tol),
     )
@@ -504,24 +598,23 @@ def _dominance_report(offsets, results) -> DominanceReport:
     ref = results[offsets.index(0.0)].F
     rows = []
     for e, res in zip(offsets, results):
-        diff = res.F - ref
-        se = _se(diff)
-        delta = float(np.mean(diff))
+        # the control adjusts the paired difference, not each cost apart
+        delta, se, ratio = _estimate(res.F - ref, res.controls)
         rows.append(
             DominanceRow(
                 offset=e,
-                mean_cost=float(np.mean(res.F)),
+                mean_cost=_estimate(res.F, res.controls)[0],
                 delta=delta,
                 paired_se=se,
                 passed=bool(delta >= -3.0 * se),
+                variance_ratio=ratio,
             )
         )
     return DominanceReport(rows=tuple(rows), passed=all(r.passed for r in rows))
 
 
 def _equilibrium_report(scenario, base, res: _Functionals) -> EquilibriumReport:
-    mean = float(np.mean(res.rev_h))
-    se = _se(res.rev_h)
+    mean, se, ratio = _estimate(res.rev_h, res.controls)
     chat0 = float(np.asarray(base(np.asarray(scenario.d, dtype=float))))
     on_boundary = scenario.committed_start <= chat0 + 1e-9 * max(1.0, abs(chat0))
     if on_boundary:
@@ -529,7 +622,8 @@ def _equilibrium_report(scenario, base, res: _Functionals) -> EquilibriumReport:
     else:
         mode, passed = "continuation", bool(mean < scenario.q0 - 3.0 * se)
     return EquilibriumReport(
-        mode=mode, revenue=mean, std_error=se, q0=scenario.q0, passed=passed
+        mode=mode, revenue=mean, std_error=se, q0=scenario.q0, passed=passed,
+        variance_ratio=ratio,
     )
 
 
@@ -548,7 +642,7 @@ def estimate_F(
     (including the t=0 atom) on [0, T]."""
     req = _Request(policy, _horizon(scenario, horizon), ("F",))
     (res,) = _run(scenario, _prepare(scenario), [req], n_paths, seed, scheme, max_refine)
-    est = _summary(res.F, res.horizon, res.tail_F)
+    est = _summary(res.F, res.horizon, res.tail_F, res.controls)
     if tail_check:
         _tail_guard(est, "estimate_F")
     return est
@@ -569,7 +663,7 @@ def estimate_G_plus_J(
     pipeline-window integral J on [0, h], and the same investment term."""
     req = _Request(policy, _horizon(scenario, horizon), ("GJ",))
     (res,) = _run(scenario, _prepare(scenario), [req], n_paths, seed, scheme, max_refine)
-    est = _summary(res.GJ, res.horizon, res.tail_G)
+    est = _summary(res.GJ, res.horizon, res.tail_G, res.controls)
     if tail_check:
         _tail_guard(est, "estimate_G_plus_J")
     return est

@@ -187,6 +187,21 @@ def test_simulate_band(capsys):
         assert r[2] <= r[3] <= r[4]
 
 
+@pytest.mark.parametrize("horizon, t_end", [("0.07", 0.1), ("0.024", 0.05), ("40", 40.0)])
+def test_simulate_and_cost_round_a_horizon_up_alike(horizon, t_end, capsys):
+    # one rule (demand.grid_steps) for both: the horizon rounds up to the
+    # next node, so --horizon 0.07 ends at 0.1 and 0.024 runs one step
+    code, out, _ = run(["simulate", "--scenario", "cir-fast", "--horizon", horizon], capsys)
+    assert code == 0
+    _, rows = table(out)
+    assert rows[-1][0] == pytest.approx(t_end, abs=1e-12)
+    assert len(rows) == round(t_end / 0.05) + 1
+    code, out, _ = run(["cost", "--scenario", "cir-fast", "--paths", "2",
+                        "--horizon", horizon], capsys)
+    assert code == 0
+    assert json.loads(out)["horizon"] == pytest.approx(t_end, abs=1e-12)
+
+
 def test_simulate_deterministic_output(tmp_path, capsys):
     a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
     argv = ["simulate", "--scenario", "cir-fast", "--horizon", "3"]
@@ -362,6 +377,16 @@ def test_verify_battery_passes(capsys):
         "equilibrium", "sensitivities",
     ]
     assert all(c["status"] == "PASS" for c in report["checks"])
+    # each Monte Carlo entry states its paths and the variance its control
+    # variates kept; the unshifted policy's zero difference keeps all of it
+    ident, dom, eq = report["checks"][1:4]
+    assert ident["n_paths"] == dom["n_paths"] == eq["n_paths"] == 400
+    ratios = [ident["variance_ratio_f"], ident["variance_ratio_g_plus_j"],
+              eq["variance_ratio"], *dom["variance_ratio"]]
+    zero = dom["offsets"].index(0.0)
+    assert dom["variance_ratio"][zero] == 1.0
+    del ratios[3 + zero]
+    assert all(0.0 < r < 1.0 for r in ratios)
 
 
 def test_verify_oracle_solves_each_distinct_point_once(monkeypatch):

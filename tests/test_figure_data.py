@@ -32,6 +32,16 @@ def test_figure_data_is_byte_identical_to_out(tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (ROOT / "out" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("horizon, n_steps", [(0.07, 2), (0.024, 1), (40.0, 800)])
+def test_committed_capacity_grid_rounds_the_horizon_up(horizon, n_steps):
+    # the same rule as simulate, cost and verify (demand.grid_steps)
+    from buildlag.scenarios import get
+
+    _, grid, vals, _ = load_script()._committed(get("cir-fast"), horizon, 2)
+    assert grid.n_steps == n_steps
+    assert vals.shape == (2, n_steps + 1)
+
+
 def test_figure_run_computes_each_log_series_once(tmp_path, monkeypatch, capsys):
     # the lag does not enter psi''/psi': the boundary tables at h = 1 and
     # h = 8 share their ratios, so 8 tables and 2 rule tables need 12

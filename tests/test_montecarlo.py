@@ -23,7 +23,7 @@ from scipy.integrate import quad
 
 from buildlag import cli, demand, montecarlo
 from buildlag.boundary import Boundary
-from buildlag.demand import ABM, CIR, GBM, alpha0
+from buildlag.demand import ABM, CIR, GBM, alpha0, beta0
 from buildlag.errors import NumericsError, ParameterError, TruncationError
 from buildlag.montecarlo import (
     PolicySpec,
@@ -424,6 +424,7 @@ def test_check_battery_does_not_depend_on_the_blas_thread_count():
                              capture_output=True, text=True, check=True)
         reports.append(run.stdout)
     assert reports[0].startswith("(IdentityReport(")
+    assert "variance_ratio=0." in reports[0]  # the control variates were fitted
     assert reports[0] == reports[1]
 
 
@@ -544,10 +545,10 @@ def test_constant_policy_is_the_reflected_constant(below, monkeypatch):
 # sha256 of repr(check_battery(...)) at 400 paths with verify's offsets and
 # horizons: the engine's reports are pinned to the bit
 _BATTERY_DIGESTS = {
-    "gbm-growth": "67006af0438a3c76b175932db0c7a535cb51feca3ef92ffb33d61fc75680096f",
-    "cir-fast": "bfe6c2058552b266a7388b98e5e290a964bf50db9c07be1985ade665a5550b77",
-    "cir-slow": "c5a0b3578b7d8d6c59ba58328e5c218641d0afb1e7b7dbe4c34b00fe568fcdbc",
-    "abm-power": "1fb7bff97c402624b5c052a47cfbd028bbe55d0c529df67ebaa0a060e03ee29b",
+    "gbm-growth": "df03bb055fc1b639a2fb359cd94dda757fa023252016a82765d0bb27a249a819",
+    "cir-fast": "a5767c5d986bf4ca30e0a345009c126f8b55fbd33c765b1d60000217d511e958",
+    "cir-slow": "3ff6b2c968bf71b42797bba8e7665bdced0dff10700ac96f0fb00da0dc4cc150",
+    "abm-power": "a867511220019d56c8ede40504b500af1c542c80fbff7b5968c92a58a799b57d",
 }
 
 
@@ -641,6 +642,7 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
     common = dict(horizon=150.0, n_paths=2000, seed=23)
     one = _checks_at(monkeypatch, 1, scn, offsets, **common)
     assert one[3].tail_bound > 0.0
+    assert one[0].f.variance_ratio < 1.0  # the control variates were fitted
     for workers in (2, 3):
         assert _checks_at(monkeypatch, workers, scn, offsets, **common) == one
 
@@ -710,6 +712,78 @@ def test_slices_of_all_workers_share_one_budget(monkeypatch):
     assert sum(rows) == 1000
     assert max(rows) <= limit
     assert len(rows) == math.ceil(1000 / limit)
+
+
+# ---------------------------------------------------------------------------
+# control variates
+
+
+def _functionals(scn, wants, horizon, n_paths, seed):
+    req = montecarlo._Request(PolicySpec.optimal(), horizon, wants)
+    base = montecarlo._prepare(scn)
+    (res,) = montecarlo._run(scn, base, [req], n_paths, seed, "exact", "bridge")
+    return res
+
+
+@pytest.mark.parametrize("make", [gbm_market, cir_market, abm_market])
+def test_control_means_match_their_closed_forms(make):
+    # the controls' means are trapezoid sums of the discounted closed-form
+    # moments E[D_t] and E[D_t^2], so they match quadrature to the rule's
+    # O(dt^2); the samplers are exact at the nodes, so the sampled controls
+    # scatter about those means
+    scn = make()
+    res = _functionals(scn, ("F",), 20.0, 2000, 5)
+    for row, moment in enumerate((beta0, alpha0)):
+        exact = quad(lambda t: math.exp(-RHO * t) * moment(scn.model, scn.d, t),
+                     0.0, 20.0, limit=200)[0]
+        assert res.controls.means[row] == pytest.approx(exact, rel=1e-5)
+        x = res.controls.values[row]
+        assert abs(np.mean(x) - exact) <= 4.0 * np.std(x, ddof=1) / math.sqrt(x.size)
+
+
+@pytest.mark.parametrize("make", [gbm_market, cir_market, abm_market])
+def test_adjusted_mean_agrees_with_the_plain_mean_over_seeds(make):
+    # the adjustment -b (mean X - E[X]) is mean-zero noise: per seed it stays
+    # within 4 plain SE, and over ten seeds its mean within 3 of its SE
+    for want in ("F", "GJ", "rev_h"):
+        gaps = []
+        for seed in range(10):
+            res = _functionals(make(), (want,), 20.0, 400, seed)
+            per_path = getattr(res, want)
+            adjusted, adjusted_se, ratio = montecarlo._estimate(per_path, res.controls)
+            plain, plain_se, _ = montecarlo._estimate(per_path, None)
+            assert adjusted_se < plain_se and ratio < 1.0
+            assert abs(adjusted - plain) <= 4.0 * plain_se
+            gaps.append((adjusted - plain) / plain_se)
+        assert abs(np.mean(gaps)) <= 3.0 * np.std(gaps, ddof=1) / math.sqrt(len(gaps)), want
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 3])
+def test_below_four_paths_the_estimate_is_the_plain_mean(n_paths):
+    # two controls need p + 2 = 4 paths; with fewer the coefficient is 0
+    scn = cir_market()
+    per_path = _functionals(scn, ("F",), 20.0, n_paths, 3).F
+    est = estimate_F(scn, horizon=20.0, n_paths=n_paths, seed=3)
+    assert est.mean == float(np.mean(per_path))
+    se = float(np.std(per_path, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    assert est.std_error == se
+    assert est.variance_ratio == 1.0
+    assert estimate_F(scn, horizon=20.0, n_paths=4, seed=3).variance_ratio != 1.0
+
+
+def test_collinear_or_constant_controls_are_dropped():
+    x = np.arange(10.0)
+    y = 3.0 * x + np.sin(x)
+    # the second control is twice the first: one control, n - 2 degrees of freedom
+    controls = montecarlo._Controls(np.array([x, 2.0 * x]), np.array([4.0, 8.0]))
+    mean, se, _ = montecarlo._estimate(y, controls)
+    xc, yc = x - x.mean(), y - y.mean()
+    b = np.sum(xc * yc) / np.sum(xc * xc)
+    assert mean == pytest.approx(y.mean() - b * 0.5, rel=1e-12)
+    assert se == pytest.approx(math.sqrt(np.sum((yc - b * xc) ** 2) / 8 / 10), rel=1e-12)
+    # controls that do not vary fit nothing: the plain estimate
+    flat = montecarlo._Controls(np.ones((2, 10)), np.array([1.0, 1.0]))
+    assert montecarlo._estimate(y, flat) == pytest.approx(montecarlo._estimate(y, None))
 
 
 # ---------------------------------------------------------------------------
@@ -786,6 +860,8 @@ def test_milstein_scheme_tracks_exact():
     m = estimate_F(scn, horizon=30.0, n_paths=800, seed=3, scheme="milstein")
     e = estimate_F(scn, horizon=30.0, n_paths=800, seed=3)
     assert m.mean == pytest.approx(e.mean, rel=0.03)
+    # Milstein is not exact at the nodes, so it fits no control variates
+    assert m.variance_ratio == 1.0 and e.variance_ratio < 1.0
 
 
 def test_running_max_refinement_choices_agree():
