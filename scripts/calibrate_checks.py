@@ -4,8 +4,9 @@
 
 For each scenario and each of the seeds 1000-1019 (disjoint from the
 scenarios' own seeds), montecarlo.check_battery runs at verify's offsets and
-horizons and at the scenario's path count, five times: with the rule as it
-is, and scaled by 0.999, 0.95, 0.99 and 1.01.  Per check the output records:
+horizons (montecarlo.check_plan) and at the scenario's path count, five
+times: with the rule as it is, and scaled by 0.999, 0.95, 0.99 and 1.01.
+Per check the output records:
 
   z        identity: (F - (G+J)) / its paired SE; equilibrium: (revenue -
            q0) / SE; dominance: delta / paired SE at each nonzero offset.
@@ -20,15 +21,15 @@ is, and scaled by 0.999, 0.95, 0.99 and 1.01.  Per check the output records:
 Power: the FAIL count of every check at each rule scale, with the mean
 equilibrium z and the mean of each seed's smallest dominance z.
 
-Coefficient bias: where the engine fits control variates, the estimate of
-each functional of the unscaled run (F, G+J, each dominance difference,
-rev_h) is also formed with the coefficient fitted on one half of the paths
-and applied to the other, both ways round, which has no O(1/n) bias.  The
-mean over seeds of (full fit - split fit) / SE is that bias in SE units.
+Coefficient bias: the estimate of each functional of the unscaled run (F,
+G+J, each dominance difference, rev_h) is also formed with the coefficient
+fitted on one half of the paths and applied to the other, both ways round,
+which has no O(1/n) bias.  The mean over seeds of (full fit - split fit) /
+SE is that bias in SE units.
 
-The estimator is the installed package's: run this file against an older
-checkout's src/ to calibrate that checkout's estimator at its own path
-counts.  Progress goes to stderr.
+The estimator is the installed package's: run this file against another
+checkout's src/ (one with montecarlo.check_plan) to calibrate that
+checkout's estimator at its own path counts.  Progress goes to stderr.
 """
 
 import argparse
@@ -40,7 +41,7 @@ import time
 
 import numpy as np
 
-from buildlag import cli, montecarlo
+from buildlag import montecarlo
 from buildlag.scenarios import get
 
 SEEDS = range(1000, 1020)
@@ -70,11 +71,8 @@ def split_fit(y, controls):
 
 
 def coefficient_bias(results, offsets):
-    """(full fit - split fit) / SE of each functional of one battery run;
-    None where the engine fitted no controls."""
+    """(full fit - split fit) / SE of each functional of one battery run."""
     ident, dom, eq = results[0], results[1:-1], results[-1]
-    if getattr(ident, "controls", None) is None:
-        return None
     ref = dom[offsets.index(0.0)].F
     pairs = {"F": (ident.F, ident.controls), "GJ": (ident.GJ, ident.controls),
              "rev_h": (eq.rev_h, eq.controls)}
@@ -91,9 +89,8 @@ def coefficient_bias(results, offsets):
 def run_scenario(name):
     cfg = get(name)
     sc, n_paths = cfg.scenario, cfg.mc.n_paths
-    offsets = cli._dominance_offsets(sc)
-    kw = dict(horizon=150.0, equilibrium_horizon=cli._EQ_HORIZON[type(sc.model)],
-              n_paths=n_paths)
+    offsets, horizon, eq_horizon = montecarlo.check_plan(sc)
+    kw = dict(horizon=horizon, equilibrium_horizon=eq_horizon, n_paths=n_paths)
     captured = []
     engine = montecarlo._run
 
@@ -130,7 +127,7 @@ def run_scenario(name):
                     acc.append(v)
                 for acc, r in zip(deltas, [r for r in dom.rows if r.offset]):
                     acc.append((r.delta, r.paired_se))
-                for k, v in (coefficient_bias(captured[0], offsets) or {}).items():
+                for k, v in coefficient_bias(captured[0], offsets).items():
                     bias.setdefault(k, []).append(v)
         print(f"{name} seed {seed}: {time.perf_counter() - t0:.1f} s", file=sys.stderr)
     checks = {
@@ -150,7 +147,7 @@ def run_scenario(name):
                              "mean_equilibrium_z": statistics.fmean(power[s]["equilibrium_z"]),
                              "mean_dominance_min_z": statistics.fmean(power[s]["dominance_min_z"])}
                   for s in SCALES if s != 1.0},
-        "coefficient_bias_in_se": {k: summary(v) for k, v in bias.items()} or None,
+        "coefficient_bias_in_se": {k: summary(v) for k, v in bias.items()},
     }
 
 

@@ -70,8 +70,7 @@ def run(argv) -> None:
 def _committed(cfg, horizon, n_paths):
     sc = cfg.scenario
     grid = TimeGrid(0.0, cfg.grid.dt, grid_steps(horizon, cfg.grid.dt))
-    vals, rmax = sample_paths(sc.model, sc.d, grid, cfg.mc.seed, n_paths,
-                              max_refine="bridge")
+    vals, rmax = sample_paths(sc.model, sc.d, grid, cfg.mc.seed, n_paths)
     rule = fast_rule(sc, Boundary(sc.model, sc.rho, sc.h, sc.q0))
     traj = simulate(sc, rule, DemandPath(grid, vals, rmax))
     return sc, grid, vals, traj.committed

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .montecarlo import (
     PolicySpec,
+    check_plan,
     dominance_test,
     equilibrium_check,
     estimate_F,
@@ -89,19 +90,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, paths=False, horizon=False):
+    def common(p, draws=False, table=False):
+        # draws: the commands that sample paths; table: those that write a
+        # table, CSV or JSON (cost and verify always write JSON)
         p.add_argument("--scenario", help="named parameter set (default: gbm-growth)")
         p.add_argument("--config", help="JSON run configuration file")
-        p.add_argument("--seed", type=int, help="override the Monte Carlo seed")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        if paths:
+        if table:
+            p.add_argument("--format", choices=("csv", "json"), help="output format")
+        if draws:
+            p.add_argument("--seed", type=int, help="override the Monte Carlo seed")
             p.add_argument("--paths", type=int, help="number of Monte Carlo paths")
-        if horizon:
             p.add_argument("--horizon", type=float, help="time horizon in years")
 
     b = sub.add_parser("boundary", help="tabulate the investment threshold")
-    common(b)
+    common(b, table=True)
     b.add_argument("--d-min", type=float, help="lowest demand level")
     b.add_argument("--d-max", type=float, help="highest demand level")
     b.add_argument("--points", type=int, default=201, help="grid size (default 201)")
@@ -116,11 +119,11 @@ def _build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=_cmd_boundary)
 
     s = sub.add_parser("simulate", help="simulate the optimal policy along demand paths")
-    common(s, paths=True, horizon=True)
+    common(s, draws=True, table=True)
     s.set_defaults(func=_cmd_simulate)
 
     c = sub.add_parser("cost", help="Monte Carlo estimate of the discounted total cost")
-    common(c, paths=True, horizon=True)
+    common(c, draws=True)
     c.add_argument(
         "--policy",
         default="optimal",
@@ -135,11 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_cost)
 
     t = sub.add_parser("statics", help="sensitivity table for the threshold")
-    common(t)
+    common(t, table=True)
     t.set_defaults(func=_cmd_statics)
 
     v = sub.add_parser("verify", help="run the full verification battery")
-    common(v, paths=True, horizon=True)
+    common(v, draws=True)
     v.add_argument(
         "--debug-scale-boundary",
         type=float,
@@ -165,7 +168,7 @@ def _load_config(args) -> scenarios.RunConfig:
     else:
         cfg = scenarios.get(args.scenario or "gbm-growth")
     mc = cfg.mc
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         mc = replace(mc, seed=args.seed)
     if getattr(args, "paths", None) is not None:
         mc = replace(mc, n_paths=args.paths)
@@ -174,7 +177,7 @@ def _load_config(args) -> scenarios.RunConfig:
     out = cfg.outputs
     if args.out is not None:
         out = replace(out, path=args.out)
-    if args.format is not None:
+    if getattr(args, "format", None) is not None:
         out = replace(out, format=args.format)
     return replace(cfg, mc=mc, outputs=out)
 
@@ -323,15 +326,13 @@ def _cmd_simulate(args) -> int:
     n_paths = args.paths if args.paths is not None else 1
     t = grid.times()
     if n_paths == 1:
-        path = sample_path(sc.model, sc.d, grid, cfg.mc.seed, max_refine="bridge")
+        path = sample_path(sc.model, sc.d, grid, cfg.mc.seed)
         traj = simulate(sc, rule, path)
         header = ["t", "D", "C", "K", "dI", "p"]
         cols = [t, traj.demand, traj.committed, traj.installed,
                 traj.investment_increments, traj.price]
     else:
-        vals, rmax = sample_paths(
-            sc.model, sc.d, grid, cfg.mc.seed, n_paths, max_refine="bridge"
-        )
+        vals, rmax = sample_paths(sc.model, sc.d, grid, cfg.mc.seed, n_paths)
         traj = simulate(sc, rule, DemandPath(grid, vals, rmax))
         d, c, k = traj.demand, traj.committed, traj.installed
         d05, d50, d95 = np.quantile(d, [0.05, 0.5, 0.95], axis=0)
@@ -416,8 +417,6 @@ def _cmd_statics(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-_EQ_HORIZON = {ABM: 100.0, GBM: 200.0, CIR: 150.0}
-
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
@@ -461,25 +460,18 @@ def _check_oracle(sc) -> dict:
     }
 
 
-def _dominance_offsets(sc) -> list[float]:
-    """The shifts of the boundary that verify's dominance check prices."""
-    if isinstance(sc.model, ABM):
-        return [-300.0, -100.0, 0.0, 100.0, 300.0]
-    ref = abs(float(Boundary(sc.model, sc.rho, sc.h, sc.q0).eval(np.asarray(sc.d))))
-    return [f * max(ref, 1.0) for f in (-0.15, -0.05, 0.0, 0.05, 0.15)]
-
-
 def _check_monte_carlo(sc, mc, scale) -> list[dict]:
-    """Cost identity, dominance and equilibrium.
+    """Cost identity, dominance and equilibrium, on montecarlo.check_plan's
+    offsets and horizons; --horizon replaces both horizons.
 
     Each check draws its own paths.  montecarlo.check_battery returns the
     same three reports from one path batch, but the benchmark's traced run
     times the Monte Carlo layer per check name, so verify keeps the three
     calls until that tracer learns the shared entry.
     """
-    offsets = _dominance_offsets(sc)
-    horizon = mc.horizon if mc.horizon is not None else 150.0
-    eq_horizon = mc.horizon if mc.horizon is not None else _EQ_HORIZON[type(sc.model)]
+    offsets, horizon, eq_horizon = check_plan(sc)
+    if mc.horizon is not None:
+        horizon = eq_horizon = mc.horizon
     common = dict(n_paths=mc.n_paths, seed=mc.seed, rule_scale=scale)
     ident = identity_check(sc, **common)
     dom = dominance_test(sc, offsets, horizon=horizon, **common)

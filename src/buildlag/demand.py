@@ -224,8 +224,9 @@ class DemandPath:
     """A sampled demand trajectory on a grid, with its running maximum.
 
     values and running_max have shape (n+1,), or (n_paths, n+1) for a batch;
-    running_max[..., i] = max(values[..., 0..i]).  The optimal policy depends
-    on the path only through this statistic.
+    running_max[..., i] is the path's maximum over [t_0, t_i], which the
+    samplers take over the Brownian bridge between nodes.  The optimal
+    policy depends on the path only through this statistic.
     """
 
     grid: TimeGrid
@@ -467,7 +468,7 @@ def _buffers(m, grid):
     return np.empty(shape), np.empty(shape)
 
 
-def _path_matrix(model, d0, grid, seeds, scheme, max_refine, vals, rmax):
+def _path_matrix(model, d0, grid, seeds, vals, rmax):
     """Sample len(seeds) paths into vals and rmax and return them: two
     (len(seeds), n_steps+1) float matrices with contiguous rows, the paths'
     values and their running maxima.  Row i consumes only the three streams
@@ -477,20 +478,18 @@ def _path_matrix(model, d0, grid, seeds, scheme, max_refine, vals, rmax):
     run off the calling thread; the threshold rule may not, and the engine
     reads it on the calling thread.
 
-    max_refine selects how the running maximum is formed: "grid" takes the
-    max over node values only, "bridge" additionally samples the exact
-    within-step maximum from the Brownian bridge between nodes (exact for
-    ABM and for GBM in log space; for CIR the diffusion coefficient is
-    frozen at the step mean, an O(dt) approximation).  The node values are
-    identical under both settings and under both CIR schemes' shared seed
-    layout.
+    The node values follow the exact transition laws, and the running
+    maximum folds in each step's maximum drawn from the Brownian bridge
+    between its nodes: exact for ABM and for GBM in log space; for CIR the
+    diffusion coefficient is frozen at the step mean, an O(dt)
+    approximation.
 
     No path-sized matrix is allocated: the draws are written into the two
     buffers.  ABM and GBM draw their normals into vals[:, 1:] and turn them
     into the path in place.  CIR draws its normals into vals[:, 1:], which
     the recursion overwrites chunk by chunk once it has copied the chunk,
-    and the exact scheme's chi-square into rmax[:, 1:], which the running
-    maximum overwrites.  Every pass after the draws runs on row blocks
+    and its chi-square into rmax[:, 1:], which the running maximum
+    overwrites.  Every pass after the draws runs on row blocks
     (_row_blocks), so its temporaries stay in cache: the bridge maximum,
     with each block's uniforms drawn for that block alone, and for ABM and
     GBM the cumulative sum, the affine map and GBM's exp.
@@ -498,16 +497,11 @@ def _path_matrix(model, d0, grid, seeds, scheme, max_refine, vals, rmax):
     n = grid.n_steps
     dt = grid.dt
     m = len(seeds)
-    if max_refine not in ("grid", "bridge"):
-        raise ParameterError(f"unknown max_refine {max_refine!r}")
 
     def running_max(var_dt):
         # the running maximum of vals into rmax, block by block; var_dt(b)
         # is sigma^2 dt of the steps of rows b, for the bridge
         for b in _row_blocks(m):
-            if max_refine == "grid":
-                np.maximum.accumulate(vals[b], axis=1, out=rmax[b])
-                continue
             u = _draws(seeds[b], 2, np.empty((b.stop - b.start, n)),
                        lambda g, row: g.random(out=row))
             _running_max(vals[b], _bridge_max(vals[b, :-1], vals[b, 1:], var_dt(b), u), rmax[b])
@@ -527,21 +521,13 @@ def _path_matrix(model, d0, grid, seeds, scheme, max_refine, vals, rmax):
             np.cumsum(zb, axis=1, out=zb)
             zb *= model.sigma * math.sqrt(dt)
             zb += trend
-        if log and max_refine == "grid":
-            # the grid maximum of a GBM path is taken on its values
-            np.exp(vals, out=vals)
         running_max(lambda b: model.sigma**2 * dt)
-        if log and max_refine == "bridge":
+        if log:
             np.exp(vals, out=vals)
             np.exp(rmax, out=rmax)
         return vals, rmax
     if isinstance(model, CIR):
-        if scheme == "exact":
-            _cir_exact(model, d0, n, dt, seeds, vals, rmax[:, 1:])
-        elif scheme == "milstein":
-            _cir_milstein(model, d0, n, dt, seeds, vals)
-        else:
-            raise ParameterError(f"unknown scheme {scheme!r}")
+        _cir_exact(model, d0, n, dt, seeds, vals, rmax[:, 1:])
         return running_max(lambda b: model.sigma**2 * 0.5 * (vals[b, :-1] + vals[b, 1:]) * dt)
     raise TypeError(f"unknown demand model {model!r}")
 
@@ -586,42 +572,10 @@ def _cir_exact(model, d0, n, dt, seeds, vals, x2):
         z[:, j0:j1] = chunk.T
 
 
-def _cir_milstein(model, d0, n, dt, seeds, vals):
-    """Full-truncation Milstein fallback for cross-checks, into vals.
-
-    Biased at coarse dt and can touch zero; use the exact sampler for
-    anything quantitative.  Consumes the same increment stream as the exact
-    sampler, so the two schemes are path-paired under a shared seed.  The
-    increments are drawn into vals[:, 1:], and step j's overwrites its own
-    normal once read.
-    """
-    g, dl, s = model.gamma, model.delta, model.sigma
-    z = _draws(seeds, 0, vals[:, 1:], lambda g, row: g.standard_normal(out=row))
-    vals[:, 0] = d0
-    x = np.full(len(seeds), float(d0))
-    sq = math.sqrt(dt)
-    for j in range(n):
-        xp = np.maximum(x, 0.0)
-        x = (
-            x
-            + g * (dl - xp) * dt
-            + s * np.sqrt(xp) * sq * z[:, j]
-            + 0.25 * s**2 * dt * (z[:, j] ** 2 - 1.0) * (x > 0.0)
-        )
-        vals[:, j + 1] = np.maximum(x, 0.0)
-
-
-def sample_path(
-    model: DemandModel,
-    d0: float,
-    grid: TimeGrid,
-    seed: int,
-    scheme: str = "exact",
-    max_refine: str = "grid",
-) -> DemandPath:
+def sample_path(model: DemandModel, d0: float, grid: TimeGrid, seed: int) -> DemandPath:
     """Sample one path. Deterministic in all arguments."""
     _check_d0(model, d0)
-    vals, rmax = _sampled(model, d0, grid, _stream_seeds(seed), scheme, max_refine)
+    vals, rmax = _sampled(model, d0, grid, _stream_seeds(seed))
     return DemandPath(grid=grid, values=vals[0], running_max=rmax[0])
 
 
@@ -632,29 +586,38 @@ def sample_paths(
     seed: int,
     n_paths: int,
     scheme: str = "exact",
-    max_refine: str = "grid",
+    max_refine: str = "bridge",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample a batch of paths; returns (values, running_max), each of shape
-    (n_paths, n_steps+1).
+    (n_paths, n_steps+1).  The running maximum is the bridge maximum of
+    _path_matrix.
 
     Path i draws from independent streams derived from (seed, i) as by
     SeedSequence spawning, so row i does not depend on n_paths: a batch of 5
     is the row-wise prefix of a batch of 8 with the same master seed.  A
-    path out of float range raises NumericsError.
+    path out of float range raises NumericsError.  scheme and max_refine
+    accept only their defaults (_require_sampler).
     """
+    _require_sampler(scheme, max_refine)
     _check_d0(model, d0)
     require_count(1, n_paths=n_paths)
-    return _sampled(model, d0, grid, _stream_seeds(seed, np.arange(n_paths)), scheme,
-                    max_refine)
+    return _sampled(model, d0, grid, _stream_seeds(seed, np.arange(n_paths)))
 
 
-def _sampled(model, d0, grid, seeds, scheme, max_refine):
+def _require_sampler(scheme, max_refine):
+    """ParameterError unless scheme is "exact" and max_refine "bridge", the
+    one sampler: exact transitions with the bridge running maximum."""
+    if (scheme, max_refine) != ("exact", "bridge"):
+        raise ParameterError(f"the sampler is scheme='exact', max_refine='bridge'; got "
+                             f"scheme={scheme!r}, max_refine={max_refine!r}")
+
+
+def _sampled(model, d0, grid, seeds):
     """_path_matrix into fresh buffers.  A path out of float range (a GBM
     path on a long enough horizon) raises NumericsError naming the horizon,
     in place of numpy's overflow warning and an inf demand level."""
     with np.errstate(over="ignore"):
-        vals, rmax = _path_matrix(model, d0, grid, seeds, scheme, max_refine,
-                                  *_buffers(len(seeds), grid))
+        vals, rmax = _path_matrix(model, d0, grid, seeds, *_buffers(len(seeds), grid))
     # each path's last running maximum bounds its values and carries any inf
     # or nan among them
     if not np.isfinite(rmax[:, -1]).all():

@@ -41,8 +41,8 @@ from typing import Callable
 import numpy as np
 
 from .boundary import Boundary
-from .demand import (CIR, TimeGrid, alpha0, beta0, grid_steps, _buffers, _path_matrix,
-                     _row_blocks, _stream_seeds)
+from .demand import (ABM, CIR, GBM, TimeGrid, alpha0, beta0, grid_steps, _buffers,
+                     _path_matrix, _require_sampler, _row_blocks, _stream_seeds)
 from .errors import (NumericsError, ParameterError, TruncationError, require_count,
                      require_finite)
 from .policy import Scenario, increments, lag_steps, pipeline_levels
@@ -61,6 +61,7 @@ __all__ = [
     "dominance_test",
     "equilibrium_check",
     "check_battery",
+    "check_plan",
 ]
 
 
@@ -152,8 +153,6 @@ def _default_dt(h: float) -> float:
 
 def _alpha_tail(model, d0: float, rho: float, T: float) -> float:
     """int_T^inf e^(-rho t) E[D_t^2] dt, closed form per model."""
-    from .demand import ABM, GBM
-
     e = math.exp(-rho * T)
     if isinstance(model, ABM):
         mu, sig = model.mu, model.sigma
@@ -213,7 +212,7 @@ class _Request:
 class _Controls:
     """Per-path control variates, one row per control, and their exact
     means: X1 = sum_i w_i D_i and X2 = sum_i w_i D_i^2 over a request's
-    nodes, w its trapezoid-discount weights.  The samplers are exact at the
+    nodes, w its trapezoid-discount weights.  The sampler is exact at the
     nodes, so E[D_t] = beta0(d0, t) and E[D_t^2] = alpha0(d0, t) there."""
 
     values: np.ndarray
@@ -222,17 +221,17 @@ class _Controls:
 
 @dataclass
 class _Functionals:
-    """Per-path values of the functionals a request wanted (None for the
-    others), the grid horizon, the tail bounds of F and G+J, and the
-    controls of the request's horizon (None where the nodes are not exact)."""
+    """The grid horizon, the controls of the request's horizon, per-path
+    values of the functionals a request wanted (None for the others) and
+    the tail bounds of F and G+J."""
 
     horizon: float
+    controls: _Controls
     F: np.ndarray | None = None
     GJ: np.ndarray | None = None
     rev_h: np.ndarray | None = None
     tail_F: float = 0.0
     tail_G: float = 0.0
-    controls: _Controls | None = None
 
 
 def _workers() -> int:
@@ -251,7 +250,7 @@ def _row_sums(m, w):
     return np.einsum("ij,j->i", m, w)
 
 
-def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
+def _run(scenario, base, requests, n_paths, seed):
     """Serve every request from one path batch; returns one _Functionals
     per request, in order.
 
@@ -294,15 +293,13 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
     or tail bound out of float range raises NumericsError, and so does a
     horizon whose tail moments leave it, before any path is drawn.
 
-    Paths are sampled on steps of _default_dt(h), with bridge-refined
-    running maxima by default: the policy reads the continuous-time running
-    max, whose grid version is biased low by O(sqrt(dt)) and would
-    systematically distort the marginal revenue integrand.
+    Paths are sampled on steps of _default_dt(h) by demand._path_matrix:
+    exact at the nodes, with the Brownian-bridge running maximum, since the
+    policy reads the continuous-time running max.
 
     Each distinct request horizon gets the two controls of _Controls, two
     more row sums per block, with means from the closed-form moments at
-    its nodes.  The Milstein CIR scheme is not exact at the nodes, so it
-    gets none, and its estimates are plain means.
+    its nodes.
     """
     require_count(1, n_paths=n_paths)
     h, rho = scenario.h, scenario.rho
@@ -336,15 +333,12 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
         return max(wanted, default=-1)
 
     n_b0, n_a0 = reach("GJ", "rev_h"), reach("GJ")
-    controls = {}
-    if scheme == "exact" or not isinstance(model, CIR):
-        t = times[: max(steps) + 1]
-        moments = np.array([[beta0(model, d0, ti) for ti in t],
-                            [alpha0(model, d0, ti) for ti in t]])
-        controls = {n: _Controls(np.empty((2, n_paths)), _row_sums(moments[:, : n + 1], w))
-                    for n, w in weights.items()}
-    out = [_Functionals(n * dt, controls=controls.get(n),
-                        **{w: np.empty(n_paths) for w in r.wants})
+    t = times[: max(steps) + 1]
+    moments = np.array([[beta0(model, d0, ti) for ti in t],
+                        [alpha0(model, d0, ti) for ti in t]])
+    controls = {n: _Controls(np.empty((2, n_paths)), _row_sums(moments[:, : n + 1], w))
+                for n, w in weights.items()}
+    out = [_Functionals(n * dt, controls[n], **{w: np.empty(n_paths) for w in r.wants})
            for r, n in zip(requests, steps)]
     # per-path last-node integrands of F and G, for the tail bounds
     last_F = [np.empty(n_paths) if "F" in r.wants else None for r in requests]
@@ -361,7 +355,7 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
     def sample(rows, slot):
         # into the first rows of a slot's buffer pair
         vals, rmax = (buf[: rows.stop - rows.start] for buf in slot)
-        return _path_matrix(model, d0, grid, seeds[rows], scheme, max_refine, vals, rmax)
+        return _path_matrix(model, d0, grid, seeds[rows], vals, rmax)
 
     def read_rule(rmax):
         # on the calling thread, block by block: the rule's levels on the
@@ -403,11 +397,10 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
             loss_a = _row_sums(0.5 * (v[:, : lag + 1] - k0) ** 2, aw)
             b0m = beta0(model, v[:, : n_b0 + 1], h)
             a0m = alpha0(model, v[:, : n_a0 + 1], h)
-            if controls:
-                sq = v[:, : max(controls) + 1] ** 2
-                for n, c in controls.items():
-                    c.values[0, at] = _row_sums(v[:, : n + 1], weights[n])
-                    c.values[1, at] = _row_sums(sq[:, : n + 1], weights[n])
+            sq = v[:, : max(controls) + 1] ** 2
+            for n, c in controls.items():
+                c.values[0, at] = _row_sums(v[:, : n + 1], weights[n])
+                c.values[1, at] = _row_sums(sq[:, : n + 1], weights[n])
             if levels is not None:
                 R = np.maximum.accumulate(levels[b], axis=1, out=levels[b])
             for policy, js in members.items():
@@ -450,9 +443,7 @@ def _run(scenario, base, requests, n_paths, seed, scheme, max_refine):
             res.tail_F = np.sum(last_F[j]) / n_paths * ratio
         if last_G[j] is not None:
             res.tail_G = np.sum(last_G[j]) / n_paths * math.exp(rho * h) * ratio
-        per_path = [getattr(res, w) for w in requests[j].wants]
-        if res.controls is not None:
-            per_path.append(res.controls.values)
+        per_path = [getattr(res, w) for w in requests[j].wants] + [res.controls.values]
         if not (all(np.isfinite(v).all() for v in per_path)
                 and math.isfinite(res.tail_F) and math.isfinite(res.tail_G)):
             raise NumericsError(
@@ -526,7 +517,7 @@ def _estimate(per_path: np.ndarray, controls: _Controls | None) -> tuple[float, 
 
 
 def _summary(per_path: np.ndarray, horizon: float, tail: float,
-             controls: _Controls | None) -> CostEstimate:
+             controls: _Controls) -> CostEstimate:
     mean, se, ratio = _estimate(per_path, controls)
     return CostEstimate(mean, se, per_path.size, horizon, float(tail), ratio)
 
@@ -635,13 +626,11 @@ def estimate_F(
     seed: int = 0,
     *,
     tail_check: bool = False,
-    scheme: str = "exact",
-    max_refine: str = "bridge",
 ) -> CostEstimate:
     """Full-cost estimate: quadratic loss on [0, T+h] plus investment
     (including the t=0 atom) on [0, T]."""
     req = _Request(policy, _horizon(scenario, horizon), ("F",))
-    (res,) = _run(scenario, _prepare(scenario), [req], n_paths, seed, scheme, max_refine)
+    (res,) = _run(scenario, _prepare(scenario), [req], n_paths, seed)
     est = _summary(res.F, res.horizon, res.tail_F, res.controls)
     if tail_check:
         _tail_guard(est, "estimate_F")
@@ -656,13 +645,11 @@ def estimate_G_plus_J(
     seed: int = 0,
     *,
     tail_check: bool = False,
-    scheme: str = "exact",
-    max_refine: str = "bridge",
 ) -> CostEstimate:
     """Reduced-form estimate: closed-form running cost g on [0, T], the
     pipeline-window integral J on [0, h], and the same investment term."""
     req = _Request(policy, _horizon(scenario, horizon), ("GJ",))
-    (res,) = _run(scenario, _prepare(scenario), [req], n_paths, seed, scheme, max_refine)
+    (res,) = _run(scenario, _prepare(scenario), [req], n_paths, seed)
     est = _summary(res.GJ, res.horizon, res.tail_G, res.controls)
     if tail_check:
         _tail_guard(est, "estimate_G_plus_J")
@@ -686,12 +673,13 @@ def identity_check(
     rule_scale multiplies the boundary before use.  The identity holds for
     any adapted policy, so this check passes even at scale != 1; the knob is
     here for symmetry with the dominance and equilibrium checks, where a
-    scaled boundary is a negative control that must fail.
+    scaled boundary is a negative control that must fail.  scheme and
+    max_refine accept only their defaults.
     """
+    _require_sampler(scheme, max_refine)
     _check_paths(n_paths)
     req = _Request(policy, _horizon(scenario, horizon), ("F", "GJ"))
-    (res,) = _run(scenario, _prepare(scenario, rule_scale), [req], n_paths, seed,
-                  scheme, max_refine)
+    (res,) = _run(scenario, _prepare(scenario, rule_scale), [req], n_paths, seed)
     return _identity_report(res)
 
 
@@ -711,12 +699,13 @@ def dominance_test(
     policy costs at least cost(0) - 3 paired SE.
 
     With rule_scale != 1 the unshifted policy is deliberately wrong and some
-    offset should beat it: a negative control for this very test."""
+    offset should beat it: a negative control for this very test.  scheme
+    and max_refine accept only their defaults."""
+    _require_sampler(scheme, max_refine)
     _check_paths(n_paths)
     offsets = [float(e) for e in offsets]
     reqs = _dominance_requests(offsets, _horizon(scenario, horizon))
-    results = _run(scenario, _prepare(scenario, rule_scale), reqs, n_paths, seed,
-                   scheme, max_refine)
+    results = _run(scenario, _prepare(scenario, rule_scale), reqs, n_paths, seed)
     return _dominance_report(offsets, results)
 
 
@@ -737,12 +726,13 @@ def equilibrium_check(
     the demand slope) is E int e^(-rho t) e^(-rho h) (beta0(D_t) - C*_t) dt,
     the inner lag-h expectation taken in closed form via beta0.  On the
     boundary this equals q0; strictly inside the continuation region it
-    falls short.
+    falls short.  scheme and max_refine accept only their defaults.
     """
+    _require_sampler(scheme, max_refine)
     _check_paths(n_paths)
     base = _prepare(scenario, rule_scale)
     req = _Request(PolicySpec.optimal(), _horizon(scenario, horizon), ("rev_h",))
-    (res,) = _run(scenario, base, [req], n_paths, seed, scheme, max_refine)
+    (res,) = _run(scenario, base, [req], n_paths, seed)
     return _equilibrium_report(scenario, base, res)
 
 
@@ -769,9 +759,24 @@ def check_battery(
         *_dominance_requests(offsets, _horizon(scenario, horizon)),
         _Request(PolicySpec.optimal(), _horizon(scenario, equilibrium_horizon), ("rev_h",)),
     ]
-    results = _run(scenario, base, reqs, n_paths, seed, "exact", "bridge")
+    results = _run(scenario, base, reqs, n_paths, seed)
     return (
         _identity_report(results[0]),
         _dominance_report(offsets, results[1:-1]),
         _equilibrium_report(scenario, base, results[-1]),
     )
+
+
+def check_plan(scenario: Scenario) -> tuple[list[float], float, float]:
+    """verify's plan for the scenario's checks: the boundary shifts that
+    dominance_test prices, its horizon (150 years), and equilibrium_check's
+    horizon (100, 200 and 150 years for ABM, GBM and CIR).  identity_check
+    runs at its default horizon."""
+    model = scenario.model
+    if isinstance(model, ABM):
+        offsets = [-300.0, -100.0, 0.0, 100.0, 300.0]
+    else:
+        bound = Boundary(model, scenario.rho, scenario.h, scenario.q0)
+        ref = abs(float(bound.eval(np.asarray(scenario.d))))
+        offsets = [f * max(ref, 1.0) for f in (-0.15, -0.05, 0.0, 0.05, 0.15)]
+    return offsets, 150.0, {ABM: 100.0, GBM: 200.0, CIR: 150.0}[type(model)]

@@ -267,7 +267,7 @@ def test_criterion_9_structural_invariants():
     # lag identity and irreversibility along simulated paths
     for name, scn in SCENARIOS.items():
         grid = TimeGrid(0.0, 0.05, 400)
-        path = sample_path(scn.model, scn.d, grid, seed=5, max_refine="bridge")
+        path = sample_path(scn.model, scn.d, grid, seed=5)
         bound = Boundary(scn.model, scn.rho, scn.h, scn.q0)
         traj = simulate(scn, bound.eval, path)
         if committed_identity_check(traj, scn.h) != 0.0:

@@ -2,6 +2,7 @@
 and the config round trip.  Everything goes through cli.main(argv)."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -389,6 +390,23 @@ def test_verify_battery_passes(capsys):
     assert all(0.0 < r < 1.0 for r in ratios)
 
 
+# sha256 of `verify --scenario <name> --paths 400`: the report assembly, the
+# truncation guard, the oracle and the sensitivities, pinned to the byte
+_VERIFY_DIGESTS = {
+    "cir-fast": "d473a3decfc4c1bae2f78b7e978b25ba6e1fbf42e69e4e099135eb3468aa3c62",
+    "gbm-growth": "c6f8baf048e1cbfc803a92487541d1287113ecbe857ece474b3c2dd2b2c3e119",
+    "cir-slow": "69a3f3537ac0d5605d652ee1c5675fa70f63fd735600e37e0c46bd2873c10cec",
+    "abm-power": "d02cac3bf5cf97c977b3f1dc20c2a89326b212cb49d58e5a2ebe15da52d9ac95",
+}
+
+
+@pytest.mark.parametrize("name", list(_VERIFY_DIGESTS))
+def test_verify_reports_are_pinned(name, capsys):
+    code, out, _ = run(["verify", "--scenario", name, "--paths", "400"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DIGESTS[name]
+
+
 def test_verify_oracle_solves_each_distinct_point_once(monkeypatch):
     # cir-fast's points are d0 / 2, d0, 2 d0 and delta, and 2 d0 == delta
     sc = get("cir-fast").scenario
@@ -687,6 +705,20 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
     code, out, err = run(["boundary", "--scenario", "abm-power", "--points", "3"], capsys)
     assert (code, err) == (0, "")
     assert len(table(out)[1]) == 3
+
+
+@pytest.mark.parametrize("command, option", [
+    ("cost", ["--format", "csv"]),  # cost and verify always write JSON
+    ("verify", ["--format", "json"]),
+    ("boundary", ["--seed", "1"]),  # boundary and statics draw nothing
+    ("statics", ["--seed", "1"]),
+], ids=["cost-format", "verify-format", "boundary-seed", "statics-seed"])
+def test_options_a_command_would_ignore_are_rejected(command, option, capsys):
+    paths = ["--paths", "20"] if command in ("cost", "verify") else []
+    code, out, err = run([command, "--scenario", "cir-fast", *paths, *option], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(option)}" in err
 
 
 def test_help_and_missing_subcommand(capsys):

@@ -249,20 +249,6 @@ def test_terminal_moments_match_beta0_alpha0(model):
     assert abs(sq.mean() - alpha0(model, d0, h)) <= 4.0 * se2
 
 
-def test_cir_milstein_fallback_moments():
-    """The discretized fallback should land on the same marginal moments as
-    the exact transition, up to its own O(dt) bias; run it at a fine step
-    and compare with a loose, SE-dominated budget."""
-    model = CIR(0.8, 20.0, 0.2)
-    d0, h, n = 10.0, 4.0, 20_000
-    grid = TimeGrid(0.0, 0.01, 400)
-    vals, _ = sample_paths(model, d0, grid, seed=11, n_paths=n, scheme="milstein")
-    end = vals[:, -1]
-    se = end.std(ddof=1) / math.sqrt(n)
-    assert abs(end.mean() - beta0(model, d0, h)) <= 5.0 * se + 1e-3
-    assert np.all(vals >= 0.0)
-
-
 def test_abm_deterministic_limit():
     model = ABM(0.7, 1e-12)
     grid = TimeGrid(0.0, 0.25, 40)
@@ -357,10 +343,13 @@ def test_paths_are_prefix_stable_in_horizon(model):
 
 
 @pytest.mark.parametrize("model", MODELS, ids=IDS)
-def test_node_values_invariant_to_max_refinement(model):
+def test_node_values_invariant_to_max_refinement(model, monkeypatch):
     grid = TimeGrid(0.0, 0.1, 50)
+    vb, rb = sample_paths(model, _d0(model), grid, seed=21, n_paths=30)
+    # with each step's maximum taken at its nodes, the running maximum is the
+    # grid reading, and the node values do not change
+    monkeypatch.setattr(demand, "_bridge_max", lambda a, b, var_dt, u: np.maximum(a, b))
     vg, rg = sample_paths(model, _d0(model), grid, seed=21, n_paths=30)
-    vb, rb = sample_paths(model, _d0(model), grid, seed=21, n_paths=30, max_refine="bridge")
     assert np.array_equal(vg, vb)
     # grid reading is the cummax of node values; the bridge reading adds the
     # within-interval excursions, so it can only be larger
@@ -376,22 +365,10 @@ def test_bridge_max_shrinks_with_dt():
     gaps = []
     for n in (10, 1000):
         grid = TimeGrid(0.0, 1.0 / n, n)
-        _, rg = sample_paths(model, 5.0, grid, seed=2, n_paths=500)
-        _, rb = sample_paths(model, 5.0, grid, seed=2, n_paths=500, max_refine="bridge")
+        vals, rb = sample_paths(model, 5.0, grid, seed=2, n_paths=500)
+        rg = np.maximum.accumulate(vals, axis=1)
         gaps.append(np.mean(rb[:, -1] - rg[:, -1]))
     assert gaps[1] < 0.2 * gaps[0]
-
-
-def test_milstein_shares_increments_with_exact_scheme():
-    """Both CIR schemes consume the same Gaussian stream, so their paths are
-    strongly correlated under a shared seed; this is what makes the
-    cross-check paired rather than independent."""
-    model = CIR(0.8, 20.0, 0.2)
-    grid = TimeGrid(0.0, 0.01, 100)
-    ve, _ = sample_paths(model, 10.0, grid, seed=5, n_paths=400)
-    vm, _ = sample_paths(model, 10.0, grid, seed=5, n_paths=400, scheme="milstein")
-    corr = np.corrcoef(ve[:, -1], vm[:, -1])[0, 1]
-    assert corr > 0.99
 
 
 def _numpy_generators(seed, n_paths, stream):
@@ -432,8 +409,7 @@ def test_brownian_nodes_and_bridge_uniforms_follow_numpys_own_draws(monkeypatch)
         return bridge_max(a, b, var_dt, u)
 
     monkeypatch.setattr(demand, "_bridge_max", recording)
-    vals, _ = sample_paths(model, d0, TimeGrid(0.0, dt, n), seed=12, n_paths=5,
-                           max_refine="bridge")
+    vals, _ = sample_paths(model, d0, TimeGrid(0.0, dt, n), seed=12, n_paths=5)
     steps = model.mu * dt * np.arange(1, n + 1)
     for row, gz in zip(vals, _numpy_generators(12, 5, 0)):
         want = d0 + steps + model.sigma * math.sqrt(dt) * np.cumsum(gz.standard_normal(n))
@@ -452,23 +428,16 @@ def test_running_max_includes_start():
 
 
 @pytest.mark.parametrize("rows", [1, 33, 100])
-@pytest.mark.parametrize("max_refine", ["grid", "bridge"])
-@pytest.mark.parametrize(
-    "model, scheme",
-    [(MODELS[0], "exact"), (MODELS[1], "exact"), (MODELS[2], "exact"), (MODELS[2], "milstein")],
-    ids=["ABM", "GBM", "CIR-exact", "CIR-milstein"],
-)
-def test_path_matrix_fills_every_cell_of_the_buffers_it_is_given(model, scheme, max_refine,
-                                                                 rows):
+@pytest.mark.parametrize("model", MODELS, ids=["ABM-bridge", "GBM-bridge", "CIR-exact-bridge"])
+def test_path_matrix_fills_every_cell_of_the_buffers_it_is_given(model, rows):
     # the Monte Carlo engine passes the first rows of buffers it reuses from
     # slice to slice: NaN-filled ones must come back as freshly allocated
     # output, bit for bit, and the rows past the slice stay untouched
     grid = TimeGrid(0.0, 0.05, 130)
-    want = sample_paths(model, _d0(model), grid, seed=6, n_paths=rows, scheme=scheme,
-                        max_refine=max_refine)
+    want = sample_paths(model, _d0(model), grid, seed=6, n_paths=rows)
     bufs = [np.full((120, 131), np.nan) for _ in range(2)]
     got = demand._path_matrix(model, _d0(model), grid, _stream_seeds(6, np.arange(rows)),
-                              scheme, max_refine, *(b[:rows] for b in bufs))
+                              *(b[:rows] for b in bufs))
     for g, w, b in zip(got, want, bufs):
         assert np.shares_memory(g, b)
         assert g.tobytes() == w.tobytes()

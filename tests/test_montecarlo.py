@@ -21,13 +21,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from buildlag import cli, demand, montecarlo
+from buildlag import demand, montecarlo
 from buildlag.boundary import Boundary
 from buildlag.demand import ABM, CIR, GBM, alpha0, beta0
 from buildlag.errors import NumericsError, ParameterError, TruncationError
 from buildlag.montecarlo import (
     PolicySpec,
     check_battery,
+    check_plan,
     dominance_test,
     equilibrium_check,
     estimate_F,
@@ -99,6 +100,24 @@ def test_every_check_rejects_non_finite_rule_scale(scale):
     ):
         with pytest.raises(ParameterError, match="finite rule_scale"):
             run_check()
+
+
+@pytest.mark.parametrize("keyword", [dict(scheme="milstein"), dict(max_refine="grid")],
+                         ids=["milstein", "grid"])
+@pytest.mark.parametrize("call", ["identity", "dominance", "equilibrium", "sample_paths"])
+def test_only_the_exact_bridge_sampler_is_accepted(call, keyword):
+    # the checks and sample_paths keep scheme and max_refine, which accept
+    # only "exact" and "bridge": there is no other sampler
+    sc = cir_market()
+    grid = demand.TimeGrid(0.0, 0.05, 2)
+    run = {
+        "identity": lambda: identity_check(sc, n_paths=2, **keyword),
+        "dominance": lambda: dominance_test(sc, [0.0], n_paths=2, **keyword),
+        "equilibrium": lambda: equilibrium_check(sc, n_paths=2, **keyword),
+        "sample_paths": lambda: demand.sample_paths(sc.model, sc.d, grid, 0, 2, **keyword),
+    }[call]
+    with pytest.raises(ParameterError, match="sampler"):
+        run()
 
 
 @pytest.mark.parametrize("check", ["identity", "dominance", "equilibrium", "battery"])
@@ -520,7 +539,7 @@ def test_each_policy_is_the_reflected_shifted_rule_bit_for_bit(name, rule_scale,
     # reflect(rule(running max) + offset, c0) exactly
     committed, rmaxes = _recording_committed(monkeypatch)
     scn = get(name).scenario
-    offsets = cli._dominance_offsets(scn)
+    offsets, _, _ = check_plan(scn)
     dominance_test(scn, offsets, horizon=20.0, n_paths=40, seed=9, rule_scale=rule_scale)
     (rmax,) = rmaxes
     rule = montecarlo._prepare(scn, rule_scale)
@@ -555,8 +574,8 @@ _BATTERY_DIGESTS = {
 @pytest.mark.parametrize("name", list(_BATTERY_DIGESTS))
 def test_check_battery_reports_are_pinned(name):
     scn = get(name).scenario
-    reports = check_battery(scn, cli._dominance_offsets(scn), horizon=150.0,
-                            equilibrium_horizon=cli._EQ_HORIZON[type(scn.model)],
+    offsets, horizon, eq_horizon = check_plan(scn)
+    reports = check_battery(scn, offsets, horizon=horizon, equilibrium_horizon=eq_horizon,
                             n_paths=400, seed=11)
     assert hashlib.sha256(repr(reports).encode()).hexdigest() == _BATTERY_DIGESTS[name]
 
@@ -580,11 +599,11 @@ def test_serving_a_slice_holds_few_slice_matrices(monkeypatch):
     # slice matrices here.
     monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
     scn = get("cir-fast").scenario
-    offsets = cli._dominance_offsets(scn)
+    offsets, horizon, _ = check_plan(scn)
     slice_bytes = 949 * 3161 * 8
     tracemalloc.start()
     try:
-        dominance_test(scn, offsets, horizon=150.0, n_paths=949, seed=3)
+        dominance_test(scn, offsets, horizon=horizon, n_paths=949, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -721,7 +740,7 @@ def test_slices_of_all_workers_share_one_budget(monkeypatch):
 def _functionals(scn, wants, horizon, n_paths, seed):
     req = montecarlo._Request(PolicySpec.optimal(), horizon, wants)
     base = montecarlo._prepare(scn)
-    (res,) = montecarlo._run(scn, base, [req], n_paths, seed, "exact", "bridge")
+    (res,) = montecarlo._run(scn, base, [req], n_paths, seed)
     return res
 
 
@@ -853,24 +872,6 @@ def test_standard_error_scales_with_paths():
     se_small = estimate_F(scn, horizon=30.0, n_paths=500, seed=13).std_error
     se_large = estimate_F(scn, horizon=30.0, n_paths=2000, seed=13).std_error
     assert se_small / se_large == pytest.approx(2.0, rel=0.25)
-
-
-def test_milstein_scheme_tracks_exact():
-    scn = cir_market()
-    m = estimate_F(scn, horizon=30.0, n_paths=800, seed=3, scheme="milstein")
-    e = estimate_F(scn, horizon=30.0, n_paths=800, seed=3)
-    assert m.mean == pytest.approx(e.mean, rel=0.03)
-    # Milstein is not exact at the nodes, so it fits no control variates
-    assert m.variance_ratio == 1.0 and e.variance_ratio < 1.0
-
-
-def test_running_max_refinement_choices_agree():
-    scn = cir_market()
-    g = estimate_F(scn, horizon=30.0, n_paths=800, seed=3, max_refine="grid")
-    b = estimate_F(scn, horizon=30.0, n_paths=800, seed=3, max_refine="bridge")
-    d = estimate_F(scn, horizon=30.0, n_paths=800, seed=3)
-    assert b.mean == d.mean  # bridge is the default
-    assert g.mean == pytest.approx(b.mean, rel=0.01)
 
 
 def test_single_step_lag():
