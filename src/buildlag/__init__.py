@@ -50,7 +50,6 @@ from .montecarlo import (
     dominance_test,
     equilibrium_check,
     estimate_F,
-    estimate_G_plus_J,
     fast_rule,
     identity_check,
 )

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,6 +100,11 @@ def gbm_constants(mu: float, sigma: float, rho: float, h: float) -> tuple[float,
     m = 2.0 * rho / (root + half) if half >= 0.0 else (root - half) / s2
     A = 2.0 * rho * math.exp(mu * h) / (2.0 * rho - mu + 0.5 * s2 + root)
     return m, A
+
+
+# Boundary.table's default node count, which fast_rule uses; the psi-ratio
+# cache serves grids up to this size
+_RATIO_CACHE_POINTS = 4097
 
 
 class Boundary:
@@ -178,7 +183,7 @@ class Boundary:
             precautionary_bias=float(self.precautionary(d)),
         )
 
-    def table(self, d_lo: float, d_hi: float, n: int = 2049):
+    def table(self, d_lo: float, d_hi: float, n: int = _RATIO_CACHE_POINTS):
         """Piecewise-linear surrogate of eval on [d_lo, d_hi].
 
         For the square-root model each exact evaluation runs the Kummer
@@ -212,10 +217,6 @@ class Boundary:
             return out if out.ndim else float(out)
 
         return interp
-
-
-# fast_rule's node count, the largest table the program builds
-_RATIO_CACHE_POINTS = 4097
 
 
 @functools.lru_cache(maxsize=8)

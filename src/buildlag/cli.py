@@ -105,8 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("boundary", help="tabulate the investment threshold")
     common(b, table=True)
-    b.add_argument("--d-min", type=float, help="lowest demand level")
-    b.add_argument("--d-max", type=float, help="highest demand level")
+    b.add_argument("--d-min", type=float,
+                   help="lowest demand level (with --sweep-sigma: lowest sigma)")
+    b.add_argument("--d-max", type=float,
+                   help="highest demand level (with --sweep-sigma: highest sigma)")
     b.add_argument("--points", type=int, default=201, help="grid size (default 201)")
     b.add_argument("--lag", type=float, help="override the construction lag h")
     b.add_argument("--sigma", type=float, help="override the demand volatility")
@@ -114,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sweep-sigma",
         action="store_true",
         help="additive model only: tabulate the threshold bias over volatility "
-        "at lag 1 and lag 8 instead of over demand",
+        "at lag 1 and lag 8 instead of over demand (so --lag does not apply)",
     )
     b.set_defaults(func=_cmd_boundary)
 
@@ -240,6 +242,8 @@ def _cmd_boundary(args) -> int:
     if args.points < 2:
         raise ParameterError(f"need at least 2 grid points, got {args.points}")
     if args.sweep_sigma:
+        if args.lag is not None:
+            raise ParameterError("--lag does not apply to --sweep-sigma (lags 1 and 8)")
         return _boundary_sigma_sweep(cfg, model, args)
 
     bound = Boundary(model, sc.rho, h, sc.q0)
@@ -385,9 +389,11 @@ def _cmd_cost(args) -> int:
         horizon=cfg.mc.horizon,
         n_paths=cfg.mc.n_paths,
         seed=cfg.mc.seed,
-        tail_check=args.tail_check,
     )
     small = est.tail_bound <= 0.01 * abs(est.mean)
+    if args.tail_check and not small:
+        raise TruncationError(f"cost horizon {est.horizon:g} leaves tail bound "
+                              f"{est.tail_bound:.4g} > 1% of mean {est.mean:.4g}; extend it")
     report = {
         "estimate": est.mean,
         "se": est.std_error,
@@ -476,13 +482,15 @@ def _check_monte_carlo(sc, mc, scale) -> list[dict]:
     ident = identity_check(sc, **common)
     dom = dominance_test(sc, offsets, horizon=horizon, **common)
     eq = equilibrium_check(sc, horizon=eq_horizon, **common)
-    # a unit's discounted revenue past the horizon is at most q0 e^(-rho T):
-    # when that exceeds the tolerance and could carry the revenue across the
-    # check's threshold, a FAIL may be truncation, not a bug.  A revenue
-    # further than that from the threshold keeps its verdict: under the
-    # negative control's constant policy rev_h is affine in a control
-    # variate, so its standard error is rounding while its revenue is far
-    # from q0
+    # under the unscaled rule a unit's continuation revenue never exceeds q0,
+    # so the revenue past the horizon is at most q0 e^(-rho T): when that
+    # exceeds the tolerance and could carry the revenue across the check's
+    # threshold, a FAIL may be truncation, not a bug.  A revenue further
+    # than that from the threshold keeps its verdict: under the negative
+    # control's constant policy rev_h is affine in a control variate, so its
+    # standard error is rounding while its revenue is far from q0.  With the
+    # rule scaled q0 e^(-rho T) is no bound (cir-fast at 0.5 leaves about
+    # 4e-4 uncounted, not 6e-6); there the margin, 65, keeps the verdict
     tol = 3.0 * eq.std_error
     cut = sc.q0 * math.exp(-sc.rho * eq_horizon)
     margin = tol - abs(eq.revenue - eq.q0) if eq.mode == "boundary" else eq.q0 - tol - eq.revenue

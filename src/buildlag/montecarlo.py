@@ -25,8 +25,8 @@ F - (G+J) is mean-zero noise at any horizon and any dt.
 Estimates exclude the tail beyond the horizon; `tail_bound` reports a
 calibrated bound on the neglected quadratic-loss tail (last-node integrand
 scaled by the closed-form growth of E[D_t^2]).  Investment beyond T is not
-bounded here, which is why the bound is a report field and the >1%-of-mean
-failure is opt-in via tail_check.
+bounded here, which is why the bound is a report field; the cost command's
+--tail-check turns a bound above 1% of the mean into a failure.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ import numpy as np
 from .boundary import Boundary
 from .demand import (ABM, CIR, GBM, TimeGrid, alpha0, beta0, grid_steps, _buffers,
                      _path_matrix, _require_sampler, _row_blocks, _stream_seeds)
-from .errors import (NumericsError, ParameterError, TruncationError, require_count,
-                     require_finite)
-from .policy import Scenario, increments, lag_steps, pipeline_levels
+from .errors import NumericsError, ParameterError, require_count, require_finite
+from .policy import Scenario, increments, pipeline_levels
 
 __all__ = [
     "CostEstimate",
@@ -56,7 +55,6 @@ __all__ = [
     "EquilibriumReport",
     "fast_rule",
     "estimate_F",
-    "estimate_G_plus_J",
     "identity_check",
     "dominance_test",
     "equilibrium_check",
@@ -147,10 +145,6 @@ class EquilibriumReport:
     variance_ratio: float
 
 
-def _default_dt(h: float) -> float:
-    return h / max(1, round(h / 0.05))
-
-
 def _alpha_tail(model, d0: float, rho: float, T: float) -> float:
     """int_T^inf e^(-rho t) E[D_t^2] dt, closed form per model."""
     e = math.exp(-rho * T)
@@ -194,7 +188,7 @@ def fast_rule(scenario: Scenario, boundary: Boundary) -> Callable:
         dl = scenario.model.delta
         lo = 1e-3 * min(scenario.d, dl)
         hi = 8.0 * max(scenario.d, dl)
-        return boundary.table(lo, hi, n=4097)
+        return boundary.table(lo, hi)
     return boundary.eval
 
 
@@ -293,9 +287,9 @@ def _run(scenario, base, requests, n_paths, seed):
     or tail bound out of float range raises NumericsError, and so does a
     horizon whose tail moments leave it, before any path is drawn.
 
-    Paths are sampled on steps of _default_dt(h) by demand._path_matrix:
-    exact at the nodes, with the Brownian-bridge running maximum, since the
-    policy reads the continuous-time running max.
+    Paths are sampled by demand._path_matrix on steps of h / max(1,
+    round(h / 0.05)), a whole number per lag: exact at the nodes, with the
+    Brownian-bridge running maximum, which is what the policy reads.
 
     Each distinct request horizon gets the two controls of _Controls, two
     more row sums per block, with means from the closed-form moments at
@@ -303,8 +297,8 @@ def _run(scenario, base, requests, n_paths, seed):
     """
     require_count(1, n_paths=n_paths)
     h, rho = scenario.h, scenario.rho
-    dt = _default_dt(h)
-    lag = lag_steps(TimeGrid(0.0, dt, 1), h)
+    lag = max(1, round(h / 0.05))
+    dt = h / lag
     steps = [grid_steps(r.horizon, dt) for r in requests]
     n_tot = max(steps) + lag
     grid = TimeGrid(0.0, dt, n_tot)
@@ -529,14 +523,6 @@ def _check_paths(n_paths: int) -> None:
         raise ParameterError(f"a Monte Carlo check needs n_paths >= 2, got {n_paths}")
 
 
-def _tail_guard(est: CostEstimate, name: str) -> None:
-    if est.tail_bound > 0.01 * abs(est.mean):
-        raise TruncationError(
-            f"{name} horizon {est.horizon:g} leaves tail bound "
-            f"{est.tail_bound:.4g} > 1% of mean {est.mean:.4g}; extend it"
-        )
-
-
 def _prepare(scenario, rule_scale=1.0):
     """The fast rule for the scenario's boundary, times rule_scale."""
     require_finite("Monte Carlo check", rule_scale=rule_scale)
@@ -624,36 +610,12 @@ def estimate_F(
     horizon: float | None = None,
     n_paths: int = 1000,
     seed: int = 0,
-    *,
-    tail_check: bool = False,
 ) -> CostEstimate:
     """Full-cost estimate: quadratic loss on [0, T+h] plus investment
     (including the t=0 atom) on [0, T]."""
     req = _Request(policy, _horizon(scenario, horizon), ("F",))
     (res,) = _run(scenario, _prepare(scenario), [req], n_paths, seed)
-    est = _summary(res.F, res.horizon, res.tail_F, res.controls)
-    if tail_check:
-        _tail_guard(est, "estimate_F")
-    return est
-
-
-def estimate_G_plus_J(
-    scenario: Scenario,
-    policy: PolicySpec = PolicySpec.optimal(),
-    horizon: float | None = None,
-    n_paths: int = 1000,
-    seed: int = 0,
-    *,
-    tail_check: bool = False,
-) -> CostEstimate:
-    """Reduced-form estimate: closed-form running cost g on [0, T], the
-    pipeline-window integral J on [0, h], and the same investment term."""
-    req = _Request(policy, _horizon(scenario, horizon), ("GJ",))
-    (res,) = _run(scenario, _prepare(scenario), [req], n_paths, seed)
-    est = _summary(res.GJ, res.horizon, res.tail_G, res.controls)
-    if tail_check:
-        _tail_guard(est, "estimate_G_plus_J")
-    return est
+    return _summary(res.F, res.horizon, res.tail_F, res.controls)
 
 
 def identity_check(

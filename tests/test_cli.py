@@ -113,6 +113,16 @@ def test_boundary_sigma_sweep_needs_additive_model(capsys):
 SWEEP = ["--scenario", "abm-power", "--sweep-sigma"]
 
 
+@pytest.mark.parametrize("lag", ["3", "-5"])
+def test_boundary_sigma_sweep_rejects_a_lag(lag, capsys):
+    # the sweep tabulates lags 1 and 8 whatever --lag says
+    code, out, err = run(["boundary", *SWEEP, "--lag", lag], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--lag" in err
+
+
 # the sigma sweep, then the plain table on the square-root and geometric models
 @pytest.mark.parametrize("bounds", [[*SWEEP, "--d-max", "inf"], [*SWEEP, "--d-max", "nan"],
                                     [*SWEEP, "--d-min", "nan"], [*SWEEP, "--d-min=-inf"],
@@ -237,17 +247,30 @@ def test_simulate_out_of_float_range_exits_3(horizon, paths, capsys):
 
 
 def test_cost_report(capsys):
-    code, out, _ = run(
-        ["cost", "--scenario", "cir-fast", "--paths", "200", "--horizon", "60"],
-        capsys,
-    )
-    assert code == 0
-    report = json.loads(out)
+    # a tail below 1% of the estimate: "ok", and --tail-check passes; one
+    # test over both flags, as the tail check changes nothing else
+    reports = []
+    for flag in ([], ["--tail-check"]):
+        code, out, _ = run(["cost", "--scenario", "cir-fast", "--paths", "200",
+                            "--horizon", "60", *flag], capsys)
+        assert code == 0
+        reports.append(json.loads(out))
+    report = reports[0]
+    assert reports[1] == report
     assert report["n_paths"] == 200
     assert report["horizon"] == 60.0
     assert report["verdict"] == "ok"
     assert report["se"] > 0.0
     assert math.isfinite(report["estimate"])
+
+
+def test_cost_reports_a_tail_above_one_percent(capsys):
+    # without --tail-check a long tail is a verdict, not a failure
+    code, out, _ = run(["cost", "--scenario", "gbm-growth", "--paths", "100"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "tail-above-1pct"
+    assert report["tail_bound"] > 0.01 * abs(report["estimate"])
 
 
 def test_cost_policy_flag(capsys):
@@ -274,11 +297,12 @@ def test_cost_non_finite_policy_exits_2(policy, capsys):
 
 
 def test_cost_tail_check_fails_on_short_horizon(capsys):
-    code, _, err = run(
+    code, out, err = run(
         ["cost", "--scenario", "gbm-growth", "--paths", "100", "--tail-check"],
         capsys,
     )
     assert code == 3
+    assert out == ""
     assert "tail" in err
 
 

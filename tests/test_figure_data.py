@@ -23,6 +23,14 @@ def load_script():
     return mod
 
 
+DIAGNOSTICS = [
+    "[ok] cir-fast: post-jump growth of committed capacity is 0.17% of the initial "
+    "jump (200 paths, 40 years)",
+    "[ok] abm-power: mean committed-minus-demand gap over years 10-40 is 2496.8 MW "
+    "vs threshold bias 1873.1 MW (band +-1162)",
+]
+
+
 def test_figure_data_is_byte_identical_to_out(tmp_path, capsys):
     assert load_script().main(["--out-dir", str(tmp_path)]) == 0
     shipped = sorted(p.name for p in (ROOT / "out").iterdir())
@@ -30,16 +38,8 @@ def test_figure_data_is_byte_identical_to_out(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == shipped
     for name in shipped:
         assert (tmp_path / name).read_bytes() == (ROOT / "out" / name).read_bytes(), name
-
-
-@pytest.mark.parametrize("horizon, n_steps", [(0.07, 2), (0.024, 1), (40.0, 800)])
-def test_committed_capacity_grid_rounds_the_horizon_up(horizon, n_steps):
-    # the same rule as simulate, cost and verify (demand.grid_steps)
-    from buildlag.scenarios import get
-
-    _, grid, vals, _ = load_script()._committed(get("cir-fast"), horizon, 2)
-    assert grid.n_steps == n_steps
-    assert vals.shape == (2, n_steps + 1)
+    # the two diagnostic lines close the run
+    assert capsys.readouterr().out.splitlines()[-2:] == DIAGNOSTICS
 
 
 def test_figure_run_computes_each_log_series_once(tmp_path, monkeypatch, capsys):

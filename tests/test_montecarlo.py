@@ -24,7 +24,7 @@ from scipy.integrate import quad
 from buildlag import demand, montecarlo
 from buildlag.boundary import Boundary
 from buildlag.demand import ABM, CIR, GBM, alpha0, beta0
-from buildlag.errors import NumericsError, ParameterError, TruncationError
+from buildlag.errors import NumericsError, ParameterError
 from buildlag.montecarlo import (
     PolicySpec,
     check_battery,
@@ -32,7 +32,6 @@ from buildlag.montecarlo import (
     dominance_test,
     equilibrium_check,
     estimate_F,
-    estimate_G_plus_J,
     identity_check,
 )
 from buildlag.policy import Scenario, reflect
@@ -135,10 +134,9 @@ def test_every_check_needs_two_paths(check):
 
 
 def test_one_path_estimates_are_legal():
-    for estimate in (estimate_F, estimate_G_plus_J):
-        est = estimate(gbm_market(), n_paths=1, horizon=20.0)
-        assert est.n_paths == 1
-        assert est.std_error == 0.0
+    est = estimate_F(gbm_market(), n_paths=1, horizon=20.0)
+    assert est.n_paths == 1
+    assert est.std_error == 0.0
 
 
 def test_dominance_offsets_must_include_zero():
@@ -165,7 +163,6 @@ def test_every_entry_point_rejects_a_horizon_not_finite_and_positive(horizon):
     sc = get("gbm-growth").scenario
     for run in (
         lambda: estimate_F(sc, horizon=horizon, n_paths=4),
-        lambda: estimate_G_plus_J(sc, horizon=horizon, n_paths=4),
         lambda: identity_check(sc, horizon=horizon, n_paths=4),
         lambda: dominance_test(sc, [0.0], horizon=horizon, n_paths=4),
         lambda: equilibrium_check(sc, horizon=horizon, n_paths=4),
@@ -194,7 +191,7 @@ def test_idle_market_costs_nothing():
     # policy never moves and both cost functionals vanish.
     scn = quiet_abm(mu=0.0, k=5.0, sigma=1e-12)
     f = estimate_F(scn, n_paths=16, horizon=40.0)
-    gj = estimate_G_plus_J(scn, n_paths=16, horizon=40.0)
+    gj = identity_check(scn, n_paths=16, horizon=40.0).gj
     assert abs(f.mean) < 1e-12
     assert abs(gj.mean) < 1e-12
     assert f.tail_bound < 1e-12
@@ -215,7 +212,7 @@ def test_steady_gap_on_boundary():
     scn = quiet_abm(mu=0.0)
     g0 = scn.q0 * RHO * math.exp(RHO * scn.h)
     f = estimate_F(scn, n_paths=8, horizon=40.0)
-    gj = estimate_G_plus_J(scn, n_paths=8, horizon=40.0)
+    gj = identity_check(scn, n_paths=8, horizon=40.0).gj
     oracle = 0.5 * g0 * g0 * (1.0 - math.exp(-RHO * (f.horizon + scn.h))) / RHO
     assert f.mean == pytest.approx(oracle, rel=1e-5)
     assert gj.mean == pytest.approx(oracle, rel=1e-5)
@@ -230,7 +227,7 @@ def test_deterministic_growth_cost_oracle():
     scn = quiet_abm(mu=mu)
     g0 = q0 * RHO * math.exp(RHO * h)
     f = estimate_F(scn, n_paths=4, horizon=40.0)
-    gj = estimate_G_plus_J(scn, n_paths=4, horizon=40.0)
+    gj = identity_check(scn, n_paths=4, horizon=40.0).gj
     T, dt = f.horizon, 0.05
     n_T = round(T / dt)
 
@@ -310,14 +307,15 @@ def test_zero_capacity_cost_matches_moment_quadrature():
     scn = cir_market(k=0.0)
     pol = PolicySpec.constant(0.0)
     f = estimate_F(scn, pol, horizon=30.0, n_paths=2000, seed=11)
-    gj = estimate_G_plus_J(scn, pol, horizon=30.0, n_paths=2000, seed=11)
+    rep = identity_check(scn, pol, horizon=30.0, n_paths=2000, seed=11)
+    gj = rep.gj
     oracle = 0.5 * quad(
         lambda t: math.exp(-RHO * t) * alpha0(scn.model, scn.d, t),
         0.0, f.horizon + scn.h, limit=200,
     )[0]
     assert abs(f.mean - oracle) <= 4.0 * f.std_error
     assert abs(gj.mean - oracle) <= 4.0 * gj.std_error
-    assert identity_check(scn, pol, horizon=30.0, n_paths=2000, seed=11).passed
+    assert rep.passed
 
 
 # ---------------------------------------------------------------------------
@@ -810,17 +808,19 @@ def test_collinear_or_constant_controls_are_dropped():
 
 
 def test_truncation_guard_trips_on_growing_demand():
+    # the 1% rule of the cost command's --tail-check, which then exits 3
+    # (tests/test_cli.py)
     scn = gbm_market()
-    with pytest.raises(TruncationError):
-        estimate_F(scn, tail_check=True, n_paths=200, seed=1)
-    with pytest.raises(TruncationError):
-        estimate_G_plus_J(scn, tail_check=True, n_paths=200, seed=1)
+    rep = identity_check(scn, n_paths=200, seed=1)
+    for est in (rep.f, rep.gj, estimate_F(scn, n_paths=200, seed=1)):
+        assert est.tail_bound > 0.01 * abs(est.mean)
 
 
 def test_truncation_guard_accepts_mean_reverting_demand():
-    est = estimate_F(cir_market(), tail_check=True, horizon=80.0,
-                     n_paths=200, seed=1)
-    assert est.tail_bound < 0.01 * est.mean
+    scn = cir_market()
+    rep = identity_check(scn, horizon=80.0, n_paths=200, seed=1)
+    for est in (rep.f, rep.gj, estimate_F(scn, horizon=80.0, n_paths=200, seed=1)):
+        assert est.tail_bound < 0.01 * abs(est.mean)
 
 
 def test_tail_bound_decreases_with_horizon():
@@ -831,7 +831,7 @@ def test_tail_bound_decreases_with_horizon():
 
 
 @pytest.mark.parametrize("policy", [PolicySpec.constant(1e200), PolicySpec.shifted(1e308)])
-@pytest.mark.parametrize("estimator", [estimate_F, estimate_G_plus_J, identity_check])
+@pytest.mark.parametrize("estimator", [estimate_F, identity_check])
 def test_costs_out_of_float_range_raise_numerics_error(estimator, policy):
     # each path's cost overflows to inf: the estimate must not come back as
     # inf with a nan standard error, and numpy warns of nothing on the way
