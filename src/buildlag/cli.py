@@ -72,6 +72,9 @@ def main(argv=None) -> int:
     except (ParameterError, DomainError, GridError, StepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except (NumericsError, TruncationError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

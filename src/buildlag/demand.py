@@ -43,6 +43,18 @@ __all__ = [
 ]
 
 
+def _require_sigma(owner: str, sigma: float) -> None:
+    """ParameterError unless sigma > 0 and both sigma^2 and 1/sigma^2 are
+    finite floats: the boundary's constants divide by sigma^2."""
+    if not sigma > 0.0:
+        raise ParameterError(f"{owner} needs sigma > 0, got sigma={sigma}")
+    square = sigma * sigma
+    if not (0.0 < square < math.inf and 1.0 / square < math.inf):
+        raise ParameterError(
+            f"{owner} needs sigma with finite sigma^2 and 1/sigma^2, got sigma={sigma}"
+        )
+
+
 @dataclass(frozen=True)
 class ABM:
     """Arithmetic Brownian demand, dD = mu dt + sigma dW, on the whole line.
@@ -55,8 +67,7 @@ class ABM:
 
     def __post_init__(self) -> None:
         require_finite("ABM", mu=self.mu, sigma=self.sigma)
-        if not self.sigma > 0.0:
-            raise ParameterError(f"ABM needs sigma > 0, got sigma={self.sigma}")
+        _require_sigma("ABM", self.sigma)
 
     def drift(self, d):
         return self.mu + 0.0 * d
@@ -74,8 +85,7 @@ class GBM:
 
     def __post_init__(self) -> None:
         require_finite("GBM", mu=self.mu, sigma=self.sigma)
-        if not self.sigma > 0.0:
-            raise ParameterError(f"GBM needs sigma > 0, got sigma={self.sigma}")
+        _require_sigma("GBM", self.sigma)
 
     def drift(self, d):
         return self.mu * d
@@ -106,6 +116,7 @@ class CIR:
                 f"CIR needs gamma, delta, sigma > 0, got "
                 f"({self.gamma}, {self.delta}, {self.sigma})"
             )
+        _require_sigma("CIR", self.sigma)
         if not 2.0 * self.gamma * self.delta >= self.sigma**2:
             raise ParameterError(
                 f"CIR needs 2*gamma*delta >= sigma^2 for positivity, got "
@@ -216,7 +227,10 @@ def grid_steps(horizon: float, dt: float) -> int:
     one: the horizon rounds up to the grid, and a horizon at most 1e-9
     steps past a node ends on that node.  Every grid built to a horizon,
     the Monte Carlo engine's and simulate's, takes its length from here."""
-    return max(1, math.ceil(horizon / dt - 1e-9))
+    steps = horizon / dt
+    if not math.isfinite(steps):
+        raise ParameterError(f"horizon {horizon:g} at dt={dt:g} is too many steps to count")
+    return max(1, math.ceil(steps - 1e-9))
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,7 @@ __all__ = [
 Z_SWITCH = 50.0
 
 _LOG_MAX = math.log(np.finfo(np.float64).max)  # ~709.78
+_MAX_TERMS = 100_000_000  # the log-series' cap on terms per point
 
 # Cephes lgam: log(2 pi)/2, the Stirling correction in 1/x^2 (A), and the
 # rational approximation on [2, 3) (B over C, C with a leading 1)
@@ -226,7 +227,11 @@ def _series_log(a: float, b: float, z: np.ndarray) -> np.ndarray:
         coef = b + 1.0 - zi
         disc = coef * coef + 4.0 * (a * zi - b)
         s_peak = 0.0 if disc < 0.0 else max(0.0, 0.5 * (-coef + math.sqrt(disc)))
-        starts.append(int(s_peak + 14.0 * math.sqrt(s_peak + 30.0)) + 60)
+        terms = s_peak + 14.0 * math.sqrt(s_peak + 30.0)
+        if not terms + 60.0 <= _MAX_TERMS:  # nan and inf too, before any table
+            raise NumericsError(f"log-series for M({a},{b},{zi}) needs more than "
+                                f"{_MAX_TERMS} terms")
+        starts.append(int(terms) + 60)
     longest = max(starts)
     size = 0
     out = np.empty_like(z)
@@ -248,7 +253,7 @@ def _series_log(a: float, b: float, z: np.ndarray) -> np.ndarray:
                 out[i] = _logsumexp(logterms, top)
                 break
             n *= 2
-            if n > 100_000_000:
+            if n > _MAX_TERMS:
                 raise NumericsError(f"log-series for M({a},{b},{zi}) did not converge")
     return out
 

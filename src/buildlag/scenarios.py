@@ -1,18 +1,31 @@
 """Run configurations: a small dataclass tree, canonical JSON round-trip,
 and a library of named parameter sets used by the CLI and the scripts.
 
+The config format is the dataclass tree itself.  Each section is an object
+whose keys are the fields of the dataclass it fills, and a field left out
+takes that dataclass's default:
+
+    scenario  Scenario: model, rho, h, q0, k, d, eta, theta, pipeline
+    model     kind ("abm", "gbm" or "cir") plus that kind's fields
+    pipeline  Pipeline: times, sizes
+    grid      TimeGrid: dt, n_steps (t0 is always 0)
+    mc        MCSettings: n_paths, seed, horizon
+    outputs   OutputSettings: format, path
+
 Canonical means dumps(loads(text)) == dumps(config) byte for byte: keys are
 sorted, separators fixed, floats written with repr (shortest round-trip
-form).  Parsing is strict; unknown keys are an error so that a typo in a
-config file fails loudly instead of being ignored.
+form).  Parsing is strict: an unknown key, including a parameter of another
+model kind, is an error, so that a typo in a config file fails loudly
+instead of being ignored.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 
-from .demand import ABM, CIR, GBM, DemandModel, TimeGrid
+from .demand import ABM, CIR, GBM, TimeGrid
 from .errors import ParameterError, require_finite
 from .policy import Pipeline, Scenario
 
@@ -30,6 +43,17 @@ __all__ = [
 ]
 
 _FORMATS = ("csv", "json")
+_KINDS = {"abm": ABM, "gbm": GBM, "cir": CIR}
+
+
+def _number(v, name: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ParameterError(f"field {name!r} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:  # a JSON integer past the float range
+        raise ParameterError(f"field {name!r} must be a finite number, got an integer "
+                             f"of {v.bit_length()} bits") from None
 
 
 @dataclass(frozen=True)
@@ -47,6 +71,7 @@ class MCSettings:
         if not (type(self.seed) is int and self.seed >= 0):
             raise ParameterError(f"need integer seed >= 0, got {self.seed!r}")
         if self.horizon is not None:
+            object.__setattr__(self, "horizon", _number(self.horizon, "horizon"))
             require_finite("MCSettings", horizon=self.horizon)
             if not self.horizon > 0.0:
                 raise ParameterError(f"need horizon > 0, got {self.horizon}")
@@ -60,6 +85,8 @@ class OutputSettings:
     def __post_init__(self) -> None:
         if self.format not in _FORMATS:
             raise ParameterError(f"format must be one of {_FORMATS}, got {self.format!r}")
+        if self.path is not None and not isinstance(self.path, str):
+            raise ParameterError(f"path must be a string or None, got {self.path!r}")
 
 
 @dataclass(frozen=True)
@@ -70,147 +97,68 @@ class RunConfig:
     outputs: OutputSettings = field(default_factory=OutputSettings)
 
 
-def _model_to_dict(model: DemandModel) -> dict:
-    if isinstance(model, ABM):
-        return {"kind": "abm", "mu": model.mu, "sigma": model.sigma}
-    if isinstance(model, GBM):
-        return {"kind": "gbm", "mu": model.mu, "sigma": model.sigma}
-    if isinstance(model, CIR):
-        return {
-            "kind": "cir",
-            "gamma": model.gamma,
-            "delta": model.delta,
-            "sigma": model.sigma,
-        }
-    raise ParameterError(f"unknown model type {type(model).__name__}")
-
-
-def _model_from_dict(d: dict) -> DemandModel:
-    kind = d.get("kind")
-    if kind == "abm":
-        return ABM(_num(d, "mu"), _num(d, "sigma"))
-    if kind == "gbm":
-        return GBM(_num(d, "mu"), _num(d, "sigma"))
-    if kind == "cir":
-        return CIR(_num(d, "gamma"), _num(d, "delta"), _num(d, "sigma"))
-    raise ParameterError(f"model kind must be abm/gbm/cir, got {kind!r}")
-
-
-def _number(v, name: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParameterError(f"field {name!r} must be a number, got {v!r}")
-    return float(v)
-
-
-def _num(d: dict, key: str) -> float:
-    if key not in d:
-        raise ParameterError(f"missing field {key!r}")
-    return _number(d[key], key)
-
-
-def _nums(d: dict, key: str) -> tuple[float, ...]:
-    v = d.get(key, [])
-    if not isinstance(v, list):
-        raise ParameterError(f"field {key!r} must be a list of numbers, got {v!r}")
-    return tuple(_number(x, f"{key}[{i}]") for i, x in enumerate(v))
-
-
-def _check_keys(d: dict, allowed: set[str], where: str) -> None:
-    extra = set(d) - allowed
-    if extra:
-        raise ParameterError(f"unknown keys in {where}: {sorted(extra)}")
-
-
 def to_dict(config: RunConfig) -> dict:
-    s = config.scenario
-    return {
-        "scenario": {
-            "model": _model_to_dict(s.model),
-            "rho": s.rho,
-            "h": s.h,
-            "q0": s.q0,
-            "k": s.k,
-            "d": s.d,
-            "eta": s.eta,
-            "theta": s.theta,
-            "pipeline": {"times": list(s.pipeline.times), "sizes": list(s.pipeline.sizes)},
-        },
-        "grid": {"dt": config.grid.dt, "n_steps": config.grid.n_steps},
-        "mc": {
-            "n_paths": config.mc.n_paths,
-            "seed": config.mc.seed,
-            "horizon": config.mc.horizon,
-        },
-        "outputs": {"format": config.outputs.format, "path": config.outputs.path},
-    }
+    d = asdict(config)
+    del d["grid"]["t0"]
+    model = config.scenario.model
+    d["scenario"]["model"]["kind"] = next(k for k, c in _KINDS.items() if type(model) is c)
+    return d
+
+
+def _as_is(v, name: str):
+    return v
+
+
+def _numbers(v, name: str) -> tuple[float, ...]:
+    if not isinstance(v, list):
+        raise ParameterError(f"field {name!r} must be a list of numbers, got {v!r}")
+    return tuple(_number(x, f"{name}[{i}]") for i, x in enumerate(v))
+
+
+def _object(v, where: str) -> dict:
+    if not isinstance(v, dict):
+        raise ParameterError(f"{where} must be an object, got {type(v).__name__}")
+    return v
+
+
+def _build(cls, obj, where: str, /, read, fixed=None, **readers):
+    """cls from the JSON object obj, the section named `where`.
+
+    Each key of obj must be a field of cls not in `fixed`, the fields the
+    reader fills itself.  A field left out takes its default, and one
+    without a default must be given.  The value at a key is read by
+    readers[key] if there is one, else by `read`; a reader gets the value
+    and its key."""
+    fixed = fixed or {}
+    own = [f for f in fields(cls) if f.name not in fixed]
+    unknown = set(_object(obj, where)) - {f.name for f in own}
+    if unknown:
+        raise ParameterError(f"unknown keys in {where}: {sorted(unknown)}")
+    for f in own:
+        if f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
+            raise ParameterError(f"missing field {f.name!r} in {where}")
+    return cls(**fixed, **{k: readers.get(k, read)(v, k) for k, v in obj.items()})
+
+
+def _model(obj, where: str):
+    """The model of obj's kind; its keys are kind and that kind's fields."""
+    kind = _object(obj, where).get("kind")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParameterError(f"model kind must be {'/'.join(_KINDS)}, got {kind!r}")
+    return _build(cls, {k: v for k, v in obj.items() if k != "kind"}, where, _number)
 
 
 def from_dict(d: dict) -> RunConfig:
-    if not isinstance(d, dict):
-        raise ParameterError(f"config root must be an object, got {type(d).__name__}")
-    _check_keys(d, {"scenario", "grid", "mc", "outputs"}, "config")
-    for key in ("scenario", "grid"):
-        if key not in d:
-            raise ParameterError(f"missing section {key!r}")
-
-    sd = d["scenario"]
-    if not isinstance(sd, dict):
-        raise ParameterError("scenario section must be an object")
-    _check_keys(
-        sd,
-        {"model", "rho", "h", "q0", "k", "d", "eta", "theta", "pipeline"},
-        "scenario",
+    return _build(
+        RunConfig, d, "config", _as_is,
+        scenario=partial(_build, Scenario, read=_number, model=_model,
+                         pipeline=partial(_build, Pipeline, read=_numbers)),
+        # TimeGrid rejects a step count that is not an integer, JSON's bools too
+        grid=partial(_build, TimeGrid, read=_number, fixed={"t0": 0.0}, n_steps=_as_is),
+        mc=partial(_build, MCSettings, read=_as_is),
+        outputs=partial(_build, OutputSettings, read=_as_is),
     )
-    if "model" not in sd or not isinstance(sd["model"], dict):
-        raise ParameterError("scenario.model must be an object")
-    _check_keys(sd["model"], {"kind", "mu", "sigma", "gamma", "delta"}, "scenario.model")
-    pd = sd.get("pipeline", {"times": [], "sizes": []})
-    if not isinstance(pd, dict):
-        raise ParameterError("scenario.pipeline must be an object")
-    _check_keys(pd, {"times", "sizes"}, "scenario.pipeline")
-    pipeline = Pipeline(_nums(pd, "times"), _nums(pd, "sizes"))
-    scenario = Scenario(
-        model=_model_from_dict(sd["model"]),
-        rho=_num(sd, "rho"),
-        h=_num(sd, "h"),
-        q0=_num(sd, "q0"),
-        k=_num(sd, "k"),
-        d=_num(sd, "d"),
-        pipeline=pipeline,
-        eta=_num(sd, "eta") if "eta" in sd else 0.0,
-        theta=_num(sd, "theta") if "theta" in sd else 1.0,
-    )
-
-    gd = d["grid"]
-    if not isinstance(gd, dict):
-        raise ParameterError("grid section must be an object")
-    _check_keys(gd, {"dt", "n_steps"}, "grid")
-    # TimeGrid rejects a step count that is not an integer, JSON's bools too
-    grid = TimeGrid(t0=0.0, dt=_num(gd, "dt"), n_steps=gd.get("n_steps"))
-
-    md = d.get("mc", {})
-    if not isinstance(md, dict):
-        raise ParameterError("mc section must be an object")
-    _check_keys(md, {"n_paths", "seed", "horizon"}, "mc")
-    horizon = md.get("horizon")
-    if horizon is not None:
-        horizon = _num(md, "horizon")
-    mc = MCSettings(
-        n_paths=md.get("n_paths", 10_000),
-        seed=md.get("seed", 0),
-        horizon=horizon,
-    )
-
-    od = d.get("outputs", {})
-    if not isinstance(od, dict):
-        raise ParameterError("outputs section must be an object")
-    _check_keys(od, {"format", "path"}, "outputs")
-    path = od.get("path")
-    if path is not None and not isinstance(path, str):
-        raise ParameterError(f"outputs.path must be a string or null, got {path!r}")
-    outputs = OutputSettings(format=od.get("format", "csv"), path=path)
-
-    return RunConfig(scenario=scenario, grid=grid, mc=mc, outputs=outputs)
 
 
 def dumps(config: RunConfig) -> str:
@@ -254,7 +202,7 @@ def library() -> dict[str, RunConfig]:
             model=CIR(gamma=0.08, delta=20.0, sigma=0.2), rho=rho, h=h, q0=1.0, k=10.0, d=10.0
         ),
         "abm-power": Scenario(
-            model=ABM(mu=300.0, sigma=600.0), rho=rho, h=h, q0=5.0, k=10_000.0, d=10_000.0
+            model=ABM(mu=300.0, sigma=600.0), rho=rho, h=h, q0=5.0, k=1e4, d=1e4
         ),
     }
     seeds = {"gbm-growth": 101, "cir-fast": 102, "cir-slow": 103, "abm-power": 104}

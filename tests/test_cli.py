@@ -354,6 +354,56 @@ def test_horizon_beyond_memory_exits_2(command, horizon, capsys):
     assert "more than can be allocated" in err
 
 
+@pytest.mark.parametrize("command", ["cost", "verify", "simulate"])
+def test_horizon_too_long_to_count_exits_2(command, capsys):
+    # horizon / dt overflows to inf: there is no step count to round up
+    code, out, err = run([command, "--scenario", "cir-fast", "--paths", "3",
+                          "--horizon", "1e308"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: horizon 1e+308") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["boundary", "simulate", "cost"])
+def test_running_out_of_memory_exits_2(command, monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli, "_load_config", exhausted)
+    code, out, err = run([command, "--scenario", "cir-fast"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
+
+
+@pytest.mark.parametrize("sigma", ["1e-5", "1e-100"])
+def test_log_series_past_its_term_cap_exits_3(sigma, monkeypatch, capsys):
+    # the peak term of M lies past the log-series' term cap; no table may be
+    # sized for it
+    arange = np.arange
+
+    def capped(n, *args, **kwargs):
+        assert n <= 100_000_000, f"a table of {n} terms"
+        return arange(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", capped)
+    code, out, err = run(["boundary", "--scenario", "cir-fast", "--sigma", sigma,
+                          "--points", "3"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric failure: log-series for M(") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
+@pytest.mark.parametrize("scenario", ["cir-fast", "abm-power", "gbm-growth"])
+def test_sigma_whose_square_leaves_float_range_exits_2(scenario, sigma, capsys):
+    code, out, err = run(["boundary", "--scenario", scenario, "--sigma", sigma,
+                          "--points", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "sigma" in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # statics
 
@@ -635,6 +685,18 @@ def test_inadmissible_config_exits_2(tmp_path, capsys):
         code, _, err = run(["boundary", "--config", str(path)], capsys)
         assert code == 2
         assert key in err
+
+
+@pytest.mark.parametrize("kind, key", [("gbm", "gamma"), ("gbm", "delta"), ("cir", "mu")])
+def test_a_key_of_another_model_kind_exits_2(tmp_path, capsys, kind, key):
+    cfg = json.loads(dumps(get({"gbm": "gbm-growth", "cir": "cir-fast"}[kind])))
+    cfg["scenario"]["model"][key] = 0.5
+    path = tmp_path / "other_kind.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(["boundary", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert key in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["cost", "simulate", "verify"])

@@ -73,6 +73,25 @@ def test_sigma_must_be_positive():
         GBM(0.1, -0.5)
 
 
+@pytest.mark.parametrize("build", [lambda s: ABM(-1.0, s), lambda s: GBM(-0.01, s),
+                                   lambda s: CIR(0.8, 20.0, s)], ids=["abm", "gbm", "cir"])
+def test_sigma_needs_a_finite_square_and_inverse_square(build):
+    # 1e-200 squares to 0, 1e-160 to a subnormal whose inverse is inf, and
+    # 1e200 to inf; the boundary's constants divide by sigma^2
+    for sigma in (1e-200, 1e-160, 1e200):
+        with pytest.raises(ParameterError, match="sigma"):
+            build(sigma)
+    assert build(1e-150).sigma == 1e-150
+
+
+def test_grid_steps_rejects_a_horizon_too_long_to_count():
+    with pytest.raises(ParameterError, match="horizon 1e\\+308 at dt=0.05"):
+        demand.grid_steps(1e308, 0.05)
+    with pytest.raises(ParameterError, match="horizon"):
+        demand.grid_steps(1e300, 1e-10)
+    assert demand.grid_steps(1e17, 0.05) == 2 * 10**18
+
+
 def test_timegrid_validation():
     with pytest.raises(ParameterError):
         TimeGrid(0.0, 0.0, 10)

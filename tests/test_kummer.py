@@ -13,7 +13,7 @@ import pytest
 
 from buildlag.boundary import Boundary, cir_tangent
 from buildlag.demand import CIR
-from buildlag.errors import DomainError
+from buildlag.errors import DomainError, NumericsError
 from buildlag.kummer import (
     Z_SWITCH,
     _lgamma,
@@ -152,6 +152,22 @@ def test_log_form_finite_at_extreme_z():
 def test_overflow_reported_not_saturated():
     with pytest.raises(OverflowError):
         kummer_m(1.1, 2.2, 800.0)
+
+
+@pytest.mark.parametrize("b, z", [(3.2e11, 6.4e11), (3.2e201, 3.2e201)],
+                         ids=["past-the-cap", "infinite-count"])
+def test_log_series_checks_its_term_cap_before_sizing_a_table(b, z, monkeypatch):
+    # the points cir-fast reaches at sigma 1e-5 and 1e-100: the peak term
+    # needs ~3e11 terms, or a count that overflows to inf
+    arange = np.arange
+
+    def capped(n, *args, **kwargs):
+        assert n <= 100_000_000, f"a table of {n} terms"
+        return arange(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", capped)
+    with pytest.raises(NumericsError, match=r"M\(2\.1,"):
+        kummer_m_log(2.1, b, z)
 
 
 def test_bad_arguments_rejected():
