@@ -18,6 +18,10 @@ Per check the output records:
            Dominance deltas lie hundreds of SE above 0 by design, so their
            z spread mostly shows how the SE itself varies between seeds.
 
+Each scenario's entry also records the grid it measured: its path count
+and the engine's step, read as the horizon that a one-step estimate_F
+ends on, so it holds for any checkout's engine.
+
 Power: the FAIL count of every check at each rule scale, with the mean
 equilibrium z and the mean of each seed's smallest dominance z.
 
@@ -142,6 +146,7 @@ def run_scenario(name):
     }
     return {
         "n_paths": n_paths,
+        "step": montecarlo.estimate_F(sc, horizon=1e-6, n_paths=1).horizon,
         "checks": checks,
         "power": {f"{s:g}": {"fails": fails[s],
                              "mean_equilibrium_z": statistics.fmean(power[s]["equilibrium_z"]),

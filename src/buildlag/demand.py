@@ -286,6 +286,30 @@ def alpha0(model: DemandModel, d, h: float):
     return out if out.ndim else float(out)
 
 
+def _node_moments(model: DemandModel, d0: float, t: np.ndarray) -> np.ndarray:
+    """beta0(model, d0, t_i) and alpha0(model, d0, t_i) for every time t_i
+    of t, as two rows, in one pass and equal to the scalar calls bit for
+    bit.  Two operations round as in the scalar calls: each exponential
+    factor is math.exp of one node (np.exp rounds differently), and each
+    square of a sum is C pow (np.float_power), which `**` calls on a
+    scalar; on an array `**` squares by multiplication."""
+    d = np.asarray(d0, dtype=float)
+
+    def exp(rate):
+        return np.array([math.exp(x) for x in rate * t])
+
+    if isinstance(model, ABM):
+        mean = d + model.mu * t
+        return np.array([mean, np.float_power(mean, 2) + model.sigma**2 * t])
+    if isinstance(model, GBM):
+        return np.array([d * exp(model.mu), d**2 * exp(2.0 * model.mu + model.sigma**2)])
+    g, dl, s = model.gamma, model.delta, model.sigma
+    e = exp(-g)
+    mean = dl + e * (d - dl)
+    var = d * s**2 * (e - e * e) / g + dl * s**2 * np.float_power(1.0 - e, 2) / (2.0 * g)
+    return np.array([mean, np.float_power(mean, 2) + var])
+
+
 def beta_resolvent(model: DemandModel, d, rho: float, h: float):
     """Discounted resolvent of the lag-h mean,
 

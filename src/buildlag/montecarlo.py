@@ -42,7 +42,8 @@ import numpy as np
 
 from .boundary import Boundary
 from .demand import (ABM, CIR, GBM, TimeGrid, alpha0, beta0, grid_steps, _buffers,
-                     _path_matrix, _require_sampler, _row_blocks, _stream_seeds)
+                     _node_moments, _path_matrix, _require_sampler, _row_blocks,
+                     _stream_seeds)
 from .errors import NumericsError, ParameterError, require_count, require_finite
 from .policy import Scenario, increments, pipeline_levels
 
@@ -244,6 +245,13 @@ def _row_sums(m, w):
     return np.einsum("ij,j->i", m, w)
 
 
+# the engine's step per model kind, as near it as a whole number of steps
+# per lag allows.  ABM and GBM transitions and their bridge maxima are
+# exact at any step, so their only step error is the trapezoid node sums';
+# the CIR bridge holds the diffusion fixed over each step
+_STEPS = {ABM: 0.1, GBM: 0.1, CIR: 0.05}
+
+
 def _run(scenario, base, requests, n_paths, seed):
     """Serve every request from one path batch; returns one _Functionals
     per request, in order.
@@ -288,23 +296,25 @@ def _run(scenario, base, requests, n_paths, seed):
     horizon whose tail moments leave it, before any path is drawn.
 
     Paths are sampled by demand._path_matrix on steps of h / max(1,
-    round(h / 0.05)), a whole number per lag: exact at the nodes, with the
-    Brownian-bridge running maximum, which is what the policy reads.
+    round(h / s)), a whole number per lag, with s the model's step in
+    _STEPS: 0.1 for ABM and GBM, 0.05 for CIR.  The samples are exact at
+    the nodes, with the Brownian-bridge running maximum, which is what the
+    policy reads.
 
     Each distinct request horizon gets the two controls of _Controls, two
     more row sums per block, with means from the closed-form moments at
-    its nodes.
+    its nodes (demand._node_moments, one array pass).
     """
     require_count(1, n_paths=n_paths)
     h, rho = scenario.h, scenario.rho
-    lag = max(1, round(h / 0.05))
+    model, d0 = scenario.model, scenario.d
+    lag = max(1, round(h / _STEPS[type(model)]))
     dt = h / lag
     steps = [grid_steps(r.horizon, dt) for r in requests]
     n_tot = max(steps) + lag
     grid = TimeGrid(0.0, dt, n_tot)
     times = grid.times()
     disc = np.exp(-rho * times)
-    model, d0 = scenario.model, scenario.d
     # each tail bound's moments at its grid end, before any path is drawn
     ratios = [_tail_ratio(model, d0, rho, n * dt, lag * dt) for n in steps]
 
@@ -327,9 +337,7 @@ def _run(scenario, base, requests, n_paths, seed):
         return max(wanted, default=-1)
 
     n_b0, n_a0 = reach("GJ", "rev_h"), reach("GJ")
-    t = times[: max(steps) + 1]
-    moments = np.array([[beta0(model, d0, ti) for ti in t],
-                        [alpha0(model, d0, ti) for ti in t]])
+    moments = _node_moments(model, d0, times[: max(steps) + 1])
     controls = {n: _Controls(np.empty((2, n_paths)), _row_sums(moments[:, : n + 1], w))
                 for n, w in weights.items()}
     out = [_Functionals(n * dt, controls[n], **{w: np.empty(n_paths) for w in r.wants})

@@ -96,6 +96,12 @@ class RunConfig:
     mc: MCSettings = field(default_factory=MCSettings)
     outputs: OutputSettings = field(default_factory=OutputSettings)
 
+    def __post_init__(self) -> None:
+        # the format has no t0 (to_dict drops it), so a grid starting
+        # elsewhere would not survive a round trip
+        if self.grid.t0 != 0.0:
+            raise ParameterError(f"a run's grid starts at t0 = 0, got t0={self.grid.t0}")
+
 
 def to_dict(config: RunConfig) -> dict:
     d = asdict(config)

@@ -9,7 +9,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
-from buildlag import montecarlo, scenarios
+from buildlag import demand, montecarlo, scenarios
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,8 +34,9 @@ def test_calibration_runs_one_scenario(monkeypatch):
     engine = montecarlo._run
     out = script.run_scenario("abm-power")
     assert montecarlo._run is engine
-    assert set(out) == {"n_paths", "checks", "power", "coefficient_bias_in_se"}
+    assert set(out) == {"n_paths", "step", "checks", "power", "coefficient_bias_in_se"}
     assert out["n_paths"] == 200
+    assert out["step"] == montecarlo._STEPS[demand.ABM]
     assert set(out["checks"]) == {"identity", "equilibrium", "dominance"}
     assert set(out["power"]) == {"0.999", "0.95", "0.99", "1.01"}
     offsets = [e for e in montecarlo.check_plan(scenarios.get("abm-power").scenario)[0] if e]

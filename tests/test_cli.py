@@ -213,6 +213,21 @@ def test_simulate_and_cost_round_a_horizon_up_alike(horizon, t_end, capsys):
     assert json.loads(out)["horizon"] == pytest.approx(t_end, abs=1e-12)
 
 
+@pytest.mark.parametrize("name, step", [("gbm-growth", 0.1), ("abm-power", 0.1),
+                                        ("cir-fast", 0.05)])
+def test_the_engine_steps_by_its_model_kinds_step(name, step, capsys):
+    # the Monte Carlo engine steps ABM and GBM by 0.1 and CIR by 0.05,
+    # whatever the config's grid.dt: 0.024 runs one step, and 0.07 rounds
+    # up to 0.1 on both grids
+    sc = get(name).scenario
+    assert montecarlo.estimate_F(sc, horizon=0.024, n_paths=2).horizon == pytest.approx(
+        step, abs=1e-12)
+    code, out, _ = run(["cost", "--scenario", name, "--paths", "2", "--horizon", "0.07"],
+                       capsys)
+    assert code == 0
+    assert json.loads(out)["horizon"] == pytest.approx(0.1, abs=1e-12)
+
+
 def test_simulate_deterministic_output(tmp_path, capsys):
     a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
     argv = ["simulate", "--scenario", "cir-fast", "--horizon", "3"]
@@ -468,9 +483,9 @@ def test_verify_battery_passes(capsys):
 # truncation guard, the oracle and the sensitivities, pinned to the byte
 _VERIFY_DIGESTS = {
     "cir-fast": "d473a3decfc4c1bae2f78b7e978b25ba6e1fbf42e69e4e099135eb3468aa3c62",
-    "gbm-growth": "c6f8baf048e1cbfc803a92487541d1287113ecbe857ece474b3c2dd2b2c3e119",
+    "gbm-growth": "bd2a6d5f36a6b53274c2c1ea24c42ce9ca9c65ed823ccc92206477bce6f962fa",
     "cir-slow": "69a3f3537ac0d5605d652ee1c5675fa70f63fd735600e37e0c46bd2873c10cec",
-    "abm-power": "d02cac3bf5cf97c977b3f1dc20c2a89326b212cb49d58e5a2ebe15da52d9ac95",
+    "abm-power": "25bd584b0cfa057324c5da5e19d2697aa1913d3c69a5a95bb858a47e59ef8fb1",
 }
 
 

@@ -167,6 +167,20 @@ def test_alpha0_pure_brownian_variance():
     assert alpha0(ABM(0.0, 1.0), 0.0, 4.0) == pytest.approx(4.0)
 
 
+NAMED = [get(n).scenario for n in ("gbm-growth", "cir-fast", "cir-slow", "abm-power")]
+
+
+@pytest.mark.parametrize("model, d0", [(m, _d0(m)) for m in MODELS]
+                         + [(ABM(-40.0, 3.0), 5.0)] + [(sc.model, sc.d) for sc in NAMED])
+def test_node_moments_are_the_scalar_moments_bit_for_bit(model, d0):
+    # the Monte Carlo controls' means take all nodes in one pass; per node
+    # they must equal beta0 and alpha0 to the last bit (ABM(-40, 3) takes
+    # its mean below 0)
+    t = TimeGrid(0.0, 8.0 / 79, 3000).times()
+    want = np.array([[beta0(model, d0, ti) for ti in t], [alpha0(model, d0, ti) for ti in t]])
+    assert demand._node_moments(model, d0, t).tobytes() == want.tobytes()
+
+
 def test_resolvent_constant_mean_case():
     assert beta_resolvent(GBM(0.0, 0.1), 5.0, 0.1, 11.0) == pytest.approx(50.0)
 

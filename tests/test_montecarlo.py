@@ -159,7 +159,7 @@ def test_n_paths_must_be_an_integer():
 @pytest.mark.parametrize("horizon", [-5.0, 0.0, math.inf, -math.inf, math.nan])
 def test_every_entry_point_rejects_a_horizon_not_finite_and_positive(horizon):
     # a grid has at least one step, so horizon 0 or -5 would otherwise run
-    # one 0.05-year step and report horizon 0.05
+    # one step and report the step as the horizon
     sc = get("gbm-growth").scenario
     for run in (
         lambda: estimate_F(sc, horizon=horizon, n_paths=4),
@@ -177,8 +177,10 @@ def test_estimate_metadata():
     scn = quiet_abm(mu=0.0)
     est = estimate_F(scn, n_paths=8, horizon=37.13)
     assert est.n_paths == 8
-    # the horizon lands on the next grid node (dt = 0.05 here)
-    assert est.horizon == pytest.approx(37.15, abs=1e-12)
+    # the horizon lands on the next node of the engine's grid, whose step
+    # divides the lag h = 1
+    dt = montecarlo._STEPS[ABM]
+    assert est.horizon == pytest.approx(math.ceil(37.13 / dt) * dt, abs=1e-12)
     assert estimate_F(scn, n_paths=8).horizon == pytest.approx(5.0 / RHO)
 
 
@@ -220,25 +222,35 @@ def test_steady_gap_on_boundary():
 
 def test_deterministic_growth_cost_oracle():
     """mu > 0 from the boundary: ramp loss on [0, h], then a constant gap,
-    plus a steady investment stream.  Checked against quadrature with the
-    investment Stieltjes sum taken both discretely (sharp) and in continuous
-    time (bounds the discretization bias)."""
+    plus a steady investment stream.  Checked against the same integrals
+    taken on the engine's grid, trapezoid loss sums and the investment
+    Stieltjes sum (sharp), and in continuous time (bounds the
+    discretization bias)."""
     mu, h, q0 = 2.0, 1.0, 0.5
     scn = quiet_abm(mu=mu)
     g0 = q0 * RHO * math.exp(RHO * h)
     f = estimate_F(scn, n_paths=4, horizon=40.0)
     gj = identity_check(scn, n_paths=4, horizon=40.0).gj
-    T, dt = f.horizon, 0.05
-    n_T = round(T / dt)
+    T, dt = f.horizon, montecarlo._STEPS[ABM]
+    n_T, lag = round(T / dt), round(h / dt)
 
-    ramp = quad(
-        lambda t: math.exp(-RHO * t) * 0.5 * (mu * (t - h) + g0) ** 2, 0.0, h
-    )[0]
+    def ramp_loss(t):
+        return 0.5 * (mu * (t - h) + g0) ** 2
+
+    def trapezoid(integrand, first, last):
+        # the discounted integrand's trapezoid sum over nodes first..last
+        t = dt * np.arange(first, last + 1)
+        y = np.exp(-RHO * t) * integrand(t)
+        return dt * float(np.sum(y) - 0.5 * (y[0] + y[-1]))
+
+    ramp = quad(lambda t: math.exp(-RHO * t) * ramp_loss(t), 0.0, h)[0]
     steady = 0.5 * g0 * g0 * (math.exp(-RHO * h) - math.exp(-RHO * (T + h))) / RHO
-    inv_disc = q0 * mu * dt * float(np.sum(np.exp(-RHO * dt * np.arange(1, n_T + 1))))
     inv_cont = q0 * mu * (1.0 - math.exp(-RHO * T)) / RHO
+    ramp_disc = trapezoid(ramp_loss, 0, lag)
+    steady_disc = trapezoid(lambda t: np.full(t.shape, 0.5 * g0 * g0), lag, lag + n_T)
+    inv_disc = q0 * mu * dt * float(np.sum(np.exp(-RHO * dt * np.arange(1, n_T + 1))))
 
-    assert f.mean == pytest.approx(ramp + steady + inv_disc, rel=2e-4)
+    assert f.mean == pytest.approx(ramp_disc + steady_disc + inv_disc, rel=2e-4)
     assert f.mean == pytest.approx(ramp + steady + inv_cont, rel=4e-3)
     # both decompositions integrate the same deterministic path
     assert gj.mean == pytest.approx(f.mean, rel=1e-9)
@@ -562,10 +574,10 @@ def test_constant_policy_is_the_reflected_constant(below, monkeypatch):
 # sha256 of repr(check_battery(...)) at 400 paths with verify's offsets and
 # horizons: the engine's reports are pinned to the bit
 _BATTERY_DIGESTS = {
-    "gbm-growth": "df03bb055fc1b639a2fb359cd94dda757fa023252016a82765d0bb27a249a819",
+    "gbm-growth": "3216abfeee67c35d383ad629ed576210f34e6562a7cbc067a4cbc13513fb8af4",
     "cir-fast": "a5767c5d986bf4ca30e0a345009c126f8b55fbd33c765b1d60000217d511e958",
     "cir-slow": "3ff6b2c968bf71b42797bba8e7665bdced0dff10700ac96f0fb00da0dc4cc150",
-    "abm-power": "a867511220019d56c8ede40504b500af1c542c80fbff7b5968c92a58a799b57d",
+    "abm-power": "6dcfbbefe07dfe6ba4409712366fd2db40b953076623dce7241f1291e3644659",
 }
 
 
@@ -610,9 +622,9 @@ def test_serving_a_slice_holds_few_slice_matrices(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_slices_reuse_one_buffer_pair_per_worker(workers, monkeypatch):
-    # 150 years on gbm-growth, 1000 paths: 2, 3 or 5 slices at 1, 2 or 4
-    # workers.  Each slice's values and running maximum are views of one of
-    # min(workers, slices) buffer pairs.
+    # 300 years on gbm-growth, 1000 paths: 3081 nodes at dt 0.1, so 2, 3
+    # or 5 slices at 1, 2 or 4 workers.  Each slice's values and running
+    # maximum are views of one of min(workers, slices) buffer pairs.
     seen = []
     path_matrix = montecarlo._path_matrix
 
@@ -623,7 +635,7 @@ def test_slices_reuse_one_buffer_pair_per_worker(workers, monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_path_matrix", recording_path_matrix)
     monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
-    estimate_F(get("gbm-growth").scenario, horizon=150.0, n_paths=1000, seed=1)
+    estimate_F(get("gbm-growth").scenario, horizon=300.0, n_paths=1000, seed=1)
     pairs = []
     for vals, rmax in seen:
         assert not np.shares_memory(vals, rmax)

@@ -4,9 +4,11 @@ the settings dataclasses."""
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
+from buildlag.demand import TimeGrid
 from buildlag.errors import ParameterError
 from buildlag.policy import Pipeline
 from buildlag.scenarios import MCSettings, OutputSettings, dumps, from_dict, get, loads
@@ -78,6 +80,12 @@ def test_the_grid_start_is_not_a_key():
     with pytest.raises(ParameterError, match=r"unknown keys in grid: \['t0'\]"):
         from_dict(cfg)
 
+
+def test_a_run_grid_must_start_at_zero():
+    # the format has no t0, so a grid starting elsewhere could not round-trip
+    with pytest.raises(ParameterError, match="t0"):
+        replace(get("cir-fast"), grid=TimeGrid(2.0, 0.05, 800))
+    assert replace(get("cir-fast"), grid=TimeGrid(-0.0, 0.05, 800)).grid.t0 == 0.0
 
 @pytest.mark.parametrize("name, key", [
     ("gbm-growth", "gamma"), ("gbm-growth", "delta"),
