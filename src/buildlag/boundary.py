@@ -45,7 +45,7 @@ from .demand import (
     drift_affine,
     validate,
 )
-from .errors import DomainError, NumericsError, ParameterError, require_nonnegative
+from .errors import DomainError, NumericsError, require_nonnegative
 from .kummer import psi_ratio_second
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "cir_asymptote",
     "cir_kink",
     "generic_boundary",
-    "require_nonnegative",
 ]
 
 
@@ -102,8 +101,8 @@ def gbm_constants(mu: float, sigma: float, rho: float, h: float) -> tuple[float,
     return m, A
 
 
-# Boundary.table's default node count, which fast_rule uses; the psi-ratio
-# cache serves grids up to this size
+# Boundary.table's node count, and the largest grid the psi-ratio cache
+# serves
 _RATIO_CACHE_POINTS = 4097
 
 
@@ -183,25 +182,23 @@ class Boundary:
             precautionary_bias=float(self.precautionary(d)),
         )
 
-    def table(self, d_lo: float, d_hi: float, n: int = _RATIO_CACHE_POINTS):
+    def table(self, d_lo: float, d_hi: float):
         """Piecewise-linear surrogate of eval on [d_lo, d_hi].
 
         For the square-root model each exact evaluation runs the Kummer
         function twice, far too slow to repeat on every cell of a Monte
-        Carlo path matrix; the surrogate evaluates the boundary at n
-        equally spaced nodes and interpolates (linear extrapolation outside
-        the range).  The nodes' psi''/psi' ratios come from the per-process
-        psi-ratio cache, so a table rebuilt for the same nodes, at any h or
-        q0, runs no Kummer function.  ABM/GBM boundaries are affine, so eval
-        itself is returned.
+        Carlo path matrix; the surrogate evaluates the boundary at
+        _RATIO_CACHE_POINTS equally spaced nodes and interpolates (linear
+        extrapolation outside the range).  The nodes' psi''/psi' ratios come
+        from the per-process psi-ratio cache, so a table rebuilt for the same
+        nodes, at any h or q0, runs no Kummer function.  ABM/GBM boundaries
+        are affine, so eval itself is returned.
         """
         if not isinstance(self.model, CIR):
             return self.eval
         if not (math.isfinite(d_hi) and d_hi > d_lo > 0.0):
             raise DomainError(f"need 0 < d_lo < d_hi < inf, got [{d_lo}, {d_hi}]")
-        if not n >= 2:
-            raise ParameterError(f"need at least 2 table nodes, got n={n}")
-        grid = np.linspace(d_lo, d_hi, n)
+        grid = np.linspace(d_lo, d_hi, _RATIO_CACHE_POINTS)
         vals = self.eval(grid)
         lo_slope = (vals[1] - vals[0]) / (grid[1] - grid[0])
         hi_slope = (vals[-1] - vals[-2]) / (grid[-1] - grid[-2])

@@ -486,14 +486,15 @@ def _check_monte_carlo(sc, mc, scale) -> list[dict]:
     dom = dominance_test(sc, offsets, horizon=horizon, **common)
     eq = equilibrium_check(sc, horizon=eq_horizon, **common)
     # under the unscaled rule a unit's continuation revenue never exceeds q0,
-    # so the revenue past the horizon is at most q0 e^(-rho T): when that
+    # so q0 e^(-rho T) bounds the revenue past the horizon from above only:
+    # it may be negative and larger (abm-power at T = 100 leaves -0.162
+    # against 1.68e-3), which abs(margin) <= cut cannot see.  When the bound
     # exceeds the tolerance and could carry the revenue across the check's
-    # threshold, a FAIL may be truncation, not a bug.  A revenue further
-    # than that from the threshold keeps its verdict: under the negative
-    # control's constant policy rev_h is affine in a control variate, so its
-    # standard error is rounding while its revenue is far from q0.  With the
-    # rule scaled q0 e^(-rho T) is no bound (cir-fast at 0.5 leaves about
-    # 4e-4 uncounted, not 6e-6); there the margin, 65, keeps the verdict
+    # threshold, a FAIL may be truncation, not a bug; a revenue further than
+    # that from the threshold keeps its verdict (under the negative control's
+    # constant policy rev_h is affine in a control variate, so its SE is
+    # rounding).  Scaled, q0 e^(-rho T) is no bound (cir-fast at 0.5 leaves
+    # about 4e-4 uncounted, not 6e-6); there the margin, 65, keeps the verdict
     tol = 3.0 * eq.std_error
     cut = sc.q0 * math.exp(-sc.rho * eq_horizon)
     margin = tol - abs(eq.revenue - eq.q0) if eq.mode == "boundary" else eq.q0 - tol - eq.revenue

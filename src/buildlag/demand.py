@@ -192,7 +192,8 @@ def validate(model: DemandModel, rho: float) -> None:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_i = t0 + i*dt for i = 0..n_steps (n_steps+1 points)."""
+    """Uniform grid t_i = i*dt for i = 0..n_steps (n_steps+1 points).  t0
+    is 0: the lag, the pipeline and the config format count time from it."""
 
     t0: float
     dt: float
@@ -200,6 +201,8 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         require_finite("TimeGrid", t0=self.t0, dt=self.dt)
+        if self.t0 != 0.0:
+            raise ParameterError(f"a grid starts at t0 = 0, got t0={self.t0}")
         if not self.dt > 0.0:
             raise ParameterError(f"need dt > 0, got dt={self.dt}")
         require_count(1, n_steps=self.n_steps)
@@ -215,11 +218,11 @@ class TimeGrid:
                 f"dt={self.dt:g}, more than can be allocated"
             ) from exc
         # i*dt rather than repeated addition: no accumulated rounding drift
-        return self.t0 + self.dt * steps
+        return self.dt * steps
 
     @property
     def t_end(self) -> float:
-        return self.t0 + self.dt * self.n_steps
+        return self.dt * self.n_steps
 
 
 def grid_steps(horizon: float, dt: float) -> int:

@@ -79,35 +79,30 @@ class CostEstimate:
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """A committed-capacity rule for the simulator: the optimal boundary,
-    a vertically shifted copy, or a constant level."""
+    """A committed-capacity rule for the simulator: the optimal boundary
+    shifted vertically by offset, or the constant level when one is given."""
 
-    kind: str
     offset: float = 0.0
-    level: float = 0.0
-
-    _KINDS = ("optimal", "shifted", "constant")
+    level: float | None = None
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ParameterError(f"policy kind must be one of {self._KINDS}")
-        require_finite("PolicySpec", offset=self.offset, level=self.level)
+        require_finite("PolicySpec", offset=self.offset)
+        if self.level is not None:
+            require_finite("PolicySpec", level=self.level)
+            if self.offset:
+                raise ParameterError("a constant policy takes no offset")
 
     @classmethod
     def optimal(cls) -> "PolicySpec":
-        return cls("optimal")
+        return cls()
 
     @classmethod
     def shifted(cls, offset: float) -> "PolicySpec":
-        return cls("shifted", offset=float(offset))
+        return cls(offset=float(offset))
 
     @classmethod
     def constant(cls, level: float) -> "PolicySpec":
-        return cls("constant", level=float(level))
-
-    @property
-    def reads_boundary(self) -> bool:
-        return self.kind in ("optimal", "shifted")
+        return cls(level=float(level))
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,6 @@ class IdentityReport:
 @dataclass(frozen=True)
 class DominanceRow:
     offset: float
-    mean_cost: float
     delta: float
     paired_se: float
     passed: bool
@@ -260,7 +254,7 @@ def _run(scenario, base, requests, n_paths, seed):
     streams are prefix-consistent and the policy is causal, so a shorter
     request reads exact prefixes of the same paths and of the same committed
     capacity.  The boundary is evaluated once per path and node, on the
-    longest prefix any optimal or shifted policy needs.
+    longest prefix any policy that is not a constant needs.
 
     The paths are cut into slices sized so that the slices of all workers
     together hold about 3M grid cells per matrix, and the slices run on a
@@ -350,8 +344,8 @@ def _run(scenario, base, requests, n_paths, seed):
         members.setdefault(r.policy, []).append(j)
     # longest prefix each distinct policy is formed on
     reach_of = {p: max(steps[j] for j in js) for p, js in members.items()}
-    # the optimal and shifted policies share one boundary evaluation
-    n_base = max((n for r, n in zip(requests, steps) if r.policy.reads_boundary), default=-1)
+    # the policies that are not constants share one boundary evaluation
+    n_base = max((n for r, n in zip(requests, steps) if r.policy.level is None), default=-1)
     seeds = _stream_seeds(seed, np.arange(n_paths))
 
     def sample(rows, slot):
@@ -359,6 +353,8 @@ def _run(scenario, base, requests, n_paths, seed):
         vals, rmax = (buf[: rows.stop - rows.start] for buf in slot)
         return _path_matrix(model, d0, grid, seeds[rows], vals, rmax)
 
+    # a scaled rule may overflow; the inf reaches a per-path value, which raises below
+    @np.errstate(over="ignore", invalid="ignore")
     def read_rule(rmax):
         # on the calling thread, block by block: the rule's levels on the
         # prefix the policies read overwrite that prefix of the running
@@ -407,7 +403,7 @@ def _run(scenario, base, requests, n_paths, seed):
                 R = np.maximum.accumulate(levels[b], axis=1, out=levels[b])
             for policy, js in members.items():
                 n = reach_of[policy]
-                if policy.reads_boundary:
+                if policy.level is None:
                     C = R[:, : n + 1] + policy.offset
                     np.maximum(c0, C, out=C)
                 else:
@@ -524,13 +520,6 @@ def _summary(per_path: np.ndarray, horizon: float, tail: float,
     return CostEstimate(mean, se, per_path.size, horizon, float(tail), ratio)
 
 
-def _check_paths(n_paths: int) -> None:
-    """A check's tolerance is a multiple of a sample standard error, which
-    one path cannot give: with n_paths = 1 every tolerance would be 0."""
-    if n_paths < 2:
-        raise ParameterError(f"a Monte Carlo check needs n_paths >= 2, got {n_paths}")
-
-
 def _prepare(scenario, rule_scale=1.0):
     """The fast rule for the scenario's boundary, times rule_scale."""
     require_finite("Monte Carlo check", rule_scale=rule_scale)
@@ -554,62 +543,84 @@ def _horizon(scenario, horizon):
     return horizon
 
 
-def _dominance_requests(offsets, horizon):
+def _identity(scenario, policy, horizon):
+    """identity_check: F and G+J of one policy, within 3 (SE_F + SE_G)."""
+
+    def verdict(base, res):
+        f = _summary(res.F, res.horizon, res.tail_F, res.controls)
+        gj = _summary(res.GJ, res.horizon, res.tail_G, res.controls)
+        diff_mean, diff_se, _ = _estimate(res.F - res.GJ, res.controls)
+        tol = 3.0 * (f.std_error + gj.std_error)
+        return IdentityReport(
+            f=f,
+            gj=gj,
+            diff_mean=diff_mean,
+            diff_se=diff_se,
+            tolerance=tol,
+            passed=bool(abs(f.mean - gj.mean) <= tol),
+        )
+
+    return [_Request(policy, _horizon(scenario, horizon), ("F", "GJ"))], verdict
+
+
+def _dominance(scenario, offsets, horizon):
+    """dominance_test: F of the rule shifted by each offset, each paired
+    with offset 0's."""
+    horizon = _horizon(scenario, horizon)
+    offsets = [float(e) for e in offsets]
     if 0.0 not in offsets:
         raise ParameterError("offsets must include 0")
-    # offset 0 is the optimal policy itself: adding 0.0 changes no value
-    return [
-        _Request(PolicySpec.shifted(e) if e else PolicySpec.optimal(), horizon, ("F",))
-        for e in offsets
-    ]
 
-
-def _identity_report(res: _Functionals) -> IdentityReport:
-    f = _summary(res.F, res.horizon, res.tail_F, res.controls)
-    gj = _summary(res.GJ, res.horizon, res.tail_G, res.controls)
-    diff_mean, diff_se, _ = _estimate(res.F - res.GJ, res.controls)
-    tol = 3.0 * (f.std_error + gj.std_error)
-    return IdentityReport(
-        f=f,
-        gj=gj,
-        diff_mean=diff_mean,
-        diff_se=diff_se,
-        tolerance=tol,
-        passed=bool(abs(f.mean - gj.mean) <= tol),
-    )
-
-
-def _dominance_report(offsets, results) -> DominanceReport:
-    ref = results[offsets.index(0.0)].F
-    rows = []
-    for e, res in zip(offsets, results):
-        # the control adjusts the paired difference, not each cost apart
-        delta, se, ratio = _estimate(res.F - ref, res.controls)
-        rows.append(
-            DominanceRow(
-                offset=e,
-                mean_cost=_estimate(res.F, res.controls)[0],
-                delta=delta,
-                paired_se=se,
-                passed=bool(delta >= -3.0 * se),
-                variance_ratio=ratio,
+    def verdict(base, *results):
+        ref = results[offsets.index(0.0)].F
+        rows = []
+        for e, res in zip(offsets, results):
+            # the control adjusts the paired difference, not each cost apart
+            delta, se, ratio = _estimate(res.F - ref, res.controls)
+            rows.append(
+                DominanceRow(
+                    offset=e,
+                    delta=delta,
+                    paired_se=se,
+                    passed=bool(delta >= -3.0 * se),
+                    variance_ratio=ratio,
+                )
             )
+        return DominanceReport(rows=tuple(rows), passed=all(r.passed for r in rows))
+
+    return [_Request(PolicySpec.shifted(e), horizon, ("F",)) for e in offsets], verdict
+
+
+def _equilibrium(scenario, horizon):
+    """equilibrium_check: the optimal policy's marginal revenue, against q0."""
+
+    def verdict(base, res):
+        mean, se, ratio = _estimate(res.rev_h, res.controls)
+        chat0 = float(np.asarray(base(np.asarray(scenario.d, dtype=float))))
+        on_boundary = scenario.committed_start <= chat0 + 1e-9 * max(1.0, abs(chat0))
+        if on_boundary:
+            mode, passed = "boundary", bool(abs(mean - scenario.q0) <= 3.0 * se)
+        else:
+            mode, passed = "continuation", bool(mean < scenario.q0 - 3.0 * se)
+        return EquilibriumReport(
+            mode=mode, revenue=mean, std_error=se, q0=scenario.q0, passed=passed,
+            variance_ratio=ratio,
         )
-    return DominanceReport(rows=tuple(rows), passed=all(r.passed for r in rows))
+
+    return [_Request(PolicySpec.optimal(), _horizon(scenario, horizon), ("rev_h",))], verdict
 
 
-def _equilibrium_report(scenario, base, res: _Functionals) -> EquilibriumReport:
-    mean, se, ratio = _estimate(res.rev_h, res.controls)
-    chat0 = float(np.asarray(base(np.asarray(scenario.d, dtype=float))))
-    on_boundary = scenario.committed_start <= chat0 + 1e-9 * max(1.0, abs(chat0))
-    if on_boundary:
-        mode, passed = "boundary", bool(abs(mean - scenario.q0) <= 3.0 * se)
-    else:
-        mode, passed = "continuation", bool(mean < scenario.q0 - 3.0 * se)
-    return EquilibriumReport(
-        mode=mode, revenue=mean, std_error=se, q0=scenario.q0, passed=passed,
-        variance_ratio=ratio,
-    )
+def _checks(scenario, n_paths, seed, rule_scale, *checks):
+    """The checks' reports, in order, from one path batch and one rule, the
+    fast rule times rule_scale.  A check is its requests and its verdict,
+    which makes its report from the rule and its requests' results."""
+    # a tolerance is a multiple of a sample standard error, which one path
+    # cannot give: with n_paths = 1 every tolerance would be 0
+    if n_paths < 2:
+        raise ParameterError(f"a Monte Carlo check needs n_paths >= 2, got {n_paths}")
+    base = _prepare(scenario, rule_scale)
+    results = iter(_run(scenario, base, [r for reqs, _ in checks for r in reqs], n_paths, seed))
+    return [verdict(base, *[next(results) for _ in reqs]) for reqs, verdict in checks]
 
 
 def estimate_F(
@@ -647,10 +658,7 @@ def identity_check(
     max_refine accept only their defaults.
     """
     _require_sampler(scheme, max_refine)
-    _check_paths(n_paths)
-    req = _Request(policy, _horizon(scenario, horizon), ("F", "GJ"))
-    (res,) = _run(scenario, _prepare(scenario, rule_scale), [req], n_paths, seed)
-    return _identity_report(res)
+    return _checks(scenario, n_paths, seed, rule_scale, _identity(scenario, policy, horizon))[0]
 
 
 def dominance_test(
@@ -672,11 +680,7 @@ def dominance_test(
     offset should beat it: a negative control for this very test.  scheme
     and max_refine accept only their defaults."""
     _require_sampler(scheme, max_refine)
-    _check_paths(n_paths)
-    offsets = [float(e) for e in offsets]
-    reqs = _dominance_requests(offsets, _horizon(scenario, horizon))
-    results = _run(scenario, _prepare(scenario, rule_scale), reqs, n_paths, seed)
-    return _dominance_report(offsets, results)
+    return _checks(scenario, n_paths, seed, rule_scale, _dominance(scenario, offsets, horizon))[0]
 
 
 def equilibrium_check(
@@ -699,11 +703,7 @@ def equilibrium_check(
     falls short.  scheme and max_refine accept only their defaults.
     """
     _require_sampler(scheme, max_refine)
-    _check_paths(n_paths)
-    base = _prepare(scenario, rule_scale)
-    req = _Request(PolicySpec.optimal(), _horizon(scenario, horizon), ("rev_h",))
-    (res,) = _run(scenario, base, [req], n_paths, seed)
-    return _equilibrium_report(scenario, base, res)
+    return _checks(scenario, n_paths, seed, rule_scale, _equilibrium(scenario, horizon))[0]
 
 
 def check_battery(
@@ -721,20 +721,12 @@ def check_battery(
     scaled by rule_scale, from one path batch, one Boundary and one rule
     table.  Each report equals its standalone check's, bit for bit.
     """
-    _check_paths(n_paths)
-    offsets = [float(e) for e in offsets]
-    base = _prepare(scenario, rule_scale)
-    reqs = [
-        _Request(PolicySpec.optimal(), _horizon(scenario, None), ("F", "GJ")),
-        *_dominance_requests(offsets, _horizon(scenario, horizon)),
-        _Request(PolicySpec.optimal(), _horizon(scenario, equilibrium_horizon), ("rev_h",)),
-    ]
-    results = _run(scenario, base, reqs, n_paths, seed)
-    return (
-        _identity_report(results[0]),
-        _dominance_report(offsets, results[1:-1]),
-        _equilibrium_report(scenario, base, results[-1]),
-    )
+    return tuple(_checks(
+        scenario, n_paths, seed, rule_scale,
+        _identity(scenario, PolicySpec.optimal(), None),
+        _dominance(scenario, offsets, horizon),
+        _equilibrium(scenario, equilibrium_horizon),
+    ))
 
 
 def check_plan(scenario: Scenario) -> tuple[list[float], float, float]:

@@ -121,8 +121,6 @@ class Trajectory:
 
 def lag_steps(grid: TimeGrid, h: float) -> int:
     """Number of grid steps in one lag; GridError unless exact."""
-    if grid.t0 != 0.0:
-        raise GridError(f"simulation grid must start at t=0, got t0={grid.t0}")
     steps = round(h / grid.dt)
     if steps < 1 or abs(steps * grid.dt - h) > 1e-9 * max(1.0, h):
         raise GridError(

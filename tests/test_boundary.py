@@ -256,7 +256,7 @@ def test_fast_reversion_boundary_is_flat_in_sigma():
 
 def test_interpolation_table_matches_eval():
     bound = Boundary(CIR_FAST, RHO, 8.0, 1.0)
-    rule = bound.table(0.01, 160.0, n=4097)
+    rule = bound.table(0.01, 160.0)
     probe = np.linspace(0.02, 159.0, 57)
     np.testing.assert_allclose(rule(probe), bound.eval(probe), rtol=1e-8)
     # linear extrapolation stays sane just outside the table
@@ -267,12 +267,6 @@ def test_interpolation_table_matches_eval():
 def test_table_is_identity_for_affine_boundaries():
     bound = Boundary(GBM_REF, RHO, 1.0, 5.0)
     assert bound.table(1.0, 10.0) == bound.eval
-
-
-@pytest.mark.parametrize("n", [1, 0, -3])
-def test_table_needs_two_nodes(n):
-    with pytest.raises(ParameterError):
-        Boundary(CIR_FAST, RHO, 8.0, 1.0).table(0.01, 160.0, n=n)
 
 
 @pytest.mark.filterwarnings("error")
@@ -294,18 +288,19 @@ def test_table_nodes_are_evaluated_once_per_parameter_set(monkeypatch):
     monkeypatch.setattr(kummer, "_series_log", counting)
     # parameters no other test uses, so the process-wide cache is cold
     model = CIR(gamma=0.5, delta=15.0, sigma=0.3)
-    first = Boundary(model, RHO, 2.0, 1.0).table(0.01, 120.0, n=257)
+    first = Boundary(model, RHO, 2.0, 1.0).table(0.01, 120.0)
     runs = len(calls)
     assert runs > 0
     # the nodes' psi''/psi' ratios are shared: neither a second table nor
     # one at another lag runs a log-series
-    second = Boundary(CIR(0.5, 15.0, 0.3), RHO, 2.0, 1.0).table(0.01, 120.0, n=257)
-    other = Boundary(model, RHO, 4.0, 1.0).table(0.01, 120.0, n=257)
+    second = Boundary(CIR(0.5, 15.0, 0.3), RHO, 2.0, 1.0).table(0.01, 120.0)
+    other = Boundary(model, RHO, 4.0, 1.0).table(0.01, 120.0)
     assert len(calls) == runs
     probe = np.linspace(0.0, 130.0, 41)
     assert np.array_equal(first(probe), second(probe))
     assert not np.array_equal(other(probe), first(probe))
-    Boundary(model, RHO, 2.0, 1.0).table(0.01, 120.0, n=129)
+    # another node grid misses the cache
+    Boundary(model, RHO, 2.0, 1.0).table(0.02, 120.0)
     assert len(calls) > runs
 
 

@@ -73,11 +73,14 @@ def abm_market():
 
 
 def test_policy_spec_validation():
-    with pytest.raises(ParameterError):
-        PolicySpec("clever")
-    assert PolicySpec.optimal().kind == "optimal"
-    assert PolicySpec.shifted(-2).offset == -2.0
-    assert PolicySpec.constant(7).level == 7.0
+    # a policy is the rule shifted by an offset, or a constant level
+    assert PolicySpec.optimal() == PolicySpec.shifted(0.0) == PolicySpec.shifted(-0.0)
+    assert PolicySpec.shifted(-2) == PolicySpec(offset=-2.0)
+    assert PolicySpec.constant(7) == PolicySpec(level=7.0)
+    assert PolicySpec.constant(0).level == 0.0
+    assert PolicySpec.optimal().level is None
+    with pytest.raises(ParameterError, match="no offset"):
+        PolicySpec(offset=1.0, level=7.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -98,6 +101,24 @@ def test_every_check_rejects_non_finite_rule_scale(scale):
         lambda: check_battery(sc, [0.0], n_paths=2, rule_scale=scale),
     ):
         with pytest.raises(ParameterError, match="finite rule_scale"):
+            run_check()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["cir-fast", "gbm-growth", "abm-power"])
+def test_a_rule_scaled_out_of_float_range_raises_without_a_warning(name):
+    # the rule times 1e308 overflows where the paths read it; the inf
+    # reaches the per-path values, which raise NumericsError, and numpy
+    # warns of nothing on the way
+    sc = get(name).scenario
+    common = dict(horizon=2.0 * sc.h, n_paths=8, rule_scale=1e308)
+    for run_check in (
+        lambda: identity_check(sc, **common),
+        lambda: dominance_test(sc, [0.0, 1.0], **common),
+        lambda: equilibrium_check(sc, **common),
+        lambda: check_battery(sc, [0.0, 1.0], equilibrium_horizon=2.0 * sc.h, **common),
+    ):
+        with pytest.raises(NumericsError, match="not finite"):
             run_check()
 
 
@@ -574,10 +595,10 @@ def test_constant_policy_is_the_reflected_constant(below, monkeypatch):
 # sha256 of repr(check_battery(...)) at 400 paths with verify's offsets and
 # horizons: the engine's reports are pinned to the bit
 _BATTERY_DIGESTS = {
-    "gbm-growth": "3216abfeee67c35d383ad629ed576210f34e6562a7cbc067a4cbc13513fb8af4",
-    "cir-fast": "a5767c5d986bf4ca30e0a345009c126f8b55fbd33c765b1d60000217d511e958",
-    "cir-slow": "3ff6b2c968bf71b42797bba8e7665bdced0dff10700ac96f0fb00da0dc4cc150",
-    "abm-power": "6dcfbbefe07dfe6ba4409712366fd2db40b953076623dce7241f1291e3644659",
+    "gbm-growth": "0d690de18dd87448da219675845938f379e5d2775fe56c9ae16e5f6912a1450f",
+    "cir-fast": "6407630e4f910e48d3e92497ec6257214cef5202f6c14f14737dad15e0e7d20e",
+    "cir-slow": "5bcc0ef35e54278f0a6340145259bf1d9259e511528fb9dbcfa5a20cd265636c",
+    "abm-power": "1bbca06a86865db23a8b50dc6575f7c08ebb2fd86451f55c5190605387bdc488",
 }
 
 

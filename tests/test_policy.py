@@ -113,8 +113,9 @@ def test_lag_steps():
     assert lag_steps(grid, 8.0) == 160
     with pytest.raises(GridError):
         lag_steps(grid, 0.13)
-    with pytest.raises(GridError):
-        lag_steps(TimeGrid(1.0, 0.05, 10), 1.0)  # simulation clock starts at 0
+    # the simulation clock starts at 0, and no grid starts elsewhere
+    with pytest.raises(ParameterError, match="t0"):
+        TimeGrid(1.0, 0.05, 10)
 
 
 def test_pipeline_levels_deliver_at_order_time_plus_h():
