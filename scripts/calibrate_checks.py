@@ -19,8 +19,8 @@ Per check the output records:
            z spread mostly shows how the SE itself varies between seeds.
 
 Each scenario's entry also records the grid it measured: its path count
-and the engine's step, read as the horizon that a one-step estimate_F
-ends on, so it holds for any checkout's engine.
+and the engine's step, read as the step of the grid a one-path
+estimate_F samples, so it holds for any checkout's engine.
 
 Power: the FAIL count of every check at each rule scale, with the mean
 equilibrium z and the mean of each seed's smallest dominance z.
@@ -90,6 +90,23 @@ def coefficient_bias(results, offsets):
     return out
 
 
+def engine_step(sc):
+    """The step of the grid the engine samples sc's paths on."""
+    steps = []
+    path_matrix = montecarlo._path_matrix
+
+    def record(model, d0, grid, *args):
+        steps.append(grid.dt)
+        return path_matrix(model, d0, grid, *args)
+
+    montecarlo._path_matrix = record
+    try:
+        montecarlo.estimate_F(sc, horizon=1e-6, n_paths=1)
+    finally:
+        montecarlo._path_matrix = path_matrix
+    return steps[0]
+
+
 def run_scenario(name):
     cfg = get(name)
     sc, n_paths = cfg.scenario, cfg.mc.n_paths
@@ -146,7 +163,7 @@ def run_scenario(name):
     }
     return {
         "n_paths": n_paths,
-        "step": montecarlo.estimate_F(sc, horizon=1e-6, n_paths=1).horizon,
+        "step": engine_step(sc),
         "checks": checks,
         "power": {f"{s:g}": {"fails": fails[s],
                              "mean_equilibrium_z": statistics.fmean(power[s]["equilibrium_z"]),

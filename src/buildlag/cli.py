@@ -311,7 +311,8 @@ def _boundary_sigma_sweep(cfg, model, args) -> int:
 
 def _sim_grid(cfg) -> TimeGrid:
     """The config's grid, or with --horizon its step run to the first node at
-    or past the horizon, as cost and verify round it (demand.grid_steps)."""
+    or past the horizon (demand.grid_steps), which cost and verify round on
+    to an even number of their own steps."""
     grid = cfg.grid
     if cfg.mc.horizon is not None:
         grid = TimeGrid(t0=0.0, dt=grid.dt, n_steps=grid_steps(cfg.mc.horizon, grid.dt))

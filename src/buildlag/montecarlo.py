@@ -15,12 +15,15 @@ with g(c, d) = e^(-rho h) (c^2 - 2 beta0(d) c + alpha0(d)) / 2 and K0 the
 capacity delivered by initial capital and the pre-existing pipeline alone.
 
 Truncation is arranged so the identity survives discretization exactly in
-expectation: the F loss is integrated over [0, T+h] with the trapezoid split
-at the installation jump t = h (left piece sees K0, right piece sees the
-lagged committed path), the G loss over [0, T] on the same weights shifted
-by h, and investment is credited on [0, T] in both.  Node by node, the F
-term at t = u+h then has conditional mean equal to the G term at u, so
-F - (G+J) is mean-zero noise at any horizon and any dt.
+expectation: the F loss is integrated over [0, T+h], split at the
+installation jump t = h (the left piece sees K0, the right piece the lagged
+committed path), the G loss over [0, T] on the right piece's node weights
+shifted by h, and investment is credited on [0, T] in both.  Node by node,
+the F term at t = u+h then has conditional mean equal to the G term at u,
+so F - (G+J) is mean-zero noise at any horizon and any dt.  The node
+weights are _run's: the discount is integrated exactly over each step, and
+on [0, T] the sqrt(t) start of the running maximum's error is extrapolated
+away.
 
 Estimates exclude the tail beyond the horizon; `tail_bound` reports a
 calibrated bound on the neglected quadratic-loss tail (last-node integrand
@@ -45,7 +48,7 @@ from .demand import (ABM, CIR, GBM, TimeGrid, alpha0, beta0, grid_steps, _buffer
                      _node_moments, _path_matrix, _require_sampler, _row_blocks,
                      _stream_seeds)
 from .errors import NumericsError, ParameterError, require_count, require_finite
-from .policy import Scenario, increments, pipeline_levels
+from .policy import Scenario, pipeline_levels
 
 __all__ = [
     "CostEstimate",
@@ -201,7 +204,7 @@ class _Request:
 class _Controls:
     """Per-path control variates, one row per control, and their exact
     means: X1 = sum_i w_i D_i and X2 = sum_i w_i D_i^2 over a request's
-    nodes, w its trapezoid-discount weights.  The sampler is exact at the
+    nodes, w its discounted node weights.  The sampler is exact at the
     nodes, so E[D_t] = beta0(d0, t) and E[D_t^2] = alpha0(d0, t) there."""
 
     values: np.ndarray
@@ -241,9 +244,49 @@ def _row_sums(m, w):
 
 # the engine's step per model kind, as near it as a whole number of steps
 # per lag allows.  ABM and GBM transitions and their bridge maxima are
-# exact at any step, so their only step error is the trapezoid node sums';
-# the CIR bridge holds the diffusion fixed over each step
-_STEPS = {ABM: 0.1, GBM: 0.1, CIR: 0.05}
+# exact at any step, so their only step error is the node sums'; the CIR
+# bridge holds the diffusion fixed over each step
+_STEPS = {ABM: 0.2, GBM: 0.2, CIR: 0.05}
+
+# a trapezoid sum of a term that starts like sqrt(t), as every cost of the
+# running maximum's policy does, has an error in dt^(3/2) (Navot 1961)
+_K = 2.0**1.5
+
+
+def _trapezoid(rho, dt, n):
+    """Weights w_0..w_n such that sum_i w_i e^(-rho t_i) f(t_i), t_i = i dt,
+    is the exact integral over [0, n dt] of e^(-rho t) times the
+    piecewise-linear interpolant of f: the trapezoid rule with the
+    discount integrated exactly over each step."""
+    x = rho * dt
+    if x > 1e-3:
+        first, last = (x + math.expm1(-x)) / (rho * x), (math.expm1(x) - x) / (rho * x)
+    else:  # their Taylor series, where those differences cancel
+        first, last = (dt * (0.5 + x * (s / 6 + x * (1 / 24 + s * x / 120))) for s in (-1, 1))
+    w = np.full(n + 1, first + last)
+    w[0], w[-1] = first, last
+    return w
+
+
+def _extrapolated(rho, dt, n):
+    """_trapezoid's weights on an even n, extrapolated in the step with
+    exponent 3/2: (K W_dt - W_2dt) / (K - 1), K = 2^(3/2) and W_2dt on the
+    even nodes.  Exact where _trapezoid is, and free of a sqrt(t) start's
+    dt^(3/2) term."""
+    coarse = np.zeros(n + 1)
+    coarse[::2] = _trapezoid(rho, 2.0 * dt, n // 2)
+    return (_K * _trapezoid(rho, dt, n) - coarse) / (_K - 1.0)
+
+
+def _committed(policy, R, c0, shape):
+    """A policy's committed capacity on a row block, shape (rows, nodes):
+    the running maximum R of the rule's levels shifted by the offset and
+    floored at c0 (policy.reflect of the shifted levels, bit for bit), or
+    the constant max(c0, level)."""
+    if policy.level is not None:
+        return np.full(shape, max(c0, policy.level))
+    C = R[:, : shape[1]] + policy.offset
+    return np.maximum(c0, C, out=C)
 
 
 def _run(scenario, base, requests, n_paths, seed):
@@ -291,9 +334,21 @@ def _run(scenario, base, requests, n_paths, seed):
 
     Paths are sampled by demand._path_matrix on steps of h / max(1,
     round(h / s)), a whole number per lag, with s the model's step in
-    _STEPS: 0.1 for ABM and GBM, 0.05 for CIR.  The samples are exact at
+    _STEPS: 0.2 for ABM and GBM, 0.05 for CIR.  The samples are exact at
     the nodes, with the Brownian-bridge running maximum, which is what the
-    policy reads.
+    policy reads.  Each request's horizon rounds up to an even number of
+    steps.
+
+    The node weights are built once per call and are one rule: each loss
+    integral is exact for e^(-rho t) times a piecewise-linear integrand
+    (_trapezoid), and on each request's horizon, where the policy's costs
+    start like sqrt(t), that rule is extrapolated in the step with
+    exponent 3/2 (_extrapolated).  The pipeline window [0, h] takes
+    _trapezoid; G+J, rev_h and the controls take the horizon's weights,
+    and F's right piece the same weights shifted by h.  Each step's
+    investment is weighted by the step's mean discount, and the t = 0 atom
+    by 1; summed by parts, a policy's investment is one row sum of its
+    committed capacity.
 
     Each distinct request horizon gets the two controls of _Controls, two
     more row sums per block, with means from the closed-form moments at
@@ -304,7 +359,7 @@ def _run(scenario, base, requests, n_paths, seed):
     model, d0 = scenario.model, scenario.d
     lag = max(1, round(h / _STEPS[type(model)]))
     dt = h / lag
-    steps = [grid_steps(r.horizon, dt) for r in requests]
+    steps = [n + n % 2 for n in (grid_steps(r.horizon, dt) for r in requests)]
     n_tot = max(steps) + lag
     grid = TimeGrid(0.0, dt, n_tot)
     times = grid.times()
@@ -312,14 +367,17 @@ def _run(scenario, base, requests, n_paths, seed):
     # each tail bound's moments at its grid end, before any path is drawn
     ratios = [_tail_ratio(model, d0, rho, n * dt, lag * dt) for n in steps]
 
-    def trap(n):
-        w = np.full(n + 1, dt)
-        w[0] = w[-1] = 0.5 * dt
-        return w
-
-    aw = trap(lag) * disc[: lag + 1]
-    # the trapezoid-discount weights of each distinct request horizon
-    weights = {n: trap(n) * disc[: n + 1] for n in steps}
+    aw = _trapezoid(rho, dt, lag) * disc[: lag + 1]
+    # per distinct request horizon: its weights, and F's, the same shifted by h
+    rules = {n: _extrapolated(rho, dt, n) for n in steps}
+    weights = {n: r * disc[: n + 1] for n, r in rules.items()}
+    lagged = {n: r * disc[lag : lag + n + 1] for n, r in rules.items()}
+    # investment sum_i v_i (C_i - C_(i-1)), C_(-1) = c0, with v_0 = 1 and
+    # v_i step i's mean discount, is sum_i C_i (v_i - v_(i+1)) - c0, v_(n+1) = 0
+    x = rho * dt
+    mean_disc = disc * (math.expm1(x) / x)
+    mean_disc[0] = 1.0
+    invest = {n: mean_disc[: n + 1] - np.append(mean_disc[1 : n + 1], 0.0) for n in steps}
     k0 = pipeline_levels(scenario.k, scenario.pipeline, h, times[: lag + 1])
     c0 = scenario.committed_start
     q0 = scenario.q0
@@ -372,11 +430,10 @@ def _run(scenario, base, requests, n_paths, seed):
         n, res, wants = steps[j], out[j], requests[j].wants
         gw = weights[n]
         if "F" in wants or "GJ" in wants:
-            inv = q0 * _row_sums(increments(C, c0), disc[: n + 1])
+            inv = q0 * (_row_sums(C, invest[n]) - c0)
         if "F" in wants:
-            bw = trap(n) * disc[lag : lag + n + 1]
             resid = C - vals[:, lag : lag + n + 1]
-            res.F[rows] = loss_a + _row_sums(0.5 * resid**2, bw) + inv
+            res.F[rows] = loss_a + _row_sums(0.5 * resid**2, lagged[n]) + inv
             last_F[j][rows] = 0.5 * resid[:, -1] ** 2
         if "GJ" in wants:
             gmat = 0.5 * egh * (C * C - 2.0 * b0m[:, : n + 1] * C + a0m[:, : n + 1])
@@ -399,15 +456,11 @@ def _run(scenario, base, requests, n_paths, seed):
             for n, c in controls.items():
                 c.values[0, at] = _row_sums(v[:, : n + 1], weights[n])
                 c.values[1, at] = _row_sums(sq[:, : n + 1], weights[n])
+            R = None
             if levels is not None:
                 R = np.maximum.accumulate(levels[b], axis=1, out=levels[b])
             for policy, js in members.items():
-                n = reach_of[policy]
-                if policy.level is None:
-                    C = R[:, : n + 1] + policy.offset
-                    np.maximum(c0, C, out=C)
-                else:
-                    C = np.full((len(v), n + 1), max(c0, policy.level))
+                C = _committed(policy, R, c0, (len(v), reach_of[policy] + 1))
                 for j in js:
                     serve(j, C[:, : steps[j] + 1], v, b0m, a0m, loss_a, at)
 

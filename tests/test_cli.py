@@ -201,31 +201,33 @@ def test_simulate_band(capsys):
 @pytest.mark.parametrize("horizon, t_end", [("0.07", 0.1), ("0.024", 0.05), ("40", 40.0)])
 def test_simulate_and_cost_round_a_horizon_up_alike(horizon, t_end, capsys):
     # one rule (demand.grid_steps) for both: the horizon rounds up to the
-    # next node, so --horizon 0.07 ends at 0.1 and 0.024 runs one step
+    # next node, so --horizon 0.07 ends at 0.1 and 0.024 runs one step in
+    # simulate; cost then rounds its step count up to an even one
     code, out, _ = run(["simulate", "--scenario", "cir-fast", "--horizon", horizon], capsys)
     assert code == 0
     _, rows = table(out)
     assert rows[-1][0] == pytest.approx(t_end, abs=1e-12)
-    assert len(rows) == round(t_end / 0.05) + 1
+    steps = round(t_end / 0.05)
+    assert len(rows) == steps + 1
     code, out, _ = run(["cost", "--scenario", "cir-fast", "--paths", "2",
                         "--horizon", horizon], capsys)
     assert code == 0
-    assert json.loads(out)["horizon"] == pytest.approx(t_end, abs=1e-12)
+    assert json.loads(out)["horizon"] == pytest.approx((steps + steps % 2) * 0.05, abs=1e-12)
 
 
-@pytest.mark.parametrize("name, step", [("gbm-growth", 0.1), ("abm-power", 0.1),
+@pytest.mark.parametrize("name, step", [("gbm-growth", 0.2), ("abm-power", 0.2),
                                         ("cir-fast", 0.05)])
 def test_the_engine_steps_by_its_model_kinds_step(name, step, capsys):
-    # the Monte Carlo engine steps ABM and GBM by 0.1 and CIR by 0.05,
-    # whatever the config's grid.dt: 0.024 runs one step, and 0.07 rounds
-    # up to 0.1 on both grids
+    # the Monte Carlo engine steps ABM and GBM by 0.2 and CIR by 0.05,
+    # whatever the config's grid.dt, and runs an even number of steps:
+    # 0.024 and 0.07 both end two steps in
     sc = get(name).scenario
     assert montecarlo.estimate_F(sc, horizon=0.024, n_paths=2).horizon == pytest.approx(
-        step, abs=1e-12)
+        2 * step, abs=1e-12)
     code, out, _ = run(["cost", "--scenario", name, "--paths", "2", "--horizon", "0.07"],
                        capsys)
     assert code == 0
-    assert json.loads(out)["horizon"] == pytest.approx(0.1, abs=1e-12)
+    assert json.loads(out)["horizon"] == pytest.approx(2 * step, abs=1e-12)
 
 
 def test_simulate_deterministic_output(tmp_path, capsys):
@@ -482,10 +484,10 @@ def test_verify_battery_passes(capsys):
 # sha256 of `verify --scenario <name> --paths 400`: the report assembly, the
 # truncation guard, the oracle and the sensitivities, pinned to the byte
 _VERIFY_DIGESTS = {
-    "cir-fast": "d473a3decfc4c1bae2f78b7e978b25ba6e1fbf42e69e4e099135eb3468aa3c62",
-    "gbm-growth": "bd2a6d5f36a6b53274c2c1ea24c42ce9ca9c65ed823ccc92206477bce6f962fa",
-    "cir-slow": "69a3f3537ac0d5605d652ee1c5675fa70f63fd735600e37e0c46bd2873c10cec",
-    "abm-power": "25bd584b0cfa057324c5da5e19d2697aa1913d3c69a5a95bb858a47e59ef8fb1",
+    "cir-fast": "e072768120d869896e322c4156e8e921ae3edfb19ba2193b8949927f78013346",
+    "gbm-growth": "fa336fa5ee721071798c85e2f843663eb7bc09469d5c591ff279f346959db045",
+    "cir-slow": "5470193b24c87dcef0a5f0a2579b9e1604b2502ad3b848f5552549c9dc1a357b",
+    "abm-power": "6ecdf4d7b9f3e56eaf0e7e5827f3b980bab23ebd22c3564a538b8471cce897e4",
 }
 
 

@@ -198,11 +198,66 @@ def test_estimate_metadata():
     scn = quiet_abm(mu=0.0)
     est = estimate_F(scn, n_paths=8, horizon=37.13)
     assert est.n_paths == 8
-    # the horizon lands on the next node of the engine's grid, whose step
-    # divides the lag h = 1
+    # the horizon lands on the next even node of the engine's grid, whose
+    # step divides the lag h = 1: 185.65 steps of 0.2 run 186, and 312.5 run 314
     dt = montecarlo._STEPS[ABM]
-    assert est.horizon == pytest.approx(math.ceil(37.13 / dt) * dt, abs=1e-12)
-    assert estimate_F(scn, n_paths=8).horizon == pytest.approx(5.0 / RHO)
+    assert est.horizon == pytest.approx(186 * dt, abs=1e-12)
+    assert estimate_F(scn, n_paths=8).horizon == pytest.approx(62.8, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# node weights
+
+
+@pytest.mark.parametrize("rho, dt", [(RHO, 0.2), (RHO, 0.05), (1e-9, 0.2)])
+@pytest.mark.parametrize("n", [1, 5, 40, 41, 314])
+def test_node_weights_are_exact_for_discounted_linear_integrands(n, rho, dt):
+    # sum_i w_i e^(-rho t_i) (a + b t_i) against the integral over [0, T];
+    # the trapezoid with the discount at the nodes misses it by O((rho dt)^2).
+    # At rho dt = 2e-10 the weights come from their Taylor series
+    a, b = 3.0, 0.7
+    exact = quad(lambda t: math.exp(-rho * t) * (a + b * t), 0.0, n * dt,
+                 epsabs=0.0, epsrel=1e-13)[0]
+    t = dt * np.arange(n + 1)
+    f = np.exp(-rho * t) * (a + b * t)
+    rules = [montecarlo._trapezoid(rho, dt, n)]
+    if n % 2 == 0:
+        rules.append(montecarlo._extrapolated(rho, dt, n))
+    for w in rules:
+        assert float(np.sum(w * f)) == pytest.approx(exact, rel=1e-12)
+
+
+def test_node_weights_take_out_the_running_maximums_sqrt_t_term():
+    # E[M_t] of mu t + sigma W_t's running maximum (reflection principle)
+    # starts like sigma sqrt(2 t / pi): a trapezoid sum of it errs in
+    # dt^(3/2), and the extrapolated rule leaves the dt^2 term
+    model = get("abm-power").scenario.model
+    mu, sigma, T = model.mu, model.sigma, 40.0
+
+    def phi(x):
+        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+    def cdf(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    def mean_max(t):
+        a = mu * math.sqrt(t) / sigma
+        return (mu * t * cdf(a) + sigma * math.sqrt(t) * phi(a)
+                + sigma**2 / (2.0 * mu) * (cdf(a) - cdf(-a)))
+
+    # t = s^2 makes the integrand smooth at 0
+    exact = quad(lambda s: 2.0 * s * math.exp(-RHO * s * s) * mean_max(s * s),
+                 0.0, math.sqrt(T), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    errors, trapezoid = {}, {}
+    for dt in (0.4, 0.2, 0.1):
+        n = round(T / dt)
+        t = dt * np.arange(n + 1)
+        f = np.exp(-RHO * t) * np.array([mean_max(x) for x in t])
+        errors[dt] = float(np.sum(montecarlo._extrapolated(RHO, dt, n) * f)) - exact
+        trapezoid[dt] = dt * float(np.sum(f) - 0.5 * (f[0] + f[-1])) - exact
+    assert abs(errors[0.2]) <= 0.1 * abs(trapezoid[0.2])
+    assert abs(errors[0.4]) > 2.0**1.5 * abs(errors[0.2])
+    assert abs(errors[0.2]) > 2.0**1.5 * abs(errors[0.1])
 
 
 # ---------------------------------------------------------------------------
@@ -244,35 +299,33 @@ def test_steady_gap_on_boundary():
 def test_deterministic_growth_cost_oracle():
     """mu > 0 from the boundary: ramp loss on [0, h], then a constant gap,
     plus a steady investment stream.  Checked against the same integrals
-    taken on the engine's grid, trapezoid loss sums and the investment
-    Stieltjes sum (sharp), and in continuous time (bounds the
-    discretization bias)."""
+    taken by the engine's rule (sharp) and in continuous time (bounds the
+    discretization bias).  The rule is exact for the discount times a
+    piecewise-linear integrand, so on the grid the ramp loss is its linear
+    interpolant's integral, while the constant gap and the investment
+    stream, uniform over each step, are exact."""
     mu, h, q0 = 2.0, 1.0, 0.5
     scn = quiet_abm(mu=mu)
     g0 = q0 * RHO * math.exp(RHO * h)
     f = estimate_F(scn, n_paths=4, horizon=40.0)
     gj = identity_check(scn, n_paths=4, horizon=40.0).gj
     T, dt = f.horizon, montecarlo._STEPS[ABM]
-    n_T, lag = round(T / dt), round(h / dt)
+    nodes = dt * np.arange(round(h / dt) + 1)
 
     def ramp_loss(t):
         return 0.5 * (mu * (t - h) + g0) ** 2
 
-    def trapezoid(integrand, first, last):
-        # the discounted integrand's trapezoid sum over nodes first..last
-        t = dt * np.arange(first, last + 1)
-        y = np.exp(-RHO * t) * integrand(t)
-        return dt * float(np.sum(y) - 0.5 * (y[0] + y[-1]))
+    def discounted(integrand, a, b):
+        return quad(lambda t: math.exp(-RHO * t) * integrand(t), a, b)[0]
 
-    ramp = quad(lambda t: math.exp(-RHO * t) * ramp_loss(t), 0.0, h)[0]
+    ramp = discounted(ramp_loss, 0.0, h)
+    ramp_disc = sum(discounted(lambda t: np.interp(t, nodes, ramp_loss(nodes)), a, b)
+                    for a, b in zip(nodes[:-1], nodes[1:]))
     steady = 0.5 * g0 * g0 * (math.exp(-RHO * h) - math.exp(-RHO * (T + h))) / RHO
-    inv_cont = q0 * mu * (1.0 - math.exp(-RHO * T)) / RHO
-    ramp_disc = trapezoid(ramp_loss, 0, lag)
-    steady_disc = trapezoid(lambda t: np.full(t.shape, 0.5 * g0 * g0), lag, lag + n_T)
-    inv_disc = q0 * mu * dt * float(np.sum(np.exp(-RHO * dt * np.arange(1, n_T + 1))))
+    inv = q0 * mu * (1.0 - math.exp(-RHO * T)) / RHO
 
-    assert f.mean == pytest.approx(ramp_disc + steady_disc + inv_disc, rel=2e-4)
-    assert f.mean == pytest.approx(ramp + steady + inv_cont, rel=4e-3)
+    assert f.mean == pytest.approx(ramp_disc + steady + inv, rel=2e-4)
+    assert f.mean == pytest.approx(ramp + steady + inv, rel=4e-3)
     # both decompositions integrate the same deterministic path
     assert gj.mean == pytest.approx(f.mean, rel=1e-9)
 
@@ -335,7 +388,7 @@ def test_identity_is_policy_independent():
 def test_zero_capacity_cost_matches_moment_quadrature():
     """With k = 0 and the all-zero policy, F is half the discounted second
     moment of demand, available by quadrature of the closed-form moments.
-    This pins the trapezoid assembly and the lag splice against an oracle
+    This pins the node-weight assembly and the lag splice against an oracle
     that never touches the simulator."""
     scn = cir_market(k=0.0)
     pol = PolicySpec.constant(0.0)
@@ -434,8 +487,8 @@ def test_check_battery_equals_standalone_checks(name, horizon, eq_horizon, rule_
 
 
 def test_check_battery_equals_standalone_checks_over_many_slices(monkeypatch):
-    # 3000 paths on gbm-growth: slices of 2126 rows for the identity check
-    # alone at one worker, and 720, 360 or 180 rows on the battery's
+    # 3000 paths on gbm-growth: one slice for the identity check alone at
+    # one worker, and slices of 2881, 1440 or 720 rows on the battery's
     # 200-year grid at 1, 2 or 4 workers
     scn = get("gbm-growth").scenario
     offsets = [-0.1 * scn.d, 0.0, 0.1 * scn.d]
@@ -542,11 +595,12 @@ def _recording_committed(monkeypatch):
     # sampled.  One slice of paths is served block by block, each block
     # every policy in turn, so policy i's blocks are calls i, i + k, ...
     calls, rmaxes = [], []
-    increments, path_matrix = montecarlo.increments, montecarlo._path_matrix
+    commit, path_matrix = montecarlo._committed, montecarlo._path_matrix
 
-    def recording_increments(C, c0):
+    def recording_committed(*args):
+        C = commit(*args)
         calls.append(C.copy())
-        return increments(C, c0)
+        return C
 
     def recording_path_matrix(*args):
         vals, rmax = path_matrix(*args)
@@ -557,7 +611,7 @@ def _recording_committed(monkeypatch):
         assert len(calls) % k == 0
         return [np.concatenate(calls[i::k]) for i in range(k)]
 
-    monkeypatch.setattr(montecarlo, "increments", recording_increments)
+    monkeypatch.setattr(montecarlo, "_committed", recording_committed)
     monkeypatch.setattr(montecarlo, "_path_matrix", recording_path_matrix)
     return committed, rmaxes
 
@@ -595,10 +649,10 @@ def test_constant_policy_is_the_reflected_constant(below, monkeypatch):
 # sha256 of repr(check_battery(...)) at 400 paths with verify's offsets and
 # horizons: the engine's reports are pinned to the bit
 _BATTERY_DIGESTS = {
-    "gbm-growth": "0d690de18dd87448da219675845938f379e5d2775fe56c9ae16e5f6912a1450f",
-    "cir-fast": "6407630e4f910e48d3e92497ec6257214cef5202f6c14f14737dad15e0e7d20e",
-    "cir-slow": "5bcc0ef35e54278f0a6340145259bf1d9259e511528fb9dbcfa5a20cd265636c",
-    "abm-power": "1bbca06a86865db23a8b50dc6575f7c08ebb2fd86451f55c5190605387bdc488",
+    "gbm-growth": "f065d6028b78da12481eb234ea4c6d8dd6532779c2afac0a7f15515823c5fa79",
+    "cir-fast": "f0292b4c2af9906ae6998d6c7d55a6367d380f3312343c0f1a70f5dbfa4b172f",
+    "cir-slow": "3f89a2280fa7f5b1cb8525754779058379763bca910e0e3e13d2b4c8e0709c72",
+    "abm-power": "0b47a86d047cb5c2c1c20d377eebff0515c287ae7afe3f1e5aeb57437be223ca",
 }
 
 
@@ -643,7 +697,7 @@ def test_serving_a_slice_holds_few_slice_matrices(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_slices_reuse_one_buffer_pair_per_worker(workers, monkeypatch):
-    # 300 years on gbm-growth, 1000 paths: 3081 nodes at dt 0.1, so 2, 3
+    # 600 years on gbm-growth, 1000 paths: 3041 nodes at dt 0.2, so 2, 3
     # or 5 slices at 1, 2 or 4 workers.  Each slice's values and running
     # maximum are views of one of min(workers, slices) buffer pairs.
     seen = []
@@ -656,7 +710,7 @@ def test_slices_reuse_one_buffer_pair_per_worker(workers, monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_path_matrix", recording_path_matrix)
     monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
-    estimate_F(get("gbm-growth").scenario, horizon=300.0, n_paths=1000, seed=1)
+    estimate_F(get("gbm-growth").scenario, horizon=600.0, n_paths=1000, seed=1)
     pairs = []
     for vals, rmax in seen:
         assert not np.shares_memory(vals, rmax)
@@ -698,11 +752,11 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
 
 
 def test_more_workers_than_cores_with_frequent_switches(monkeypatch):
-    # 600 years at 8 workers: the 64-row floor binds, so ten slices, up to
+    # 1200 years at 8 workers: the 64-row floor binds, so ten slices, up to
     # eight in flight at once, write disjoint rows of shared arrays
     scn = get("gbm-growth").scenario
     offsets = [-0.1 * scn.d, 0.0]
-    common = dict(horizon=600.0, n_paths=600, seed=4)
+    common = dict(horizon=1200.0, n_paths=600, seed=4)
 
     def run(workers):
         monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
@@ -742,7 +796,7 @@ def test_rule_runs_on_the_calling_thread(monkeypatch):
 
 
 def test_slices_of_all_workers_share_one_budget(monkeypatch):
-    # 150 years at 4 workers: 3M cells / (3161 * 4) is 237 rows a slice,
+    # 150 years at 4 workers: 3M cells / (791 * 4) is 948 rows a slice,
     # above the 64-row floor
     seen = []
     path_matrix = montecarlo._path_matrix
@@ -777,7 +831,7 @@ def _functionals(scn, wants, horizon, n_paths, seed):
 
 @pytest.mark.parametrize("make", [gbm_market, cir_market, abm_market])
 def test_control_means_match_their_closed_forms(make):
-    # the controls' means are trapezoid sums of the discounted closed-form
+    # the controls' means are node sums of the discounted closed-form
     # moments E[D_t] and E[D_t^2], so they match quadrature to the rule's
     # O(dt^2); the samplers are exact at the nodes, so the sampled controls
     # scatter about those means
