@@ -45,7 +45,7 @@ from .demand import (
     drift_affine,
     validate,
 )
-from .errors import DomainError, NumericsError, require_nonnegative
+from .errors import DomainError, NumericsError, require_lag, require_nonnegative
 from .kummer import psi_ratio_second
 
 __all__ = [
@@ -118,6 +118,7 @@ class Boundary:
     def __init__(self, model: DemandModel, rho: float, h: float, q0: float):
         validate(model, rho)
         require_nonnegative(h=h, q0=q0)
+        require_lag("Boundary", rho, h)
         self.model = model
         self.rho = rho
         self.h = h

@@ -2,6 +2,9 @@
 
 import math
 import numbers
+import sys
+
+LOG_FLOAT_MAX = math.log(sys.float_info.max)  # ~709.78, the largest x with e^x finite
 
 
 class ParameterError(ValueError):
@@ -44,6 +47,15 @@ def require_nonnegative(**values: float) -> None:
     for name, value in values.items():
         if not (math.isfinite(value) and value >= 0.0):
             raise ParameterError(f"need finite {name} >= 0, got {name}={value}")
+
+
+def require_lag(owner: str, rho: float, h: float) -> None:
+    """Raise ParameterError naming h unless e^(rho h), the growth of the
+    cost of capital over the lag, is a finite float; `owner` names the
+    object being built."""
+    if not rho * h <= LOG_FLOAT_MAX:
+        raise ParameterError(
+            f"{owner} needs h with e^(rho h) inside the float range, got h={h} at rho={rho}")
 
 
 def require_count(least: int, **values) -> None:

@@ -8,17 +8,22 @@ Taylor series
     M(a, b, z) = sum_s (a)_s / ((b)_s s!) z^s
 
 has strictly positive terms, so it never cancels; what fails at large z is
-the floating-point range, not the summation.  Strategy:
+the floating-point range, not the summation.  Three regimes:
 
-  * z <= Z_SWITCH: direct compensated summation (relative error ~1e-14).
-  * z >  Z_SWITCH: the large-z expansion
+  * 0 < z < Z_SWITCH: direct compensated summation (relative error ~1e-14).
+  * z >= Z_SWITCH, if its first correction term is small: the expansion
         M(a, b, z) ~ Gamma(b)/Gamma(a) e^z z^(a-b)
                      * sum_s (b-a)_s (1-a)_s / (s! z^s)
-    evaluated in log space and truncated at its smallest term, when that
-    truncation error is small enough; otherwise the positive-term series is
-    summed in log space (cumulative log-ratios + logsumexp), which stays
-    accurate for any z and any b, including b in the thousands where the
-    plain asymptotic form is useless.
+    in log space, truncated at its smallest term.
+  * the log-series: the positive-term series summed in log space
+    (cumulative log-ratios + logsumexp), accurate for any z and any b,
+    including b in the thousands where the expansion is useless, but
+    summed one point at a time.
+
+One fallback rule joins them: a point that a fast regime cannot finish (a
+Taylor sum past the float range, an expansion whose smallest term exceeds
+~1e-11 relative) comes back nan and goes to the log-series, as does every
+z >= Z_SWITCH the expansion is not tried on.
 
 For the regimes see Pearson, Olver & Porter, "Numerical methods for the
 computation of the confluent and Gauss hypergeometric functions", Numer.
@@ -33,10 +38,7 @@ sums pairwise, so its grouping depends on the term count), but reads
 log(a+s), log(b+s) and log1p(s) from one table per call.  log z, the final
 log and the ratios' exp use `math` once per point.
 
-The large-z prefactor's log Gamma is `_lgamma`, a transcription of Cephes
-`lgam` (S. L. Moshier, 1989), the routine behind scipy.special.gammaln, for
-x > 0 only.  It equals gammaln bit for bit (tests/test_kummer.py checks every
-branch), so importing this module loads numpy and the standard library only.
+The large-z prefactor's log Gamma is the standard library's `math.lgamma`.
 
 Ratios of two M values never leave log space, so quantities like psi''/psi'
 are finite even when each M alone would overflow.
@@ -49,7 +51,7 @@ import math
 import numpy as np
 
 from .demand import CIR, validate
-from .errors import DomainError, NumericsError
+from .errors import LOG_FLOAT_MAX, DomainError, NumericsError
 
 __all__ = [
     "Z_SWITCH",
@@ -62,55 +64,7 @@ __all__ = [
 
 Z_SWITCH = 50.0
 
-_LOG_MAX = math.log(np.finfo(np.float64).max)  # ~709.78
 _MAX_TERMS = 100_000_000  # the log-series' cap on terms per point
-
-# Cephes lgam: log(2 pi)/2, the Stirling correction in 1/x^2 (A), and the
-# rational approximation on [2, 3) (B over C, C with a leading 1)
-_LS2PI = 0.91893853320467274178
-_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-      -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
-      -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
-_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
-      -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
-
-
-def _horner(x: float, coef, lead: float = 0.0) -> float:
-    """sum of coef[i] x^(n-1-i), plus lead x^n, by Horner's rule in Cephes'
-    order (polevl for lead 0, p1evl for lead 1)."""
-    ans = lead
-    for c in coef:
-        ans = ans * x + c
-    return ans
-
-
-def _lgamma(x: float) -> float:
-    """log Gamma(x) for x > 0, with the arithmetic of Cephes lgam."""
-    if x < 13.0:
-        # shift x into [2, 3), collecting the factors in z
-        z, p, u = 1.0, 0.0, x
-        while u >= 3.0:
-            p -= 1.0
-            u = x + p
-            z *= u
-        while u < 2.0:
-            z /= u
-            p += 1.0
-            u = x + p
-        if u == 2.0:
-            return math.log(z)
-        x += p - 2.0
-        return math.log(z) + x * _horner(x, _B) / _horner(x, _C, 1.0)
-    q = (x - 0.5) * math.log(x) - x + _LS2PI
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    return q + _horner(p, _A) / x
-
 
 def _check_args(a: float, b: float, z) -> None:
     """Reject a, b <= 0 and any z (scalar or array) that is negative or
@@ -123,9 +77,14 @@ def _check_args(a: float, b: float, z) -> None:
         raise ValueError(f"need finite z >= 0, got z={z[bad].flat[0]}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a sum past the float range
 def _taylor(a: float, b: float, z: np.ndarray) -> np.ndarray:
     """Direct Taylor sums for positive z, with Kahan compensation.  All
-    terms positive.  The arrays hold only the points still summing."""
+    terms positive.  The arrays hold only the points still summing.
+
+    nan where the sum leaves the float range, so the caller falls back to
+    the log-series there.
+    """
     out = np.empty_like(z)
     idx = np.arange(z.size)
     term = np.ones_like(z)
@@ -139,13 +98,17 @@ def _taylor(a: float, b: float, z: np.ndarray) -> np.ndarray:
         comp = (t - total) - y
         total = t
         k += 1
-        done = (term < 1e-17 * total) & (k > z)
+        # not >=: a sum past the float range (inf, then nan) stops too
+        done = ~(term >= 1e-17 * total) & (k > z)
         if done.any():
             out[idx[done]] = total[done]
             keep = ~done
             idx, z, term, total, comp = idx[keep], z[keep], term[keep], total[keep], comp[keep]
-        if idx.size and k > 200_000:  # unreachable for z <= Z_SWITCH; guard anyway
+        # unreachable for z < Z_SWITCH: a sum still in the float range peaks
+        # before k ~ 710 and ends by about twice that; guard anyway
+        if idx.size and k > 200_000:
             raise NumericsError(f"series for M({a},{b},{z[0]}) did not converge")
+    out[np.isinf(out)] = np.nan
     return out
 
 
@@ -189,7 +152,7 @@ def _asymptotic_log(a: float, b: float, z: np.ndarray) -> np.ndarray:
 
     out = np.full_like(z, np.nan)
     ok = ~((totals <= 0.0) | (smallests > 1e-11 * np.abs(totals)))
-    gb, ga = _lgamma(b), _lgamma(a)
+    gb, ga = math.lgamma(b), math.lgamma(a)
     for i, zi, t in zip(np.flatnonzero(ok), z[ok].tolist(), totals[ok].tolist()):
         out[i] = zi + (a - b) * math.log(zi) + gb - ga + math.log(t)
     return out
@@ -270,7 +233,7 @@ def _m_log(a: float, b: float, z: np.ndarray) -> np.ndarray:
     tried = large & (abs((b - a) * (1.0 - a)) < 0.25 * z)
     if tried.any():
         out[tried] = _asymptotic_log(a, b, z[tried])
-    rest = large & (~tried | np.isnan(out))
+    rest = np.isnan(out) | large & ~tried
     if rest.any():
         out[rest] = _series_log(a, b, z[rest])
     return out
@@ -288,13 +251,8 @@ def kummer_m(a: float, b: float, z: float) -> float:
     Raises OverflowError when the value exceeds the float64 range, rather
     than saturating to inf.
     """
-    _check_args(a, b, z)
-    if z == 0.0:
-        return 1.0
-    if z < Z_SWITCH:
-        return float(_taylor(a, b, np.array([z], dtype=float))[0])
     lv = kummer_m_log(a, b, z)
-    if lv > _LOG_MAX:
+    if lv > LOG_FLOAT_MAX:
         raise OverflowError(
             f"M({a}, {b}, {z}) exceeds float64 range (log value {lv:.2f})"
         )

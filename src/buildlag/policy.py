@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .demand import DemandModel, DemandPath, TimeGrid, in_state_space, validate
-from .errors import GridError, ParameterError, require_finite
+from .errors import GridError, ParameterError, require_finite, require_lag
 
 __all__ = [
     "Pipeline",
@@ -87,6 +87,7 @@ class Scenario:
         validate(self.model, self.rho)
         if not self.h > 0.0:
             raise ParameterError(f"need h > 0, got h={self.h}")
+        require_lag("Scenario", self.rho, self.h)
         if not self.q0 > 0.0:
             raise ParameterError(f"need q0 > 0, got q0={self.q0}")
         if not self.theta > 0.0:

@@ -421,6 +421,25 @@ def test_sigma_whose_square_leaves_float_range_exits_2(scenario, sigma, capsys):
     assert "sigma" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [*([command, "--config", "LONG_LAG"]
+       for command in ("boundary", "simulate", "cost", "statics", "verify")),
+     ["boundary", "--scenario", "cir-fast", "--lag", "1e6"]],
+    ids=["boundary", "simulate", "cost", "statics", "verify", "boundary-lag"],
+)
+def test_lag_whose_discount_factor_leaves_float_range_exits_2(argv, tmp_path, capsys):
+    # e^(rho h) overflows past rho h = 709.78, here h = 9000 at rho = 0.08
+    cfg = json.loads(dumps(get("gbm-growth")))
+    cfg["scenario"]["h"] = 9000.0
+    path = tmp_path / "long_lag.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run([str(path) if a == "LONG_LAG" else a for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert "needs h " in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # statics
 
