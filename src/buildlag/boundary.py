@@ -19,12 +19,9 @@ For affine drift mu(d) = a d + b the markdown is
 with psi the increasing solution of rho phi = mu phi' + sigma^2/2 phi''.
 Closed forms are implemented per model; `generic_boundary` recomputes the
 threshold from scratch by integrating the psi Riccati equation numerically
-and is used as an independent cross-check, never as a fallback.  It solves
-with LSODA and falls back to Radau when LSODA fails, both at rtol 1e-10 and
-atol 1e-13; scipy.integrate is imported on the first oracle call, so only
-processes that run the oracle load it.  `verify` makes that call after its
-Monte Carlo checks, so scipy's modules and the checks' path buffers are
-never resident at the same time.
+and is used as an independent cross-check, never as a fallback.  Its solver
+is extrapolated implicit Euler on the standard library's `math` alone, at
+rtol 1e-10 and atol 1e-13, so no process of the program loads scipy.
 """
 
 from __future__ import annotations
@@ -284,9 +281,10 @@ def generic_boundary(model: DemandModel, rho: float, h: float, q0: float, d: flo
     """
     validate(model, rho)
     require_nonnegative(h=h, q0=q0)
+    require_lag("generic_boundary", rho, h)
+    if not math.isfinite(d):
+        raise DomainError(f"demand level must be finite, got {d}")
     if isinstance(model, ABM):
-        if not np.isfinite(d):
-            raise DomainError("demand level must be finite")
         ratio = _psi_ratio_abm(model, rho, float(d))
     else:
         if not d > 0.0:
@@ -299,50 +297,110 @@ def generic_boundary(model: DemandModel, rho: float, h: float, q0: float, d: flo
     )
 
 
-def _solve(rhs, span, y0):
-    """y(span[1]) of the scalar ODE y' = rhs(t, y), y(span[0]) = y0.
+# The oracle's tolerances, its most implicit Euler substeps in one macro
+# step, and the coefficient evaluations one solve may spend (the verify
+# points and the acceptance draws take at most 18.6k)
+_RTOL, _ATOL = 1e-10, 1e-13
+_COLUMNS = 8
+_MAX_EVALS = 100_000
 
-    LSODA (stiffness switching) first, Radau when LSODA's status is
-    nonzero; both at rtol 1e-10, atol 1e-13.  On these stiff 1-D problems
-    LSODA takes a fraction of Radau's time, and unlike Radau's its result
-    does not move with the BLAS thread count.  Raises NumericsError when
-    both fail or the result is not a positive finite number.
+
+def _euler(coef, x, u, H, n):
+    """n implicit Euler substeps of u' = a + b u - u^2 across [x, x + H].
+
+    Each substep's equation s v^2 + (1 - s b) v - (u + s a) = 0 is solved
+    exactly, by the root that tends to u as s -> 0, in whichever of its two
+    forms has no cancellation; nan when it has no real root."""
+    s = H / n
+    for i in range(1, n + 1):
+        a, b = coef(x + i * s)
+        c = u + s * a
+        p = 1.0 - s * b
+        disc = p * p + 4.0 * s * c
+        if not disc >= 0.0:
+            return math.nan
+        r = math.sqrt(disc)
+        u = 2.0 * c / (p + r) if p > 0.0 else (r - p) / (2.0 * s)
+    return u
+
+
+def _solve(coef, x0: float, x1: float, u0: float) -> float:
+    """u(x1) of the Riccati equation u' = a(x) + b(x) u - u^2, u(x0) = u0,
+    where (a(x), b(x)) = coef(x).
+
+    Extrapolated implicit Euler (Hairer & Wanner, Solving ODEs II, IV.9):
+    L-stable, so the step follows the accuracy and not the stiffness.  A
+    macro step H is taken with 1, 2, ... substeps, and Aitken-Neville
+    extrapolation in the step combines them until the last two columns
+    T_jj, T_j,j-1 agree to rtol 1e-10, atol 1e-13.  The next H makes that
+    column's error estimate, O(H^j), about 0.65 of the tolerance, and the
+    next column count is the one of the last two with less work per unit
+    step, one more when the last is the cheaper.  A step that has not
+    converged one column past its target is redone at the target column's
+    H.  Raises NumericsError when the solve spends _MAX_EVALS coefficient
+    evaluations or its result is not a positive finite number.
     """
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(rhs, span, [y0], method="LSODA", rtol=1e-10, atol=1e-13)
-    if sol.status != 0:
-        sol = solve_ivp(rhs, span, [y0], method="Radau", rtol=1e-10, atol=1e-13)
-    if sol.status != 0:
-        raise NumericsError(f"psi ratio integration failed: {sol.message}")
-    out = float(sol.y[0, -1])
-    if not (math.isfinite(out) and out > 0.0):
-        raise NumericsError(f"psi ratio integration produced {out}")
-    return out
+    x, u, H, k = x0, u0, x1 - x0, 4
+    evals = 0
+    while x < x1:
+        last = H >= x1 - x
+        if last:
+            H = x1 - x
+        table, hnew, converged = [], {}, False
+        for j in range(1, k + 2):
+            row = [_euler(coef, x, u, H, j)]
+            for i, prev in enumerate(table[-1] if table else ()):
+                row.append(row[i] + (row[i] - prev) / (j / (j - i - 1) - 1.0))
+            table.append(row)
+            evals += j
+            if j == 1:
+                continue
+            err = abs(row[-1] - row[-2]) / (_ATOL + _RTOL * abs(row[-1]))
+            if not err < math.inf:
+                break
+            hnew[j] = H * min(4.0, max(0.1, 0.94 * (0.65 / max(err, 1e-12)) ** (1.0 / j)))
+            if err <= 1.0:
+                converged = True
+                break
+        if evals > _MAX_EVALS:
+            raise NumericsError(
+                f"psi ratio integration spent {evals} coefficient evaluations "
+                f"and reached x = {x:.6g} of [{x0:.6g}, {x1:.6g}]")
+        if not converged:
+            H = hnew[k] if k in hnew else 0.1 * H
+            continue
+        x = x1 if last else x + H
+        u = table[-1][-1]
+        # work per unit step: column j costs j (j + 1) / 2 evaluations
+        k = min((i for i in (j - 1, j) if i in hnew), key=lambda i: i * (i + 1) / hnew[i])
+        H = hnew[k]
+        if k == j < _COLUMNS - 1:
+            # one column more, with H scaled by its extra work (j + 2) / j
+            k, H = j + 1, H * ((j + 2) / j)
+    if not (math.isfinite(u) and u > 0.0):
+        raise NumericsError(f"psi ratio integration produced {u}")
+    return u
 
 
 def _psi_ratio_abm(model: ABM, rho: float, d: float) -> float:
-    """psi/psi' at d for the whole-line model, via u' in level space."""
-    mu, sig = model.mu, model.sigma
-    s2 = sig * sig
-
-    def rhs(_, u):
-        return 2.0 * (rho - mu * u) / s2 - u * u
-
+    """psi/psi' at d for the whole-line model, via u = psi'/psi in level
+    space: u' = 2 rho / sigma^2 - (2 mu / sigma^2) u - u^2."""
+    s2 = model.sigma * model.sigma
+    coefs = (2.0 * rho / s2, -2.0 * model.mu / s2)
     # contamination by the decreasing solution decays at the root gap
-    gap = 2.0 * math.sqrt(mu * mu + 2.0 * rho * s2) / s2
-    u = _solve(rhs, [d - 46.0 / gap, d], 0.0)
-    return 1.0 / u
+    gap = 2.0 * math.sqrt(model.mu * model.mu + 2.0 * rho * s2) / s2
+    return 1.0 / _solve(lambda _: coefs, d - 46.0 / gap, d, 0.0)
 
 
 def _psi_ratio_logspace(model, rho: float, d: float) -> float:
     """psi/psi' at d for the positive-halfline models, via w = d psi'/psi
-    integrated in x = log d."""
+    integrated in x = log d: w' = 2 rho d^2 / s^2 + (1 - 2 mu(d) d / s^2) w
+    - w^2, with s = sigma(d)."""
 
-    def rhs(x, w):
+    def coef(x):
         dd = math.exp(x)
         s2 = float(model.diffusion(dd)) ** 2
-        return w + (2.0 / s2) * (rho * dd * dd - float(model.drift(dd)) * dd * w) - w * w
+        return 2.0 * rho * dd * dd / s2, 1.0 - 2.0 * float(model.drift(dd)) * dd / s2
 
     if isinstance(model, GBM):
         s2 = model.sigma**2
@@ -357,5 +415,4 @@ def _psi_ratio_logspace(model, rho: float, d: float) -> float:
         span_len = math.log(d / anchor)
         w0 = anchor * rho / (model.gamma * model.delta)
     x1 = math.log(d)
-    w = _solve(rhs, [x1 - span_len, x1], w0)
-    return d / w
+    return d / _solve(coef, x1 - span_len, x1, w0)

@@ -434,9 +434,8 @@ def _cmd_verify(args) -> int:
     mc = cfg.mc
     scale = args.debug_scale_boundary
 
-    # the Monte Carlo checks run before the oracle, whose first call imports
-    # scipy.integrate: their path buffers are freed before scipy loads, so
-    # the peak memory is the larger of the two phases, not their sum
+    # the Monte Carlo checks run first, so a run they stop (exit 2 or 3)
+    # spends no time on the oracle
     monte_carlo = _check_monte_carlo(sc, mc, scale)
     checks = [_check_oracle(sc), *monte_carlo, _check_sensitivities(sc)]
 

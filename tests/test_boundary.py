@@ -10,10 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 import buildlag
-from buildlag import kummer
+from buildlag import boundary, kummer
 from buildlag.boundary import (
     _RATIO_CACHE_POINTS,
     Boundary,
@@ -27,6 +26,7 @@ from buildlag.boundary import (
 )
 from buildlag.demand import ABM, CIR, GBM, beta0, beta_resolvent
 from buildlag.errors import DomainError, NumericsError, ParameterError
+from buildlag.scenarios import library
 from buildlag.statics import abm_partials, gbm_elasticity
 
 RHO = 0.08
@@ -370,16 +370,18 @@ def test_psi_ratios_are_read_only():
 # ---------------------------------------------------------------------------
 
 
+ORACLE_REFERENCE_POINTS = [
+    (ABM_REF, 8.0, 5.0, 10_000.0),
+    (ABM(-50.0, 200.0), 2.0, 1.0, 500.0),
+    (GBM_REF, 1.0, 5.0, 1_000.0),
+    (GBM(-0.02, 0.15), 4.0, 2.0, 30.0),
+    (CIR_FAST, 8.0, 1.0, 10.0),
+    (CIR_SLOW, 1.0, 1.0, 35.0),
+]
+
+
 def test_oracle_matches_closed_forms_at_reference_points():
-    cases = [
-        (ABM_REF, 8.0, 5.0, 10_000.0),
-        (ABM(-50.0, 200.0), 2.0, 1.0, 500.0),
-        (GBM_REF, 1.0, 5.0, 1_000.0),
-        (GBM(-0.02, 0.15), 4.0, 2.0, 30.0),
-        (CIR_FAST, 8.0, 1.0, 10.0),
-        (CIR_SLOW, 1.0, 1.0, 35.0),
-    ]
-    for model, h, q0, d in cases:
+    for model, h, q0, d in ORACLE_REFERENCE_POINTS:
         closed = float(Boundary(model, RHO, h, q0).eval(d))
         oracle = generic_boundary(model, RHO, h, q0, d)
         assert closed == pytest.approx(oracle, rel=1e-8)
@@ -427,46 +429,87 @@ def test_oracle_matches_closed_forms_random_draws():
         )
 
 
-def _failing_solver(monkeypatch, failing):
-    """Wrap solve_ivp so that the methods in `failing` report status -1;
-    returns the list of methods called, in order."""
-    methods = []
-    original = scipy.integrate.solve_ivp
+def _lsoda(coef, x0, x1, u0):
+    """boundary._solve's contract on scipy's LSODA, at the same tolerances:
+    an independent solver for the same Riccati equation."""
+    from scipy.integrate import solve_ivp
 
-    def wrapped(*args, method, **kwargs):
-        methods.append(method)
-        sol = original(*args, method=method, **kwargs)
-        if method in failing:
-            sol.status, sol.message = -1, f"{method} made to fail"
-        return sol
+    def rhs(x, u):
+        a, b = coef(x)
+        return a + b * u - u * u
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", wrapped)
-    return methods
+    sol = solve_ivp(rhs, [x0, x1], [u0], method="LSODA", rtol=1e-10, atol=1e-13)
+    assert sol.status == 0, sol.message
+    return float(sol.y[0, -1])
 
 
-ORACLE_POINTS = [(GBM_REF, 1.0, 5.0, 1_000.0), (CIR_FAST, 8.0, 1.0, 10.0)]
+def _verify_points():
+    """(model, rho, h, q0, d) at every point `verify` hands the oracle."""
+    for cfg in library().values():
+        sc = cfg.scenario
+        points = [0.5 * sc.d, sc.d, 2.0 * sc.d]
+        if isinstance(sc.model, CIR):
+            points.append(sc.model.delta)
+        for d in dict.fromkeys(points):
+            yield sc.model, sc.rho, sc.h, sc.q0, d
 
 
-def test_oracle_runs_lsoda_alone_when_it_succeeds(monkeypatch):
-    methods = _failing_solver(monkeypatch, failing=())
-    for model, h, q0, d in ORACLE_POINTS:
-        generic_boundary(model, RHO, h, q0, d)
-    assert methods == ["LSODA", "LSODA"]
+def test_oracle_agrees_with_lsoda(monkeypatch):
+    cases = [*_verify_points(),
+             *((model, RHO, h, q0, d) for model, h, q0, d in ORACLE_REFERENCE_POINTS)]
+    ours = [generic_boundary(*case) for case in cases]
+    monkeypatch.setattr(boundary, "_solve", _lsoda)
+    for case, value in zip(cases, ours):
+        assert value == pytest.approx(generic_boundary(*case), rel=1e-10), case
 
 
-def test_oracle_falls_back_to_radau_when_lsoda_fails(monkeypatch):
-    methods = _failing_solver(monkeypatch, failing=("LSODA",))
-    for model, h, q0, d in ORACLE_POINTS:
-        closed = float(Boundary(model, RHO, h, q0).eval(d))
-        assert closed == pytest.approx(generic_boundary(model, RHO, h, q0, d), rel=1e-5)
-    assert methods == ["LSODA", "Radau", "LSODA", "Radau"]
+def test_oracle_solver_raises_numerics_error(monkeypatch):
+    # u' = -1 - u^2 from 0 runs negative
+    with pytest.raises(NumericsError, match="produced -"):
+        boundary._solve(lambda _: (-1.0, 0.0), 0.0, 1.0, 0.0)
+    # this point takes about 9.6k coefficient evaluations
+    monkeypatch.setattr(boundary, "_MAX_EVALS", 1000)
+    with pytest.raises(NumericsError, match="spent 10[0-9][0-9] coefficient evaluations"):
+        generic_boundary(CIR_SLOW, RHO, 1.0, 1.0, 35.0)
 
 
-def test_oracle_raises_when_both_solvers_fail(monkeypatch):
-    methods = _failing_solver(monkeypatch, failing=("LSODA", "Radau"))
-    with pytest.raises(NumericsError, match="Radau made to fail"):
-        generic_boundary(CIR_FAST, RHO, 8.0, 1.0, 10.0)
-    assert methods == ["LSODA", "Radau"]
+_GUARD = """
+from buildlag.boundary import generic_boundary
+from buildlag.demand import ABM, CIR, GBM
+from buildlag.errors import DomainError, ParameterError
+try:
+    generic_boundary({args})
+except (DomainError, ParameterError) as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("args, expected", [
+    ("CIR(0.8, 20.0, 0.2), 0.08, 8.0, 1.0, float('inf')",
+     "DomainError demand level must be finite, got inf"),
+    ("GBM(0.03, 0.1), 0.08, 8.0, 1.0, float('inf')",
+     "DomainError demand level must be finite, got inf"),
+    ("ABM(300.0, 600.0), 0.08, 8.0, 1.0, float('inf')",
+     "DomainError demand level must be finite, got inf"),
+    ("CIR(0.8, 20.0, 0.2), 0.08, 1e4, 1.0, 10.0",
+     "ParameterError generic_boundary needs h with e^(rho h) inside the float range, "
+     "got h=10000.0 at rho=0.08"),
+    ("GBM(0.03, 0.1), 0.08, 1e4, 1.0, 1000.0",
+     "ParameterError generic_boundary needs h with e^(rho h) inside the float range"),
+    ("ABM(300.0, 600.0), 0.08, 1e4, 1.0, 10000.0",
+     "ParameterError generic_boundary needs h with e^(rho h) inside the float range"),
+], ids=["cir-infinite-d", "gbm-infinite-d", "abm-infinite-d",
+        "cir-lag", "gbm-lag", "abm-lag"])
+def test_oracle_rejects_an_infinite_level_or_an_overflowing_lag(args, expected):
+    # a fresh process with a timeout: CIR at d = inf ran on, its span being
+    # inf - inf = nan; GBM there raised "psi ratio integration produced 0.0",
+    # and the lags a bare OverflowError
+    src = Path(buildlag.__file__).parents[1]
+    run = subprocess.run([sys.executable, "-c", _GUARD.format(args=args)],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=30)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith(expected)
 
 
 _IMPORT_PATH = """
@@ -501,14 +544,23 @@ assert calls, "the large-z form was not taken"
 no_scipy("the large-z form")
 
 from buildlag.boundary import generic_boundary
-from buildlag.demand import GBM
+from buildlag.demand import CIR, GBM
 generic_boundary(GBM(0.03, 0.1), 0.08, 1.0, 5.0, 1000.0)
-assert "scipy.integrate" in sys.modules, "not loaded by the oracle"
+generic_boundary(CIR(0.8, 20.0, 0.2), 0.08, 8.0, 1.0, 10.0)
+no_scipy("the oracle")
+
+import os
+for argv in (["boundary", "--scenario", "cir-fast", "--points", "5"],
+             ["statics", "--scenario", "cir-fast"],
+             ["simulate", "--scenario", "cir-fast", "--paths", "2", "--horizon", "5"],
+             ["cost", "--scenario", "cir-fast", "--paths", "50"]):
+    assert buildlag.cli.main([*argv, "--out", os.devnull]) == 0, argv
+    no_scipy(argv[0])
 """
 
 
-def test_only_the_oracle_loads_scipy_integrate():
-    # a fresh process: this one has imported scipy.integrate already
+def test_no_program_path_loads_scipy():
+    # a fresh process: this one has imported scipy already
     src = Path(buildlag.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run([sys.executable, "-c", _IMPORT_PATH], env=env, cwd=src.parent,
