@@ -215,6 +215,14 @@ def _rows(cols) -> list[tuple]:
     return list(zip(*(c.tolist() for c in cols)))
 
 
+def _emit_columns(header, cols, outputs, overflow: str) -> None:
+    """Equal-length numeric columns as a table, or NumericsError(overflow)
+    if a cell left the float range, in place of inf or nan in the table."""
+    if not all(np.isfinite(c).all() for c in cols):
+        raise NumericsError(overflow)
+    _emit_table(header, _rows(cols), outputs)
+
+
 def _emit_json(obj, outputs) -> None:
     _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", outputs.path)
 
@@ -232,6 +240,9 @@ def _emit(text: str, path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+# a level inside the float range can carry the boundary out of it; that
+# raises at the table, in place of numpy's warnings and inf in the table
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_boundary(args) -> int:
     for flag, value in (("--d-min", args.d_min), ("--d-max", args.d_max)):
         if value is not None and not math.isfinite(value):
@@ -276,7 +287,8 @@ def _cmd_boundary(args) -> int:
             cir_asymptote(model, sc.rho, h, sc.q0, d),
             d,
         ]
-    _emit_table(header, _rows(cols), cfg.outputs)
+    _emit_columns(header, cols, cfg.outputs,
+                  f"d-max {hi:g}: the boundary leaves the float range")
     return 0
 
 
@@ -360,10 +372,8 @@ def _cmd_simulate(args) -> int:
             k.mean(axis=0), k05, k95,
             traj.investment_increments.mean(axis=0), traj.price.mean(axis=0),
         ]
-    if not all(np.isfinite(c).all() for c in cols):
-        raise NumericsError(f"horizon {grid.t_end:g}: the trajectory leaves the float "
-                            f"range; shorten the horizon")
-    _emit_table(header, _rows(cols), cfg.outputs)
+    _emit_columns(header, cols, cfg.outputs, f"horizon {grid.t_end:g}: the trajectory "
+                  f"leaves the float range; shorten the horizon")
     return 0
 
 

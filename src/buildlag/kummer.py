@@ -31,8 +31,9 @@ Algorithms 2017.
 
 All three regimes run on a whole array of z for one (a, b) (`_m_log`); the
 scalar functions are one-point calls to it.  The Taylor and asymptotic sums
-are elementwise recurrences over the points still running, each point
-stopping by its own test, so every point gets exactly the arithmetic of a
+are elementwise recurrences over full-length arrays with one live mask: each
+point stops by its own tests, which clear its mask entry, and its sums are
+frozen from then on, so every point gets exactly the arithmetic of a
 one-point call.  The log-series keeps its per-point reductions (logsumexp
 sums pairwise, so its grouping depends on the term count), but reads
 log(a+s), log(b+s) and log1p(s) from one table per call.  log z, the final
@@ -80,80 +81,62 @@ def _check_args(a: float, b: float, z) -> None:
 @np.errstate(over="ignore", invalid="ignore")  # a sum past the float range
 def _taylor(a: float, b: float, z: np.ndarray) -> np.ndarray:
     """Direct Taylor sums for positive z, with Kahan compensation.  All
-    terms positive.  The arrays hold only the points still summing.
+    terms positive.  Every point stays in the arrays; `live` marks those
+    still summing, and only their totals move, so a stopped point keeps the
+    total a one-point call returns.
 
     nan where the sum leaves the float range, so the caller falls back to
     the log-series there.
     """
-    out = np.empty_like(z)
-    idx = np.arange(z.size)
     term = np.ones_like(z)
     total = np.ones_like(z)
     comp = np.zeros_like(z)
+    live = np.ones(z.shape, dtype=bool)
     k = 0
-    while idx.size:
+    while live.any():
         term *= (a + k) * z / ((b + k) * (k + 1.0))
         y = term - comp
         t = total + y
         comp = (t - total) - y
-        total = t
+        total = np.where(live, t, total)
         k += 1
         # not >=: a sum past the float range (inf, then nan) stops too
-        done = ~(term >= 1e-17 * total) & (k > z)
-        if done.any():
-            out[idx[done]] = total[done]
-            keep = ~done
-            idx, z, term, total, comp = idx[keep], z[keep], term[keep], total[keep], comp[keep]
+        live &= (term >= 1e-17 * total) | (k <= z)
         # unreachable for z < Z_SWITCH: a sum still in the float range peaks
         # before k ~ 710 and ends by about twice that; guard anyway
-        if idx.size and k > 200_000:
-            raise NumericsError(f"series for M({a},{b},{z[0]}) did not converge")
-    out[np.isinf(out)] = np.nan
-    return out
+        if live.any() and k > 200_000:
+            raise NumericsError(f"series for M({a},{b},{z[live][0]}) did not converge")
+    total[np.isinf(total)] = np.nan
+    return total
 
 
+@np.errstate(over="ignore", invalid="ignore")  # on points already stopped
 def _asymptotic_log(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """log of the large-z form, each point truncated at its smallest term.
+    """log of the large-z form, each point truncated at its smallest term;
+    `live` marks the points still summing, as in _taylor.
 
     nan where the optimally truncated tail cannot reach ~1e-11 relative
     accuracy (e.g. b - a comparable to z), so the caller falls back to the
     exact log-series there.
     """
-    totals = np.empty_like(z)
-    smallests = np.empty_like(z)
-    idx = np.arange(z.size)
-    zs = z
     v = np.ones_like(z)
     total = np.ones_like(z)
-    prev = np.full_like(z, np.inf)
-    smallest = np.ones_like(z)
-
-    def finish(stop):
-        nonlocal idx, zs, v, total, prev, smallest
-        if stop.any():
-            totals[idx[stop]] = total[stop]
-            smallests[idx[stop]] = smallest[stop]
-            keep = ~stop
-            idx, zs, v, total, prev, smallest = (
-                idx[keep], zs[keep], v[keep], total[keep], prev[keep], smallest[keep])
-
+    smallest = np.full_like(z, np.inf)  # the last term added
+    live = np.ones(z.shape, dtype=bool)
     for k in range(400):
-        if not idx.size:
+        if not live.any():
             break
-        v *= (b - a + k) * (1.0 - a + k) / ((k + 1.0) * zs)
+        v *= (b - a + k) * (1.0 - a + k) / ((k + 1.0) * z)
         size = np.abs(v)
-        grew = size >= prev
-        finish(grew)
-        size = size[~grew]
-        total += v
-        prev = smallest = size
-        finish(size < 1e-17 * np.abs(total))
-    finish(np.ones(idx.size, dtype=bool))
+        live &= ~(size >= smallest)  # a grown term is not added
+        total = np.where(live, total + v, total)
+        smallest = np.where(live, size, smallest)
+        live &= ~(size < 1e-17 * np.abs(total))
 
     out = np.full_like(z, np.nan)
-    ok = ~((totals <= 0.0) | (smallests > 1e-11 * np.abs(totals)))
+    ok = ~((total <= 0.0) | (smallest > 1e-11 * np.abs(total)))
     gb, ga = math.lgamma(b), math.lgamma(a)
-    for i, zi, t in zip(np.flatnonzero(ok), z[ok].tolist(), totals[ok].tolist()):
+    for i, zi, t in zip(np.flatnonzero(ok), z[ok].tolist(), total[ok].tolist()):
         out[i] = zi + (a - b) * math.log(zi) + gb - ga + math.log(t)
     return out
 
@@ -275,14 +258,19 @@ def kummer_m_prime(a: float, b: float, z: float) -> float:
 
 
 def _cir_abx(model: CIR, rho: float, d):
-    """Validated (a, b, x) of psi at demand levels d > 0 (scalar or array)."""
+    """Validated (a, b, x) of psi at demand levels d > 0 (scalar or array).
+    NumericsError where d is finite but x is not."""
     validate(model, rho)
     d = np.asarray(d, dtype=float)
     if not np.all(d > 0.0):
         raise DomainError(f"need d > 0, got d={d[~(d > 0.0)].flat[0]}")
     a = rho / model.gamma
     b = 2.0 * model.gamma * model.delta / model.sigma**2
-    x = 2.0 * model.gamma * d / model.sigma**2
+    with np.errstate(over="ignore"):
+        x = 2.0 * model.gamma * d / model.sigma**2
+    big = np.isfinite(d) & ~np.isfinite(x)
+    if big.any():
+        raise NumericsError(f"2 gamma d / sigma^2 leaves the float range at d={d[big].flat[0]}")
     return a, b, x
 
 

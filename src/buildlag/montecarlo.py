@@ -45,8 +45,7 @@ import numpy as np
 
 from .boundary import Boundary
 from .demand import (ABM, CIR, GBM, TimeGrid, alpha0, beta0, grid_steps, _buffers,
-                     _node_moments, _path_matrix, _require_sampler, _row_blocks,
-                     _stream_seeds)
+                     _path_matrix, _require_sampler, _row_blocks, _stream_seeds)
 from .errors import NumericsError, ParameterError, require_count, require_finite
 from .policy import Scenario, pipeline_levels
 
@@ -352,7 +351,7 @@ def _run(scenario, base, requests, n_paths, seed):
 
     Each distinct request horizon gets the two controls of _Controls, two
     more row sums per block, with means from the closed-form moments at
-    its nodes (demand._node_moments, one array pass).
+    its nodes, beta0(model, d0, t) and alpha0(model, d0, t).
     """
     require_count(1, n_paths=n_paths)
     h, rho = scenario.h, scenario.rho
@@ -389,7 +388,8 @@ def _run(scenario, base, requests, n_paths, seed):
         return max(wanted, default=-1)
 
     n_b0, n_a0 = reach("GJ", "rev_h"), reach("GJ")
-    moments = _node_moments(model, d0, times[: max(steps) + 1])
+    nodes = times[: max(steps) + 1].tolist()
+    moments = np.array([[f(model, d0, t) for t in nodes] for f in (beta0, alpha0)])
     controls = {n: _Controls(np.empty((2, n_paths)), _row_sums(moments[:, : n + 1], w))
                 for n, w in weights.items()}
     out = [_Functionals(n * dt, controls[n], **{w: np.empty(n_paths) for w in r.wants})

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import Boundary, cir_asymptote, cir_kink, cir_tangent, gbm_constants
 from .demand import ABM, CIR, GBM, validate
-from .errors import ParameterError, StepError, require_nonnegative
+from .errors import NumericsError, ParameterError, StepError, require_nonnegative
 
 __all__ = [
     "Elasticity",
@@ -171,7 +172,11 @@ def finite_diff_check(f, x0: float, analytic: float, rel_step: float = 1e-5) -> 
     f is the quantity as a function of the single parameter being varied.
     If either perturbed point violates a model constraint (f raises
     ParameterError), the check cannot be run there and StepError is raised
-    instead of silently shrinking the step.
+    instead of silently shrinking the step.  NumericsError is raised where
+    the difference cannot resolve the derivative: f at a perturbed point
+    or the analytic value is not finite, or the difference's rounding
+    bound, eps max(|f(x0 - step)|, |f(x0 + step)|) / step, exceeds the
+    tolerance.
     """
     if not rel_step > 0.0:
         raise ParameterError(f"need rel_step > 0, got {rel_step}")
@@ -183,8 +188,15 @@ def finite_diff_check(f, x0: float, analytic: float, rel_step: float = 1e-5) -> 
         raise StepError(
             f"perturbed point of x0={x0} (step {step}) is inadmissible: {exc}"
         ) from exc
-    fd = (hi - lo) / (2.0 * step)
     tol = max(1e-6, 1e-4 * abs(analytic))
+    if not all(map(math.isfinite, (hi, lo, analytic))):
+        raise NumericsError(f"difference at x0={x0} (step {step}) is not finite: "
+                            f"f = {lo}, {hi}, analytic {analytic}")
+    rounding = sys.float_info.epsilon * max(abs(lo), abs(hi)) / step
+    if rounding > tol:
+        raise NumericsError(f"difference at x0={x0} (step {step}) cannot resolve the "
+                            f"derivative: rounding bound {rounding:.3g} > tolerance {tol:.3g}")
+    fd = (hi - lo) / (2.0 * step)
     err = abs(analytic - fd)
     return FDReport(float(analytic), float(fd), float(err), float(tol), bool(err <= tol))
 
@@ -226,7 +238,11 @@ def sensitivity_checks(sc) -> list[tuple[str, bool, float]]:
 
     Each elasticity and partial of the geometric and arithmetic models is
     compared with a central difference of the quantity the boundary code
-    computes, named "quantity/wrt" after its row.  For the square-root
+    computes, named "quantity/wrt" after its row; NumericsError naming the
+    entry where the difference cannot resolve the derivative
+    (finite_diff_check).  The arithmetic model's "c_hat/h*sigma" differences
+    the closed-form d c_hat / d sigma in h, which contains no h: the entry
+    restates the paper's additive split and cannot fail.  For the square-root
     model the boundary must meet its tangent near the origin and its
     asymptote far out, and the kink must lie on both lines.
     """
@@ -262,7 +278,10 @@ def sensitivity_checks(sc) -> list[tuple[str, bool, float]]:
             x0, rel_step = params[wrt], (1e-6 if isinstance(model, GBM) else 1e-7)
             f = lambda x: _quantity(sc, quantity, **(params | {wrt: x}))
         deriv = value * f(x0) / x0 if kind == "elasticity" else value
-        rep = finite_diff_check(f, x0, deriv, rel_step=rel_step)
+        try:
+            rep = finite_diff_check(f, x0, deriv, rel_step=rel_step)
+        except NumericsError as exc:
+            raise NumericsError(f"sensitivity {quantity}/{wrt}: {exc}") from exc
         entries.append((f"{quantity}/{wrt}", rep.passed, rep.abs_err))
     return entries
 

@@ -259,6 +259,26 @@ def test_simulate_out_of_float_range_exits_3(horizon, paths, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("scenario, message", [
+    # the GBM mean d e^(mu h) overflows at the top of the grid
+    ("gbm-growth", "d-max 1.7e+308: the boundary leaves the float range"),
+    # the Kummer argument 2 gamma d / sigma^2 overflows
+    ("cir-fast", "2 gamma d / sigma^2 leaves the float range at d=1.7e+308"),
+])
+def test_boundary_out_of_float_range_exits_3(scenario, message, fmt, capsys):
+    # one error line, no inf (json: Infinity) in the table and no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["boundary", "--scenario", scenario, "--d-max", "1.7e308",
+                              "--points", "2", "--format", fmt], capsys)
+    assert code == 3
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("note: ")] == [
+        f"numeric failure: {message}"]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 # ---------------------------------------------------------------------------
 # cost
 

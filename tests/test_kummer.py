@@ -330,6 +330,67 @@ def test_array_call_equals_one_point_calls(b):
     assert [float(v).hex() for v in got] == [w.hex() for w in want]
 
 
+# One array call per recurrence, recorded before the recurrences kept every
+# point in full-length arrays under a live mask: the points of each call
+# stop by different rules at different terms, so a stopped point that the
+# mask let move, or one point's stop that touched another, changes a value.
+# Each z is paired with its log M and the rule it stops by.  The large-z
+# form's third rule, a total <= 0, has no point: none was found with the
+# first correction term below 0.25 (the lowest total seen was 0.08).
+M_LOG_CALLS_HEX = {
+    "taylor": (1.1, 2.2, [
+        (0.5, "0x1.09fb35a9d0bb5p-2"),  # small term
+        (5.0, "0x1.ab83ba9495203p+1"),
+        (24.3, "0x1.4eebc9f1c6e2ap+4"),  # moves by an ulp if it keeps summing
+        (49.9, "0x1.6df2c87070bb4p+5"),
+    ]),
+    "taylor-past-the-float-range": (8002.0, 4.0, [
+        (0.0, "0x0.0p+0"),  # z = 0
+        (0.5, "0x1.c2df9c009b163p+6"),  # small term, at k far above z
+        (5.0, "0x1.807b47a613784p+8"),
+        (10.0, "0x1.13bcf3f83cc26p+9"),
+        (15.0, "0x1.5436bab6fe16ep+9"),  # e^680: the last sum inside the range
+        (20.0, "0x1.8ad120eb0c7cap+9"),  # past the range (nan): log-series
+        (30.5, "0x1.eb12d0cdf9be5p+9"),
+        (49.9, "0x1.3cb81259a292dp+10"),
+    ]),
+    "taylor-small-term-before-k-passes-z": (0.1, 801.0, [
+        (0.0, "0x0.0p+0"),
+        (0.5, "0x1.05e5fb5866ce5p-14"),  # small term, k = 5
+        (3.0, "0x1.89761ba0be2ffp-12"),  # small term, k = 7
+        (12.0, "0x1.8bb141df18fb9p-10"),  # k = 13: term below 1e-17 from k = 9
+        (45.0, "0x1.7ae9113cfad9ap-8"),  # k = 46, small from k = 13
+        (49.99, "0x1.a64e9adb09c38p-8"),
+    ]),
+    "large-z": (1.1, 801.0, [
+        (0.0, "0x0.0p+0"),
+        (30.0, "0x1.57f67c6b3d5ecp-5"),  # Taylor
+        (200.0, "0x1.4369d89b67682p-2"),  # asymptotic form not tried: log-series
+        (500.0, "0x1.129dba836c59fp+0"),  # grown term, smallest above 1e-11: log-series
+        (979.79966611, "0x1.670998b6b689cp+4"),  # grown term, accepted
+        (983.72287145, "0x1.72b1b0baf6291p+4"),
+        (1042.0, "0x1.1b72f483e4086p+5"),
+        (1100.0, "0x1.90f22862c8b1ep+5"),  # small term
+        (2400.0, "0x1.6b145f4b33eafp+9"),
+    ]),
+    "large-z-term-cap": (1.1, 4230.0, [
+        (4600.0, "0x1.51d37332bd18ep+4"),  # grown term, smallest above 1e-11: log-series
+        (4614.9, "0x1.6578f50e7de6ap+4"),  # grown term at the 400th, accepted
+        (4700.0, "0x1.e3055ed5dba46p+4"),  # 400 terms, accepted
+        (5000.0, "0x1.12452f8db7b21p+6"),  # small term
+        (20000.0, "0x1.1fb1d8c5ab0ddp+13"),
+    ]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(M_LOG_CALLS_HEX))
+def test_array_call_mixing_every_stop_is_bitwise_unchanged(name):
+    a, b, points = M_LOG_CALLS_HEX[name]
+    z, want = zip(*points)
+    assert [float(v).hex() for v in _m_log(a, b, np.array(z))] == list(want)
+
+
 def test_psi_ratios_take_arrays():
     d = np.array([[1e-8, 0.5], [20.0, 1e4]])
     for fn in (psi_ratio_second, psi_over_psi_prime):
@@ -342,3 +403,7 @@ def test_psi_ratios_take_arrays():
         psi_ratio_second(REF, RHO, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         psi_ratio_second(REF, RHO, np.array([1.0, np.inf]))
+    # a finite level whose x = 2 gamma d / sigma^2 is not
+    for fn in (psi_ratio_second, psi_over_psi_prime):
+        with pytest.raises(NumericsError, match=r"at d=1\.7e\+308"):
+            fn(REF, RHO, np.array([1.0, 1.7e308]))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from buildlag import cli, statics
 from buildlag.boundary import Boundary, gbm_constants
 from buildlag.demand import ABM, CIR, GBM
-from buildlag.errors import ParameterError, StepError
+from buildlag.errors import NumericsError, ParameterError, StepError
 from buildlag.scenarios import get
 from buildlag.statics import (
     abm_partials,
@@ -215,6 +215,26 @@ def test_finite_diff_near_admissibility_edge_raises_step_error():
 
     with pytest.raises(StepError):
         finite_diff_check(f, edge + 1e-8, 0.0)
+
+
+@pytest.mark.parametrize("f, analytic, message", [
+    (lambda x: math.inf, 1.0, "is not finite"),
+    (lambda x: x * x, math.nan, "is not finite"),
+    # f near 1e300: the difference rounds by ~eps 1e300 / step
+    (lambda x: 1e300 + x, 1.0, r"rounding bound 2\.22e\+289 > tolerance 0\.0001"),
+])
+def test_finite_diff_check_raises_where_the_difference_cannot_resolve(f, analytic, message):
+    with pytest.raises(NumericsError, match=message):
+        finite_diff_check(f, 1.0, analytic, rel_step=1e-5)
+
+
+def test_sensitivities_at_an_extreme_lag_raise_numerics_error():
+    # abm-power at h = 8800: e^(rho h) ~ 1e305 is finite, but c_hat is of
+    # that size, so no difference in mu resolves d c_hat / d mu = h + ...
+    # (it reported false FAILs, and abs_err nan for c_hat/rho)
+    sc = replace(get("abm-power").scenario, h=8800.0)
+    with pytest.raises(NumericsError, match=r"^sensitivity c_hat/mu: .* rounding bound 1\.64e\+294"):
+        cli._check_sensitivities(sc)
 
 
 # ---------------------------------------------------------------------------
