@@ -184,7 +184,7 @@ class Boundary:
         """Piecewise-linear surrogate of eval on [d_lo, d_hi].
 
         For the square-root model each exact evaluation runs the Kummer
-        function twice, far too slow to repeat on every cell of a Monte
+        function once, far too slow to repeat on every cell of a Monte
         Carlo path matrix; the surrogate evaluates the boundary at
         _RATIO_CACHE_POINTS equally spaced nodes and interpolates (linear
         extrapolation outside the range).  The nodes' psi''/psi' ratios come

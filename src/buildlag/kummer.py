@@ -2,47 +2,39 @@
 log-derivative ratios of the increasing fundamental solution for the
 square-root model.
 
-Only the parameter region a > 0, b > 0, z >= 0 is supported.  There the
-Taylor series
+Only a > 0, b > 0 and z >= 0 are supported.  There M = sum_k t_k with
+positive terms t_k = (a)_k / ((b)_k k!) z^k, and by DLMF 13.3.15 the same
+terms give M' = sum_k w1_k t_k and M'' = sum_k w2_k t_k, with
+w1_k = (a+k)/(b+k) and w2_k = w1_k (a+k+1)/(b+k+1).  `_moments` sums this
+one sequence for one (a, b) over an array of z, and returns per point a log
+scale s and positive sums with (M, M', M'') = e^s (m0, m1, m2).  So
+log M = s + log m0, and a ratio such as M''/M' = m2/m1 is a quotient of
+positive sums, free of log Gamma, e^z and differences of logs.  Regimes:
 
-    M(a, b, z) = sum_s (a)_s / ((b)_s s!) z^s
+  * z < Z_SWITCH: the three sums directly (s = 0), Kahan-compensated.
+  * z >= Z_SWITCH, the large-z form (DLMF 13.7.2): M^(j) = (a)_j/(b)_j
+    M(a+j, b+j, z) ~ e^s S(a+j, b+j, z) for j = 0, 1, 2, with the one scale
+    s = log(Gamma(b)/Gamma(a) e^z z^(a-b)) and S(a, b, z) = sum_k (b-a)_k
+    (1-a)_k / (k! z^k) truncated at its smallest term.  The form drops the
+    expansion's algebraic part, about Gamma(a+j)/Gamma(b-a) e^(-z)
+    z^(b-2a-j) of the part kept; it is tried only where that is below 1e-17
+    for each j and the first correction |(b-a)(1-a)|/z is below 1/4.
+  * the log-series: the log terms as cumulative sums of log term ratios, s
+    their maximum, and the three weighted sums of e^(log t_k - s).  Exact
+    for any z and b, but summed one point at a time.
 
-has strictly positive terms, so it never cancels; what fails at large z is
-the floating-point range, not the summation.  Three regimes:
+A point that a fast regime cannot finish (a Taylor sum past the float
+range; a large-z sum that is not positive or whose smallest term exceeds
+1e-15 relative) comes back nan and goes to the log-series, as does every
+z >= Z_SWITCH the large-z form is not tried on.  For the regimes see
+Pearson, Olver & Porter, "Numerical methods for the computation of the
+confluent and Gauss hypergeometric functions", Numer. Algorithms 2017.
 
-  * 0 < z < Z_SWITCH: direct compensated summation (relative error ~1e-14).
-  * z >= Z_SWITCH, if its first correction term is small: the expansion
-        M(a, b, z) ~ Gamma(b)/Gamma(a) e^z z^(a-b)
-                     * sum_s (b-a)_s (1-a)_s / (s! z^s)
-    in log space, truncated at its smallest term.
-  * the log-series: the positive-term series summed in log space
-    (cumulative log-ratios + logsumexp), accurate for any z and any b,
-    including b in the thousands where the expansion is useless, but
-    summed one point at a time.
-
-One fallback rule joins them: a point that a fast regime cannot finish (a
-Taylor sum past the float range, an expansion whose smallest term exceeds
-~1e-11 relative) comes back nan and goes to the log-series, as does every
-z >= Z_SWITCH the expansion is not tried on.
-
-For the regimes see Pearson, Olver & Porter, "Numerical methods for the
-computation of the confluent and Gauss hypergeometric functions", Numer.
-Algorithms 2017.
-
-All three regimes run on a whole array of z for one (a, b) (`_m_log`); the
-scalar functions are one-point calls to it.  The Taylor and asymptotic sums
-are elementwise recurrences over full-length arrays with one live mask: each
-point stops by its own tests, which clear its mask entry, and its sums are
-frozen from then on, so every point gets exactly the arithmetic of a
-one-point call.  The log-series keeps its per-point reductions (logsumexp
-sums pairwise, so its grouping depends on the term count), but reads
-log(a+s), log(b+s) and log1p(s) from one table per call.  log z, the final
-log and the ratios' exp use `math` once per point.
-
-The large-z prefactor's log Gamma is the standard library's `math.lgamma`.
-
-Ratios of two M values never leave log space, so quantities like psi''/psi'
-are finite even when each M alone would overflow.
+The Taylor and large-z sums are elementwise recurrences over full-length
+arrays with one live mask, each sum frozen once its own tests stop it; the
+log-series reduces per point, grouped by its own term count; log z and the
+final log use `math`.  So each point of an array call gets exactly the
+arithmetic of a one-point call.
 """
 
 from __future__ import annotations
@@ -78,95 +70,82 @@ def _check_args(a: float, b: float, z) -> None:
         raise ValueError(f"need finite z >= 0, got z={z[bad].flat[0]}")
 
 
+def _weights(a: float, b: float, k) -> np.ndarray:
+    """Rows 1, w1_k and w2_k: the weights of the term t_k in M, M' and M''
+    (DLMF 13.3.15), for a number k or a 1-D float array of them."""
+    w1 = (a + k) / (b + k)
+    return np.stack([np.ones_like(w1), w1, w1 * (a + k + 1.0) / (b + k + 1.0)])
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a sum past the float range
 def _taylor(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """Direct Taylor sums for positive z, with Kahan compensation.  All
-    terms positive.  Every point stays in the arrays; `live` marks those
-    still summing, and only their totals move, so a stopped point keeps the
-    total a one-point call returns.
-
-    nan where the sum leaves the float range, so the caller falls back to
-    the log-series there.
-    """
+    """The sums m0, m1, m2 (rows) of t_k, w1_k t_k and w2_k t_k, each with
+    Kahan compensation; `live` marks the points still summing, and only
+    their sums move.  nan where a sum leaves the float range, so the caller
+    falls back to the log-series there."""
     term = np.ones_like(z)
-    total = np.ones_like(z)
-    comp = np.zeros_like(z)
+    total = _weights(a, b, 0.0)[:, None] * term
+    comp = np.zeros_like(total)
     live = np.ones(z.shape, dtype=bool)
     k = 0
     while live.any():
         term *= (a + k) * z / ((b + k) * (k + 1.0))
-        y = term - comp
+        k += 1
+        part = _weights(a, b, k)[:, None] * term
+        y = part - comp
         t = total + y
         comp = (t - total) - y
         total = np.where(live, t, total)
-        k += 1
         # not >=: a sum past the float range (inf, then nan) stops too
-        live &= (term >= 1e-17 * total) | (k <= z)
+        live &= (part >= 1e-17 * total).any(axis=0) | (k <= z)
         # unreachable for z < Z_SWITCH: a sum still in the float range peaks
         # before k ~ 710 and ends by about twice that; guard anyway
         if live.any() and k > 200_000:
             raise NumericsError(f"series for M({a},{b},{z[live][0]}) did not converge")
-    total[np.isinf(total)] = np.nan
-    return total
+    return np.where(np.isfinite(total).all(axis=0), total, np.nan)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # on points already stopped
-def _asymptotic_log(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """log of the large-z form, each point truncated at its smallest term;
-    `live` marks the points still summing, as in _taylor.
-
-    nan where the optimally truncated tail cannot reach ~1e-11 relative
-    accuracy (e.g. b - a comparable to z), so the caller falls back to the
-    exact log-series there.
-    """
-    v = np.ones_like(z)
-    total = np.ones_like(z)
-    smallest = np.full_like(z, np.inf)  # the last term added
-    live = np.ones(z.shape, dtype=bool)
+@np.errstate(over="ignore", invalid="ignore")  # on sums already stopped
+def _asymptotic_log(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, m): the large-z scale s and the sums m_j = S(a+j, b+j, z), each
+    truncated at its smallest term; `live` marks the sums still running.
+    nan where the form is not tried, or where a sum is not positive or does
+    not reach 1e-15 relative (e.g. b - a comparable to z)."""
+    lz = np.array([math.log(x) for x in z.tolist()])
+    s = z + (a - b) * lz + math.lgamma(b) - math.lgamma(a)
+    # log of the dropped part relative to the kept one; 1/Gamma(b - a)
+    # vanishes at its poles, and the dropped part with it
+    j = np.arange(3.0)[:, None]
+    gap = b - a
+    inv_gamma_gap = -math.inf if gap <= 0.0 and gap == math.floor(gap) else -math.lgamma(gap)
+    lg_aj = np.array([[math.lgamma(a + i)] for i in range(3)])
+    dropped = lg_aj + inv_gamma_gap - z + (gap - a - j) * lz
+    tried = (abs(gap * (1.0 - a)) < 0.25 * z) & (dropped < math.log(1e-17)).all(axis=0)
+    v = np.ones((3, z.size))
+    total = np.ones_like(v)
+    smallest = np.full_like(v, np.inf)  # the last term added
+    live = np.repeat(tried[None], 3, axis=0)
     for k in range(400):
         if not live.any():
             break
-        v *= (b - a + k) * (1.0 - a + k) / ((k + 1.0) * z)
+        v *= (gap + k) * (1.0 - a - j + k) / ((k + 1.0) * z)
         size = np.abs(v)
         live &= ~(size >= smallest)  # a grown term is not added
         total = np.where(live, total + v, total)
         smallest = np.where(live, size, smallest)
         live &= ~(size < 1e-17 * np.abs(total))
-
-    out = np.full_like(z, np.nan)
-    ok = ~((total <= 0.0) | (smallest > 1e-11 * np.abs(total)))
-    gb, ga = math.lgamma(b), math.lgamma(a)
-    for i, zi, t in zip(np.flatnonzero(ok), z[ok].tolist(), total[ok].tolist()):
-        out[i] = zi + (a - b) * math.log(zi) + gb - ga + math.log(t)
-    return out
+    bad = (total <= 0.0) | (smallest > 1e-15 * np.abs(total))  # untried: smallest inf
+    return s, np.where(bad.any(axis=0), np.nan, total)
 
 
-def _logsumexp(x: np.ndarray, top: float) -> float:
-    """log(sum(exp(x))) for a finite 1-D array whose maximum is `top`, with
-    the arithmetic of scipy.special.logsumexp (so results match it bit for
-    bit) but without its general-purpose argument handling, which dominates
-    at this size: the terms equal to the maximum are counted apart and the
-    rest summed after shifting by it."""
-    at_top = x == top
-    count = np.float64(np.count_nonzero(at_top))
-    shifted = x - top
-    np.exp(shifted, out=shifted)
-    shifted[at_top] = 0.0  # exp(-inf): the maximum is counted apart
-    rest = shifted.sum()
-    if rest != 0.0:
-        rest = rest / count
-    return float(np.log1p(rest) + np.log(count) + top)
-
-
-def _series_log(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """log M via cumulative log term ratios and logsumexp, point by point.
-
-    Cost is O(s_peak) per point, where the term peak solves
-    (a+s)z = (b+s)(s+1); roughly max(z - b, sqrt(z)) terms.  A point whose
-    last term is not yet negligible is redone with twice the terms.  The
-    logs of a+s, b+s and 1+s come from one table, sized for the longest
-    sum and rebuilt only when a redo outgrows it.
-    """
+def _series_log(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, m) by the log-series, point by point: s is the largest log term
+    and m the weighted sums of e^(log t_k - s).  Cost is O(s_peak) per
+    point, where the term peak solves (a+s)z = (b+s)(s+1); roughly
+    max(z - b, sqrt(z)) terms.  A point whose last term is not yet
+    negligible is redone with twice the terms.  The logs of a+s, b+s and
+    1+s and the weights come from one table, sized for the longest sum and
+    rebuilt only when a redo outgrows it."""
     zs = z.tolist()
     starts = []
     for zi in zs:
@@ -180,46 +159,51 @@ def _series_log(a: float, b: float, z: np.ndarray) -> np.ndarray:
         starts.append(int(terms) + 60)
     longest = max(starts)
     size = 0
-    out = np.empty_like(z)
+    top = np.empty_like(z)
+    out = np.empty((3, z.size))
     for i, (zi, n) in enumerate(zip(zs, starts)):
         logz = math.log(zi)
         while True:
             if n > size:
                 size = max(n, longest)
-                s = np.arange(size, dtype=float)
-                log_a, log_b, log_1 = np.log(a + s), np.log(b + s), np.log1p(s)
+                k = np.arange(size + 1, dtype=float)
+                log_a, log_b, log_1 = np.log(a + k), np.log(b + k), np.log1p(k)
+                weights = _weights(a, b, k)
                 buf = np.zeros(size + 1)  # buf[0]: log of the first term
             logterms = buf[:n + 1]
             logratio = np.add(log_a[:n], logz, out=logterms[1:])
             logratio -= log_b[:n]
             logratio -= log_1[:n]
             logratio.cumsum(out=logratio)
-            top = logterms.max()
-            if logterms[-1] < top - 46.0:
-                out[i] = _logsumexp(logterms, top)
+            top[i] = logterms.max()
+            if logterms[-1] < top[i] - 46.0:
+                out[:, i] = (np.exp(logterms - top[i]) * weights[:, :n + 1]).sum(axis=1)
                 break
             n *= 2
             if n > _MAX_TERMS:
                 raise NumericsError(f"log-series for M({a},{b},{zi}) did not converge")
-    return out
+    return top, out
+
+
+def _moments(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, m) over a 1-D array of finite z >= 0 (checked by the caller):
+    M, M' and M'' of (a, b) at z[i] are e^s[i] times m[0, i], m[1, i] and
+    m[2, i], each point by the regime a one-point call would take."""
+    s = np.zeros_like(z)
+    m = np.empty((3, z.size))
+    small = z < Z_SWITCH
+    m[:, small] = _taylor(a, b, z[small])
+    s[~small], m[:, ~small] = _asymptotic_log(a, b, z[~small])
+    rest = np.isnan(m[0])
+    if rest.any():
+        s[rest], m[:, rest] = _series_log(a, b, z[rest])
+    return s, m
 
 
 def _m_log(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """log M(a, b, z) over a 1-D array of finite z >= 0, each point by the
-    regime a one-point call would take (z is checked by the caller)."""
-    out = np.zeros_like(z)
-    taylor = (z > 0.0) & (z < Z_SWITCH)
-    if taylor.any():
-        out[taylor] = [math.log(t) for t in _taylor(a, b, z[taylor]).tolist()]
-    large = z >= Z_SWITCH
-    # first term of the asymptotic correction sum must already be small
-    tried = large & (abs((b - a) * (1.0 - a)) < 0.25 * z)
-    if tried.any():
-        out[tried] = _asymptotic_log(a, b, z[tried])
-    rest = np.isnan(out) | large & ~tried
-    if rest.any():
-        out[rest] = _series_log(a, b, z[rest])
-    return out
+    """log M(a, b, z) over a 1-D array of finite z >= 0."""
+    s, m = _moments(a, b, z)
+    return np.array([si + math.log(mi) for si, mi in zip(s.tolist(), m[0].tolist())])
 
 
 def kummer_m_log(a: float, b: float, z: float) -> float:
@@ -257,9 +241,10 @@ def kummer_m_prime(a: float, b: float, z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cir_abx(model: CIR, rho: float, d):
-    """Validated (a, b, x) of psi at demand levels d > 0 (scalar or array).
-    NumericsError where d is finite but x is not."""
+def _psi_sums(model: CIR, rho: float, d) -> tuple[float, np.ndarray]:
+    """(c, m) at levels d > 0 (scalar or array), c = 2 gamma / sigma^2: psi,
+    psi'/c and psi''/c^2 at d are one positive factor times m[0], m[1] and
+    m[2], each of d's shape.  NumericsError where d is finite but c d is not."""
     validate(model, rho)
     d = np.asarray(d, dtype=float)
     if not np.all(d > 0.0):
@@ -271,16 +256,9 @@ def _cir_abx(model: CIR, rho: float, d):
     big = np.isfinite(d) & ~np.isfinite(x)
     if big.any():
         raise NumericsError(f"2 gamma d / sigma^2 leaves the float range at d={d[big].flat[0]}")
-    return a, b, x
-
-
-def _m_ratio(a1: float, b1: float, a0: float, b0: float, x: np.ndarray) -> np.ndarray:
-    """M(a1, b1, x) / M(a0, b0, x) at each x, formed in log space."""
-    _check_args(a1, b1, x)
-    _check_args(a0, b0, x)
-    flat = x.reshape(-1)
-    diff = _m_log(a1, b1, flat) - _m_log(a0, b0, flat)
-    return np.array([math.exp(v) for v in diff.tolist()]).reshape(x.shape)
+    _check_args(a, b, x)
+    _, m = _moments(a, b, x.reshape(-1))
+    return 2.0 * model.gamma / model.sigma**2, m.reshape((3,) + d.shape)
 
 
 def _checked(out: np.ndarray, d, what: str):
@@ -294,24 +272,16 @@ def _checked(out: np.ndarray, d, what: str):
 
 
 def psi_ratio_second(model: CIR, rho: float, d):
-    """psi''(d) / psi'(d) for the square-root model.  Vectorized in d.
-
-    Equals (2 gamma / sigma^2) * ((1 + rho/gamma) / (1 + 2 gamma delta / sigma^2))
-    times M(2 + rho/gamma, 2 + 2 gamma delta/sigma^2, x) /
-          M(1 + rho/gamma, 1 + 2 gamma delta/sigma^2, x)
-    at x = 2 gamma d / sigma^2; the ratio is formed in log space.  Finite and
-    positive for all d > 0, continuous as d -> 0.
-    """
-    a, b, x = _cir_abx(model, rho, d)
-    ratio = _m_ratio(a + 2.0, b + 2.0, a + 1.0, b + 1.0, x)
-    out = (2.0 * model.gamma / model.sigma**2) * ((a + 1.0) / (b + 1.0)) * ratio
-    return _checked(out, d, "psi''/psi'")
+    """psi''(d) / psi'(d) = c M''(x) / M'(x), with c = 2 gamma / sigma^2 and
+    x = c d: finite and positive for all d > 0, continuous as d -> 0 and
+    tending to c as d -> inf.  Vectorized in d."""
+    c, m = _psi_sums(model, rho, d)
+    return _checked(c * m[2] / m[1], d, "psi''/psi'")
 
 
 def psi_over_psi_prime(model: CIR, rho: float, d):
-    """psi(d) / psi'(d): starts at gamma delta / rho as d -> 0 (psi(0) = 1,
-    psi'(0) = rho/(gamma delta)) and decreases toward sigma^2 / (2 gamma).
-    Vectorized in d."""
-    a, b, x = _cir_abx(model, rho, d)
-    out = (model.gamma * model.delta / rho) * _m_ratio(a, b, a + 1.0, b + 1.0, x)
-    return _checked(out, d, "psi/psi'")
+    """psi(d) / psi'(d) = M(x) / (c M'(x)): starts at gamma delta / rho as
+    d -> 0 (psi(0) = 1, psi'(0) = rho/(gamma delta)) and decreases toward
+    sigma^2 / (2 gamma).  Vectorized in d."""
+    c, m = _psi_sums(model, rho, d)
+    return _checked(m[0] / (c * m[1]), d, "psi/psi'")

@@ -254,17 +254,17 @@ def sensitivity_checks(sc) -> list[tuple[str, bool, float]]:
         a, b, pref = sc.rho / g, 2.0 * g * dl / s2, 0.5 * s2 * math.exp(-g * sc.h) / (sc.rho + g)
         # A line leaves the boundary by pref times the next term of psi''/psi'
         # about z = 2 gamma d / sigma^2 = 0 or infinity.  Allow twice that plus
-        # rounding: z eps of the boundary's parts (Kummer ratio), eps delta.
+        # rounding: eps of the boundary's parts, eps delta.
         entries = []
-        for name, line, x, z, term in (
-                ("tangent-at-origin", tangent, 1e-4 * dl, 1e-4 * b,
+        for name, line, x, term in (
+                ("tangent-at-origin", tangent, 1e-4 * dl,
                  pref * (a + 1.0) * (b - a) * (1e-4 * b / (b + 1.0))**2 / (b + 2.0)),
-                ("asymptote-at-infinity", asymptote, 1e3 * dl, 1e3 * b,
+                ("asymptote-at-infinity", asymptote, 1e3 * dl,
                  pref * a * (b - a) / (1e3 * b))):
             parts = bound.decompose(x)
             gap = abs(parts.total - float(line(x)))
             scale = max(1.0, parts.beta0 + parts.discounting_bias + parts.precautionary_bias)
-            entries.append((name, gap <= 2.0 * abs(term) + 1e-14 * ((1.0 + z) * scale + dl), gap))
+            entries.append((name, gap <= 2.0 * abs(term) + 1e-14 * (scale + dl), gap))
         cross = abs(float(tangent(kd) - asymptote(kd)))
         return entries + [("kink-on-both-lines", cross <= 1e-9 * max(1.0, abs(kc)), cross)]
     params = dict(mu=model.mu, sigma=model.sigma, rho=sc.rho, h=sc.h, q0=sc.q0)

@@ -65,6 +65,17 @@ def test_boundary_cir_includes_reference_lines(capsys):
         assert chat <= asym + 1e-9
 
 
+@pytest.mark.parametrize("d_max", ["1e100", "1e300"])
+def test_boundary_runs_along_its_asymptote_far_out(d_max, capsys):
+    # psi''/psi' tends to 2 gamma / sigma^2, so c_hat meets the asymptote
+    code, out, _ = run(["boundary", "--scenario", "cir-fast", "--d-min", "1e99",
+                        "--d-max", d_max, "--points", "2"], capsys)
+    assert code == 0
+    header, rows = table(out)
+    for r in rows:
+        assert r[header.index("c_hat")] == pytest.approx(r[header.index("asymptote")], rel=1e-12)
+
+
 def test_boundary_csv_round_trips_doubles(capsys):
     # %.17g is enough to reconstruct the exact binary float
     code, out, _ = run(
@@ -523,9 +534,9 @@ def test_verify_battery_passes(capsys):
 # sha256 of `verify --scenario <name> --paths 400`: the report assembly, the
 # truncation guard, the oracle and the sensitivities, pinned to the byte
 _VERIFY_DIGESTS = {
-    "cir-fast": "2687e0d23572feb64b9aff375301056c8166ea7f2ab51248d27ebd68e7f906b0",
+    "cir-fast": "9948a1d051c75d02154334f2a4ec08c533cd4bc9eee763a88dfdf8a035df5966",
     "gbm-growth": "bd461a471e9d8da228184614d591b409f6cadcca8fa62243672d88ee9dd4f661",
-    "cir-slow": "aefcad95b0e5555bf677d794fbfd678c5048c3c7c6a048e6f336e5a5a57d7b11",
+    "cir-slow": "7b8c6530b370455785f593216668cfb397a4809be7c3ccaf94fc2eb9f2e5b79f",
     "abm-power": "a7741359ffcb1daa0144d7a37dfc158deb27f281f82c21f719c0716605551576",
 }
 

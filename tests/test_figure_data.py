@@ -44,8 +44,8 @@ def test_figure_data_is_byte_identical_to_out(tmp_path, capsys):
 
 def test_figure_run_computes_each_log_series_once(tmp_path, monkeypatch, capsys):
     # the lag does not enter psi''/psi': the boundary tables at h = 1 and
-    # h = 8 share their ratios, so 8 tables and 2 rule tables need 12
-    # log-series calls (psi''/psi' takes two), not 20
+    # h = 8 share their ratios, so 8 tables and 2 rule tables need 6
+    # log-series calls (one per psi''/psi' grid), not 10
     calls = []
     original = kummer._series_log
 
@@ -56,7 +56,7 @@ def test_figure_run_computes_each_log_series_once(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(kummer, "_series_log", counting)
     boundary._psi_ratios.cache_clear()
     assert load_script().main(["--out-dir", str(tmp_path)]) == 0
-    assert len(calls) == 12
+    assert len(calls) == 6
 
 
 def _per_cell_csv(header, rows):

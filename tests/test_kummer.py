@@ -276,11 +276,11 @@ LOG_M_HEX = [
     ((1.1, 2.2, 49.9), "0x1.6df2c87070bb4p+5"),  # Taylor, just below Z_SWITCH
     ((1.1, 2.2, 50.0), "0x1.6ebb150f84f4dp+5"),  # asymptotic, at Z_SWITCH
     ((1.1, 2.2, 50.1), "0x1.6f8363faa425ap+5"),  # asymptotic, just above
-    ((1.1, 801.0, 100.0), "0x1.2c5b98d5f8de9p-3"),  # log-series, asymptotic not tried
-    ((1.1, 12801.0, 13555.553125), "0x1.bd1659570b12cp+4"),  # asymptotic accepted
-    ((1.1, 12801.0, 5131.0796875), "0x1.2075c19708dffp-1"),  # asymptotic rejected
+    ((1.1, 801.0, 100.0), "0x1.2c5b98d5f8de7p-3"),  # log-series, asymptotic not tried
+    ((1.1, 12801.0, 13555.553125), "0x1.bd165956f1c0ap+4"),  # dropped part e^-28: log-series
+    ((1.1, 12801.0, 5131.0796875), "0x1.2075c19708dfep-1"),  # asymptotic rejected
     ((1.1, 12801.0, 9155.828125), "0x1.6193f268487f0p+0"),  # rejected, terms doubled once
-    ((2.1, 12802.0, 10905.71875), "0x1.0021f20c0536cp+2"),  # terms doubled twice
+    ((2.1, 12802.0, 10905.71875), "0x1.0021f20c0536dp+2"),  # terms doubled twice
     ((1.1, 12801.0, 12030.6484375), "0x1.8908259a0ba43p+1"),  # rejected, doubled 3 times
     ((8002.0, 4.0, 30.5), "0x1.eb12d0cdf9be5p+9"),  # Taylor past the float range: log-series
 ]
@@ -290,21 +290,21 @@ PRECAUTIONARY_HEX = {
     0.05: [
         (0.0, "0x0.0p+0"),
         (0.01, "0x1.7915609d3140bp-22"),
-        (0.1, "0x1.d97c513ce41e7p-19"),
-        (8.0, "0x1.eaa23f058d255p-12"),
-        (14.0, "0x1.acc7fafa1356ep-10"),
-        (17.0, "0x1.0301a50361164p-8"),
-        (18.8, "0x1.5a00cf1f98297p-7"),
-        (21.2, "0x1.f71eb46d61804p-2"),
-        (40.0, "0x1.056e8d75a8689p+3"),
+        (0.1, "0x1.d97c513ce41e8p-19"),
+        (8.0, "0x1.eaa23f058d254p-12"),
+        (14.0, "0x1.acc7fafa13570p-10"),
+        (17.0, "0x1.0301a50361162p-8"),
+        (18.8, "0x1.5a00cf1f98295p-7"),
+        (21.2, "0x1.f71eb46f58174p-2"),
+        (40.0, "0x1.056e8d75b4c77p+3"),
     ],
     0.2: [
         (0.0, "0x0.0p+0"),
-        (0.5, "0x1.2d9d876798c81p-12"),
-        (5.0, "0x1.e9673cda9f907p-9"),
-        (10.0, "0x1.6d4882281d5d6p-7"),
-        (20.0, "0x1.f360cdfe2e588p-3"),
-        (160.0, "0x1.c98206f0b2999p+5"),
+        (0.5, "0x1.2d9d876798c83p-12"),
+        (5.0, "0x1.e9673cda9f908p-9"),
+        (10.0, "0x1.6d4882281d5d8p-7"),
+        (20.0, "0x1.f360cdfe2e58ap-3"),
+        (160.0, "0x1.c98206f0b54e1p+5"),
     ],
 }
 
@@ -330,13 +330,11 @@ def test_array_call_equals_one_point_calls(b):
     assert [float(v).hex() for v in got] == [w.hex() for w in want]
 
 
-# One array call per recurrence, recorded before the recurrences kept every
-# point in full-length arrays under a live mask: the points of each call
-# stop by different rules at different terms, so a stopped point that the
-# mask let move, or one point's stop that touched another, changes a value.
-# Each z is paired with its log M and the rule it stops by.  The large-z
-# form's third rule, a total <= 0, has no point: none was found with the
-# first correction term below 0.25 (the lowest total seen was 0.08).
+# One array call per recurrence: the points of each call stop by different
+# rules at different terms, so a stopped point that the mask let move, or
+# one point's stop that touched another, changes a value.  Each z is paired
+# with its log M and the rule it stops by.  At a = 1 the large-z sums are
+# polynomials in 1/z, and the one for M' is not positive below z = b - 1.
 M_LOG_CALLS_HEX = {
     "taylor": (1.1, 2.2, [
         (0.5, "0x1.09fb35a9d0bb5p-2"),  # small term
@@ -356,29 +354,36 @@ M_LOG_CALLS_HEX = {
     ]),
     "taylor-small-term-before-k-passes-z": (0.1, 801.0, [
         (0.0, "0x0.0p+0"),
-        (0.5, "0x1.05e5fb5866ce5p-14"),  # small term, k = 5
-        (3.0, "0x1.89761ba0be2ffp-12"),  # small term, k = 7
-        (12.0, "0x1.8bb141df18fb9p-10"),  # k = 13: term below 1e-17 from k = 9
-        (45.0, "0x1.7ae9113cfad9ap-8"),  # k = 46, small from k = 13
+        (0.5, "0x1.05e5fb5866ce5p-14"),  # small terms, k = 6
+        (3.0, "0x1.89761ba0be2ffp-12"),  # small terms, k = 8
+        (12.0, "0x1.8bb141df18fb9p-10"),  # k = 13: terms below 1e-17 from k = 10
+        (45.0, "0x1.7ae9113cfad9ap-8"),  # k = 46, small from k = 15
         (49.99, "0x1.a64e9adb09c38p-8"),
     ]),
     "large-z": (1.1, 801.0, [
         (0.0, "0x0.0p+0"),
         (30.0, "0x1.57f67c6b3d5ecp-5"),  # Taylor
         (200.0, "0x1.4369d89b67682p-2"),  # asymptotic form not tried: log-series
-        (500.0, "0x1.129dba836c59fp+0"),  # grown term, smallest above 1e-11: log-series
-        (979.79966611, "0x1.670998b6b689cp+4"),  # grown term, accepted
-        (983.72287145, "0x1.72b1b0baf6291p+4"),
-        (1042.0, "0x1.1b72f483e4086p+5"),
-        (1100.0, "0x1.90f22862c8b1ep+5"),  # small term
+        (500.0, "0x1.129dba836c59ep+0"),  # grown term, smallest above 1e-15: log-series
+        (979.79966611, "0x1.670998b67c3e4p+4"),  # dropped part e^-23: log-series
+        (983.72287145, "0x1.72b1b0badaa7ep+4"),
+        (1042.0, "0x1.1b72f483e4084p+5"),  # dropped part e^-36: log-series
+        (1100.0, "0x1.90f22862c8b1ep+5"),  # small terms
         (2400.0, "0x1.6b145f4b33eafp+9"),
     ]),
-    "large-z-term-cap": (1.1, 4230.0, [
-        (4600.0, "0x1.51d37332bd18ep+4"),  # grown term, smallest above 1e-11: log-series
-        (4614.9, "0x1.6578f50e7de6ap+4"),  # grown term at the 400th, accepted
-        (4700.0, "0x1.e3055ed5dba46p+4"),  # 400 terms, accepted
-        (5000.0, "0x1.12452f8db7b21p+6"),  # small term
-        (20000.0, "0x1.1fb1d8c5ab0ddp+13"),
+    "large-z-term-cap": (1.1, 12801.0, [
+        (13555.553125, "0x1.bd165956f1c0ap+4"),  # dropped part e^-28: log-series
+        (13800.0, "0x1.5c38fbc47978cp+5"),  # 400 terms, smallest 7e-15: log-series
+        (13900.0, "0x1.98f23eae89798p+5"),  # 400 terms for two sums, accepted
+        (14000.0, "0x1.daf692b3a7fb1p+5"),  # 400 terms for one sum, accepted
+        (14700.0, "0x1.0dce1347aa012p+7"),  # small terms
+        (20000.0, "0x1.758715590c3c1p+10"),
+    ]),
+    "large-z-at-a-equal-one": (1.0, 801.0, [
+        (50.0, "0x1.07fc7b77fb887p-4"),  # the sum for M' is -15: log-series
+        (600.0, "0x1.5f33dcc8a0aedp+0"),  # dropped part e^-34: log-series
+        (1100.0, "0x1.8bfca6175a900p+5"),  # sums end at a zero term, accepted
+        (3000.0, "0x1.1eb6d3c9ff45cp+10"),
     ]),
 }
 
@@ -407,3 +412,80 @@ def test_psi_ratios_take_arrays():
     for fn in (psi_ratio_second, psi_over_psi_prime):
         with pytest.raises(NumericsError, match=r"at d=1\.7e\+308"):
             fn(REF, RHO, np.array([1.0, 1.7e308]))
+
+
+# ---------------------------------------------------------------------------
+# Accuracy where the large-z form's dropped part is not negligible, and of
+# the psi ratios far out
+# ---------------------------------------------------------------------------
+
+
+def test_log_m_at_a_equal_one_below_the_large_z_range():
+    # at a = 1 the large-z sum S(1, b, z) is exactly 1, so only the gate on
+    # the dropped part sends z below about 2b to the log-series (cir-slow's
+    # psi is M(1, 80, 4 d))
+    for z in (50.0, 80.0, 100.0, 120.0, 160.0):
+        assert kummer_m_log(1.0, 80.0, z) == pytest.approx(
+            math.log(series_oracle(1.0, 80.0, z)), abs=1e-13), z
+
+
+# psi''/psi' on cir-fast (REF) at the 16 nodes 626..641 of its rule table,
+# linspace(0.01, 160, 4097), where the large-z form would be 1e-11 to 1.1e-9
+# off for want of its dropped part, and on sigma = 0.1 at d = 22.2 (x = 3552,
+# b = 3200).
+# References: mpmath 1.3 hyp1f1 at 50 digits, at the binary values of the
+# parameters and levels, rounded to the nearest double.
+PSI_RATIO_SECOND_REF = [
+    (REF, 24.461596679687503, "0x1.d4646f7e046bcp+2"),
+    (REF, 24.500656738281254, "0x1.d7b73e7358b12p+2"),
+    (REF, 24.539716796875002, "0x1.db07659d32daep+2"),
+    (REF, 24.578776855468753, "0x1.de54e7d511f21p+2"),
+    (REF, 24.617836914062504, "0x1.e19fc7f3d2e0cp+2"),
+    (REF, 24.656896972656252, "0x1.e4e808d17b848p+2"),
+    (REF, 24.695957031250003, "0x1.e82dad450a122p+2"),
+    (REF, 24.735017089843755, "0x1.eb70b82448608p+2"),
+    (REF, 24.774077148437502, "0x1.eeb12c43a2c38p+2"),
+    (REF, 24.813137207031254, "0x1.f1ef0c7602239p+2"),
+    (REF, 24.852197265625, "0x1.f52a5b8ca9068p+2"),
+    (REF, 24.891257324218753, "0x1.f8631c5713518p+2"),
+    (REF, 24.930317382812504, "0x1.fb9951a2d8829p+2"),
+    (REF, 24.96937744140625, "0x1.feccfe3b9034fp+2"),
+    (REF, 25.008437500000003, "0x1.00ff12755c606p+3"),
+    (REF, 25.047497558593754, "0x1.0296643bcfe46p+3"),
+    (CIR(0.8, 20.0, 0.1), 22.2, "0x1.fce0dc12423b9p+3"),
+]
+
+
+def test_psi_ratio_second_where_the_dropped_part_is_not_negligible():
+    assert [d for _, d, _ in PSI_RATIO_SECOND_REF[:16]] == np.linspace(
+        0.01, 160.0, 4097)[626:642].tolist()
+    for model, d, want in PSI_RATIO_SECOND_REF:
+        assert psi_ratio_second(model, RHO, d) == pytest.approx(
+            float.fromhex(want), rel=1e-13), (model.sigma, d)
+
+
+def test_psi_over_psi_prime_at_a_equal_one():
+    # cir-slow: rho = gamma, so psi = M(1, 80, 4 d); same references as above
+    model = CIR(0.08, 20.0, 0.2)
+    for d, want in ((15.0, "0x1.86ddc6ba90e60p+2"), (20.0, "0x1.5f103e943df7fp+1")):
+        assert psi_over_psi_prime(model, RHO, d) == pytest.approx(
+            float.fromhex(want), rel=1e-13), d
+
+
+@pytest.mark.parametrize("d", [1e16, 1e100, 5e299])
+def test_psi_ratios_reach_their_limits(d):
+    # both ratios are c = 2 gamma / sigma^2 (or 1/c) times 1 + O((b - a)/x),
+    # which is below 3e-15 here
+    c = 2.0 * REF.gamma / REF.sigma**2
+    assert psi_ratio_second(REF, RHO, d) == pytest.approx(c, rel=1e-13)
+    assert psi_over_psi_prime(REF, RHO, d) == pytest.approx(1.0 / c, rel=1e-13)
+
+
+@pytest.mark.parametrize("b", [2.2, 801.0, 12801.0])
+def test_psi_ratio_array_call_equals_one_point_calls(b):
+    # psi = M(1.1, b, 40 d): the positive z of the log M test above, as d
+    model = CIR(0.8, b * 0.2**2 / 1.6, 0.2)
+    d = np.concatenate([np.linspace(0.5, 60.0, 41), np.linspace(50.0, 14000.0, 57)]) / 40.0
+    for fn in (psi_ratio_second, psi_over_psi_prime):
+        got = fn(model, 0.88, d)
+        assert [v.hex() for v in got.tolist()] == [fn(model, 0.88, float(x)).hex() for x in d]

@@ -650,8 +650,8 @@ def test_constant_policy_is_the_reflected_constant(below, monkeypatch):
 # horizons: the engine's reports are pinned to the bit
 _BATTERY_DIGESTS = {
     "gbm-growth": "f065d6028b78da12481eb234ea4c6d8dd6532779c2afac0a7f15515823c5fa79",
-    "cir-fast": "f0292b4c2af9906ae6998d6c7d55a6367d380f3312343c0f1a70f5dbfa4b172f",
-    "cir-slow": "3f89a2280fa7f5b1cb8525754779058379763bca910e0e3e13d2b4c8e0709c72",
+    "cir-fast": "3ea4dae1f99d7f5ea8376c31be016edb20436bf1ce939bd774b8d8ecec0ade0d",
+    "cir-slow": "1d1c4a65d2f97f65b4699db6cb35b967b6027bee56030203a9b008fc7f236d9f",
     "abm-power": "0b47a86d047cb5c2c1c20d377eebff0515c287ae7afe3f1e5aeb57437be223ca",
 }
 
