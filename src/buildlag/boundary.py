@@ -59,7 +59,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BiasDecomposition:
-    """chat(d) split into forecast minus the two biases."""
+    """chat(d) split into forecast minus the two biases: floats at a scalar
+    demand level, arrays (but a float discounting_bias) at an array."""
 
     beta0: float
     discounting_bias: float
@@ -98,6 +99,11 @@ def gbm_constants(mu: float, sigma: float, rho: float, h: float) -> tuple[float,
     return m, A
 
 
+def _discounting_bias(rho: float, h: float, q0: float) -> float:
+    """b_rho = q0 rho e^(rho h)."""
+    return q0 * rho * math.exp(rho * h)
+
+
 # Boundary.table's node count, and the largest grid the psi-ratio cache
 # serves
 _RATIO_CACHE_POINTS = 4097
@@ -107,9 +113,9 @@ class Boundary:
     """Threshold rule d -> least committed capacity, for one model and
     one (rho, h, q0).
 
-    eval() accepts scalars or arrays.  decompose() returns the three-way
-    split; eval is computed by recombining exactly the same three terms, so
-    eval(d) == decompose(d).total bit for bit.
+    eval() and decompose() accept scalars or arrays.  decompose() returns
+    the three-way split and eval() is decompose(d).total, so eval(d) ==
+    decompose(d).total bit for bit by construction.
     """
 
     def __init__(self, model: DemandModel, rho: float, h: float, q0: float):
@@ -120,7 +126,7 @@ class Boundary:
         self.rho = rho
         self.h = h
         self.q0 = q0
-        self.discounting_bias = q0 * rho * math.exp(rho * h)
+        self.discounting_bias = _discounting_bias(rho, h, q0)
         if isinstance(model, ABM):
             self.lam = abm_lambda(model.mu, model.sigma, rho)
             self._abm_bias = 0.5 * model.sigma**2 * self.lam / rho
@@ -167,17 +173,15 @@ class Boundary:
 
     def eval(self, d):
         """chat(d).  Vectorized in d."""
-        d = np.asarray(d, dtype=float)
-        b0 = beta0(self.model, d, self.h)
-        out = b0 - self.discounting_bias - self.precautionary(d)
-        return out if np.ndim(out) else float(out)
+        return self.decompose(d).total
 
-    def decompose(self, d: float) -> BiasDecomposition:
-        """Three-way split of chat at a single demand level."""
+    def decompose(self, d) -> BiasDecomposition:
+        """Three-way split of chat(d): floats for a scalar d, arrays for an
+        array."""
         return BiasDecomposition(
-            beta0=float(beta0(self.model, d, self.h)),
+            beta0=beta0(self.model, d, self.h),
             discounting_bias=self.discounting_bias,
-            precautionary_bias=float(self.precautionary(d)),
+            precautionary_bias=self.precautionary(d),
         )
 
     def table(self, d_lo: float, d_hi: float):
@@ -232,21 +236,22 @@ def _psi_ratios(model: CIR, rho: float, d_bytes: bytes) -> np.ndarray:
 def _cir_args(model: CIR, rho: float, h: float, q0: float):
     validate(model, rho)
     require_nonnegative(h=h, q0=q0)
-    return model.gamma, model.delta, model.sigma, math.exp(-model.gamma * h)
+    return (model.gamma, model.delta, model.sigma, math.exp(-model.gamma * h),
+            _discounting_bias(rho, h, q0))
 
 
 def cir_tangent(model: CIR, rho: float, h: float, q0: float, d):
     """Tangent line of the square-root boundary at d -> 0."""
-    g, dl, s, e = _cir_args(model, rho, h, q0)
+    g, dl, s, e, b_rho = _cir_args(model, rho, h, q0)
     slope = (g * dl / (g * dl + 0.5 * s * s)) * e
-    return slope * np.asarray(d, dtype=float) + (1.0 - e) * dl - q0 * rho * math.exp(rho * h)
+    return slope * np.asarray(d, dtype=float) + (1.0 - e) * dl - b_rho
 
 
 def cir_asymptote(model: CIR, rho: float, h: float, q0: float, d):
     """Asymptote of the square-root boundary as d -> inf."""
-    g, dl, s, e = _cir_args(model, rho, h, q0)
+    g, dl, s, e, b_rho = _cir_args(model, rho, h, q0)
     slope = (rho / (rho + g)) * e
-    intercept = (1.0 - slope) * dl - (s * s / (2.0 * g)) * slope - q0 * rho * math.exp(rho * h)
+    intercept = (1.0 - slope) * dl - (s * s / (2.0 * g)) * slope - b_rho
     return slope * np.asarray(d, dtype=float) + intercept
 
 
@@ -254,8 +259,8 @@ def cir_kink(model: CIR, rho: float, h: float, q0: float) -> tuple[float, float]
     """Intersection of tangent and asymptote: the stylized 'kink' of the
     boundary sits at (delta + sigma^2/(2 gamma), delta - q0 rho e^(rho h)),
     independent of the lag."""
-    g, dl, s, _ = _cir_args(model, rho, h, q0)
-    return dl + s * s / (2.0 * g), dl - q0 * rho * math.exp(rho * h)
+    g, dl, s, _, b_rho = _cir_args(model, rho, h, q0)
+    return dl + s * s / (2.0 * g), dl - b_rho
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -23,8 +22,7 @@ import numpy as np
 
 from . import scenarios
 from .boundary import Boundary, cir_asymptote, cir_tangent, generic_boundary
-from .demand import (ABM, CIR, GBM, DemandPath, TimeGrid, beta0, grid_steps, sample_path,
-                     sample_paths)
+from .demand import ABM, CIR, GBM, DemandPath, TimeGrid, grid_steps, sample_path, sample_paths
 from .errors import (
     DomainError,
     GridError,
@@ -187,26 +185,17 @@ def _load_config(args) -> scenarios.RunConfig:
     return replace(cfg, mc=mc, outputs=out)
 
 
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
-
-
 def _emit_table(header, rows, outputs) -> None:
     if outputs.format == "json":
         text = json.dumps(
             [dict(zip(header, row)) for row in rows], indent=2, sort_keys=True
         ) + "\n"
     else:
-        lines = [",".join(header)]
-        if set(map(type, itertools.chain.from_iterable(rows))) <= {float}:
-            # all cells are floats: one format string per row, as _cell writes them
-            fmt = ",".join(["%.17g"] * len(header))
-            lines.extend(fmt % row for row in rows)
-        else:
-            lines.extend(",".join(_cell(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        # every caller writes at least one row and each column holds one
+        # type, so the first row sets each column's format: %.17g for a
+        # float, str() for anything else
+        fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0])
+        text = "\n".join([",".join(header), *(fmt % row for row in rows)]) + "\n"
     _emit(text, outputs.path)
 
 
@@ -275,11 +264,10 @@ def _cmd_boundary(args) -> int:
         raise ParameterError(f"need d-max > d-min, got [{lo}, {hi}]")
 
     d = np.linspace(lo, hi, args.points)
-    b0 = beta0(model, d, h)
-    bs = bound.precautionary(d)
-    chat = b0 - bound.discounting_bias - bs
+    parts = bound.decompose(d)
     header = ["d", "c_hat", "beta0", "b_rho", "b_sigma"]
-    cols = [d, chat, b0, np.full_like(d, bound.discounting_bias), bs]
+    cols = [d, parts.total, parts.beta0, np.full_like(d, parts.discounting_bias),
+            parts.precautionary_bias]
     if is_cir:
         header += ["tangent", "asymptote", "diagonal"]
         cols += [

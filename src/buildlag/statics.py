@@ -2,7 +2,10 @@
 geometric model, level partials for the arithmetic model, the square-root
 model's tangent/asymptote/kink, and a finite-difference harness to check
 any of them.  One table per model (`sensitivity_table`) is both reported
-and checked against the live boundary code (`sensitivity_checks`).
+and checked against the live boundary code (`sensitivity_checks`).  Each
+geometric-model entry, its expected sign and its closed form are written
+once, in `_GBM_STATICS`; one rule (`_verdict`) turns a value and its
+expected sign into the verdict of a geometric or an arithmetic row.
 
 Conventions: an elasticity is (x / Q) dQ/dx at the given point.  The lone
 exception is the pair ("c_hat", "q0"), reported as the level derivative
@@ -35,8 +38,27 @@ __all__ = [
     "sensitivity_checks",
 ]
 
-_QUANTITIES = ("A", "b_sigma", "c_hat")
-_PARAMS = ("h", "sigma", "mu", "rho", "q0")
+# (quantity, wrt) -> (expected sign, closed form in mu, s2 = sigma^2,
+# S = sqrt((mu - s2/2)^2 + 2 rho s2), rho and h), in the table's row order.
+# A sign is +1, -1, None where it depends on the point, or "mu", the sign of
+# the drift.  A and b_sigma carry the lag only through their common factor
+# e^(mu h).
+_GBM_STATICS = {
+    ("A", "h"): ("mu", lambda mu, s2, S, rho, h: mu * h),
+    ("A", "sigma"): (-1, lambda mu, s2, S, rho, h: -s2 / S),
+    ("A", "mu"): ("mu", lambda mu, s2, S, rho, h:
+                  mu * h + 0.5 * mu / (rho - mu) * (1.0 - (mu + 0.5 * s2) / S)),
+    ("A", "rho"): (+1, lambda mu, s2, S, rho, h:
+                   0.5 * (rho * s2 + mu * mu - 0.5 * mu * s2 - mu * S) / ((rho - mu) * S)),
+    ("b_sigma", "h"): ("mu", lambda mu, s2, S, rho, h: mu * h),
+    ("b_sigma", "sigma"): (+1, lambda mu, s2, S, rho, h:
+                           s2 * (2.0 * rho - mu + 0.5 * s2 - S) / (S * (S - mu - 0.5 * s2))),
+    ("b_sigma", "mu"): (None, lambda mu, s2, S, rho, h:
+                        mu * (h - 0.5 / (rho - mu) * (2.0 * rho - mu + 0.5 * s2 - S) / S)),
+    ("b_sigma", "rho"): (-1, lambda mu, s2, S, rho, h:
+                         0.5 * (rho / (rho - mu)) * (mu + 0.5 * s2 - S) / S),
+    ("c_hat", "q0"): (-1, lambda mu, s2, S, rho, h: -rho * math.exp(rho * h)),
+}
 
 
 @dataclass(frozen=True)
@@ -56,56 +78,28 @@ def gbm_elasticity(
     ParameterError outside rho > 2 mu + sigma^2 and ValueError for an
     unsupported pair.
     """
-    if quantity not in _QUANTITIES or wrt not in _PARAMS:
+    quantities, params = (tuple(dict.fromkeys(names)) for names in zip(*_GBM_STATICS))
+    if quantity not in quantities or wrt not in params:
         raise ValueError(
-            f"unknown pair ({quantity!r}, {wrt!r}); quantities {_QUANTITIES}, "
-            f"parameters {_PARAMS}"
+            f"unknown pair ({quantity!r}, {wrt!r}); quantities {quantities}, "
+            f"parameters {params}"
         )
     validate(GBM(mu, sigma), rho)
     require_nonnegative(h=h)
+    if (quantity, wrt) not in _GBM_STATICS:
+        raise ValueError(f"no closed form for ({quantity!r}, {wrt!r})")
     s2 = sigma * sigma
     half = mu - 0.5 * s2
     S = math.sqrt(half * half + 2.0 * rho * s2)
-    pair = (quantity, wrt)
-    if pair == ("A", "h") or pair == ("b_sigma", "h"):
-        # both carry the lag only through the common factor e^(mu h)
-        value = mu * h
-    elif pair == ("A", "sigma"):
-        value = -s2 / S
-    elif pair == ("A", "mu"):
-        value = mu * h + 0.5 * mu / (rho - mu) * (1.0 - (mu + 0.5 * s2) / S)
-    elif pair == ("A", "rho"):
-        value = (
-            0.5
-            * (rho * s2 + mu * mu - 0.5 * mu * s2 - mu * S)
-            / ((rho - mu) * S)
-        )
-    elif pair == ("b_sigma", "sigma"):
-        value = s2 * (2.0 * rho - mu + 0.5 * s2 - S) / (S * (S - mu - 0.5 * s2))
-    elif pair == ("b_sigma", "mu"):
-        value = mu * (h - 0.5 / (rho - mu) * (2.0 * rho - mu + 0.5 * s2 - S) / S)
-    elif pair == ("b_sigma", "rho"):
-        value = 0.5 * (rho / (rho - mu)) * (mu + 0.5 * s2 - S) / S
-    elif pair == ("c_hat", "q0"):
-        value = -rho * math.exp(rho * h)
-    else:
-        raise ValueError(f"no closed form for ({quantity!r}, {wrt!r})")
-    return Elasticity(quantity, wrt, float(value))
+    return Elasticity(quantity, wrt, float(_GBM_STATICS[quantity, wrt][1](mu, s2, S, rho, h)))
 
 
-# expected sign of each entry: +1, -1, "mu" (sign of the drift), or None
-# when the sign genuinely depends on the other parameters
-_GBM_SIGNS = {
-    ("A", "h"): "mu",
-    ("A", "sigma"): -1,
-    ("A", "mu"): "mu",
-    ("A", "rho"): +1,
-    ("b_sigma", "h"): "mu",
-    ("b_sigma", "sigma"): +1,
-    ("b_sigma", "mu"): None,
-    ("b_sigma", "rho"): -1,
-    ("c_hat", "q0"): -1,
-}
+def _verdict(value: float, sign: int | None) -> str:
+    """"ok" when value has the expected sign (+1, -1, or 0 for exactly
+    zero), "ambiguous" when sign is None, "violated" otherwise."""
+    if sign is None:
+        return "ambiguous"
+    return "ok" if (value * sign > 0.0 if sign else value == 0.0) else "violated"
 
 
 def gbm_statics_table(mu: float, sigma: float, rho: float, h: float):
@@ -115,16 +109,11 @@ def gbm_statics_table(mu: float, sigma: float, rho: float, h: float):
     computed sign matches the theoretical one, "ambiguous" for the entry
     whose sign legitimately depends on the point, and "violated" otherwise.
     """
+    drift = (mu > 0.0) - (mu < 0.0)
     rows = []
-    for (quantity, wrt), sign in _GBM_SIGNS.items():
+    for (quantity, wrt), (sign, _) in _GBM_STATICS.items():
         e = gbm_elasticity(quantity, wrt, mu, sigma, rho, h)
-        if sign is None:
-            verdict = "ambiguous"
-        else:
-            want = math.copysign(1.0, mu) if sign == "mu" else float(sign)
-            ok = e.value == 0.0 if mu == 0.0 and sign == "mu" else e.value * want > 0.0
-            verdict = "ok" if ok else "violated"
-        rows.append((e, verdict))
+        rows.append((e, _verdict(e.value, drift if sign == "mu" else sign)))
     return rows
 
 
@@ -216,14 +205,10 @@ def sensitivity_table(sc) -> list[tuple]:
         ]
     if isinstance(model, ABM):
         p = abm_partials(model.mu, model.sigma, sc.rho, sc.h, sc.q0)
-        return [
-            ("c_hat", "mu", p.d_mu, "partial", "ok" if p.d_mu > 0 else "violated"),
-            ("c_hat", "sigma", p.d_sigma, "partial", "ok" if p.d_sigma < 0 else "violated"),
-            ("c_hat", "h", p.d_h, "partial", "ambiguous"),
-            ("c_hat", "rho", p.d_rho, "partial", "ambiguous"),
-            ("c_hat", "h*sigma", p.cross_h_sigma, "cross-partial",
-             "ok" if p.cross_h_sigma == 0.0 else "violated"),
-        ]
+        return [("c_hat", wrt, value, kind, _verdict(value, sign)) for wrt, value, kind, sign in (
+            ("mu", p.d_mu, "partial", +1), ("sigma", p.d_sigma, "partial", -1),
+            ("h", p.d_h, "partial", None), ("rho", p.d_rho, "partial", None),
+            ("h*sigma", p.cross_h_sigma, "cross-partial", 0))]
     tangent, asymptote, (kd, kc) = _cir_geometry(sc)
     one, zero = np.asarray(1.0), np.asarray(0.0)
     rows = []

@@ -109,6 +109,24 @@ def test_decompose_pieces():
     assert dec.precautionary_bias > 0.0
 
 
+@pytest.mark.parametrize("bound, levels", [
+    (Boundary(ABM_REF, RHO, 8.0, 1.0), [-3000.0, 0.0, 1500.0, 9000.0]),
+    (Boundary(GBM_REF, RHO, 1.0, 5.0), [1e-6, 500.0, 1000.0, 4000.0]),
+    (Boundary(CIR_FAST, RHO, 8.0, 1.0), [0.0, 0.5, 10.0, 20.0, 45.0]),
+], ids=["abm", "gbm", "cir"])
+def test_decompose_on_an_array_equals_the_per_point_split(bound, levels):
+    d = np.array(levels)
+    parts = bound.decompose(d)
+    assert isinstance(parts.beta0, np.ndarray)
+    assert isinstance(parts.precautionary_bias, np.ndarray)
+    for i, x in enumerate(levels):
+        one = bound.decompose(x)
+        assert all(isinstance(v, float) for v in (one.beta0, one.precautionary_bias, one.total))
+        assert (parts.beta0[i], parts.discounting_bias, parts.precautionary_bias[i]) == (
+            one.beta0, one.discounting_bias, one.precautionary_bias)
+    assert parts.total.tobytes() == bound.eval(d).tobytes()
+
+
 def test_eval_vectorized_matches_scalar():
     for bound, d in _models_with_levels():
         grid = np.array([0.5 * d, d, 2.0 * d])

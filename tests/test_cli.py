@@ -548,6 +548,40 @@ def test_verify_reports_are_pinned(name, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DIGESTS[name]
 
 
+# sha256 of `statics` (CSV and JSON) and `boundary` (CSV) at their defaults:
+# the geometric closed forms, the sign verdicts, the bias split and the table
+# writer, pinned to the byte
+_TABLE_DIGESTS = {
+    ("statics", "gbm-growth", "csv"):
+        "b5434c033196b1f0c5635f9ee98358c1c4f6c5f595dc7c173dff133bbdc867e5",
+    ("statics", "abm-power", "csv"):
+        "f6372cbea76b5d5264ff36068555751a10f12a8e876927fb7109bb387a3040a8",
+    ("statics", "cir-fast", "csv"):
+        "ae2a69dece0c1352cec9d04d1b4662d76eba34b8eb362993bb049ac8087cae9f",
+    ("statics", "cir-slow", "csv"):
+        "8bf064d1481bbdf75434cb80582feb018431f9c5084685dd012c56294dd47757",
+    ("statics", "gbm-growth", "json"):
+        "1bd1dad03ef171a3214b438f834f0ce0e4a74657c89491c0403b247f39aabeb4",
+    ("statics", "abm-power", "json"):
+        "b59aac72c564350d6c7811ea4a66d777e33ab2f3f7ec657d1594e16960afb979",
+    ("statics", "cir-fast", "json"):
+        "65c0fd3def2a007dd51df35b7f7917365ea85b63b2066cb5ee0047a4b519a12c",
+    ("statics", "cir-slow", "json"):
+        "1e5fdf490c726302c67f308aebbd3623999f75c7bdb61ec28b79fa7ca9b484ab",
+    ("boundary", "gbm-growth", "csv"):
+        "1df871886f4e02aebae46ad3a3b25aa2b9ff4c3658c91230e189291635f4e445",
+    ("boundary", "abm-power", "csv"):
+        "f2f976d53ad6c08a0aed82a4b778a263bf534e26c9382fbceac7781aa97d3095",
+}
+
+
+@pytest.mark.parametrize("command, name, fmt", list(_TABLE_DIGESTS))
+def test_tables_are_pinned(command, name, fmt, capsys):
+    code, out, _ = run([command, "--scenario", name, "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_DIGESTS[command, name, fmt]
+
+
 def test_verify_oracle_solves_each_distinct_point_once(monkeypatch):
     # cir-fast's points are d0 / 2, d0, 2 d0 and delta, and 2 d0 == delta
     sc = get("cir-fast").scenario

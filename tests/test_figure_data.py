@@ -61,7 +61,8 @@ def test_figure_run_computes_each_log_series_once(tmp_path, monkeypatch, capsys)
 
 def _per_cell_csv(header, rows):
     lines = [",".join(header)]
-    lines.extend(",".join(cli._cell(v) for v in row) for row in rows)
+    lines.extend(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row)
+                 for row in rows)
     return "\n".join(lines) + "\n"
 
 
