@@ -343,9 +343,13 @@ def _cmd_simulate(args) -> int:
         vals, rmax = sample_paths(sc.model, sc.d, grid, cfg.mc.seed, n_paths)
         traj = simulate(sc, rule, DemandPath(grid, vals, rmax))
         d, c, k = traj.demand, traj.committed, traj.installed
-        d05, d50, d95 = np.quantile(d, [0.05, 0.5, 0.95], axis=0)
-        c05, c95 = np.quantile(c, [0.05, 0.95], axis=0)
-        k05, k95 = np.quantile(k, [0.05, 0.95], axis=0)
+        # quantiles of sorted copies: the same order statistics, and numpy
+        # partitions a sorted column faster than an unsorted one; the copy is
+        # theirs to partition in place
+        q = dict(axis=0, overwrite_input=True)
+        d05, d50, d95 = np.quantile(np.sort(d, axis=0), [0.05, 0.5, 0.95], **q)
+        c05, c95 = np.quantile(np.sort(c, axis=0), [0.05, 0.95], **q)
+        k05, k95 = np.quantile(np.sort(k, axis=0), [0.05, 0.95], **q)
         header = [
             "t",
             "d_mean", "d_q05", "d_q50", "d_q95",

@@ -19,9 +19,13 @@ positive sums, free of log Gamma, e^z and differences of logs.  Regimes:
     expansion's algebraic part, about Gamma(a+j)/Gamma(b-a) e^(-z)
     z^(b-2a-j) of the part kept; it is tried only where that is below 1e-17
     for each j and the first correction |(b-a)(1-a)|/z is below 1/4.
-  * the log-series: the log terms as cumulative sums of log term ratios, s
-    their maximum, and the three weighted sums of e^(log t_k - s).  Exact
-    for any z and b, but summed one point at a time.
+  * the log-series: the terms in a window around the peak term p, about
+    +-14 sqrt(p) wide and widened until both ends are below e^-46 of the
+    peak, as cumulative sums of log term ratios; s is the log of the peak
+    term (the terms below the window enter only through one pairwise sum of
+    log ratios), and m the three weighted sums of e^(log t_k - s).  Exact
+    for any z and b, at O(sqrt p) terms per point, but summed one point at
+    a time.
 
 A point that a fast regime cannot finish (a Taylor sum past the float
 range; a large-z sum that is not positive or whose smallest term exceeds
@@ -32,9 +36,9 @@ confluent and Gauss hypergeometric functions", Numer. Algorithms 2017.
 
 The Taylor and large-z sums are elementwise recurrences over full-length
 arrays with one live mask, each sum frozen once its own tests stop it; the
-log-series reduces per point, grouped by its own term count; log z and the
-final log use `math`.  So each point of an array call gets exactly the
-arithmetic of a one-point call.
+log-series reduces per point over its own window; log z, the large-z
+log1p and the final log use `math`.  So each point of an array call gets
+exactly the arithmetic of a one-point call.
 """
 
 from __future__ import annotations
@@ -112,7 +116,17 @@ def _asymptotic_log(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.n
     nan where the form is not tried, or where a sum is not positive or does
     not reach 1e-15 relative (e.g. b - a comparable to z)."""
     lz = np.array([math.log(x) for x in z.tolist()])
-    s = z + (a - b) * lz + math.lgamma(b) - math.lgamma(a)
+    if b < 50.0:
+        s = z + (a - b) * lz + math.lgamma(b) - math.lgamma(a)
+    else:
+        # the same s with lgamma(b) by Stirling's series (next term below
+        # 1e-18), so that z - b and (a - b) log(z/b) do not cancel terms of
+        # size b
+        inv2 = 1.0 / (b * b)
+        stirling = (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - inv2 / 1680.0) * inv2) * inv2) / b
+        rest = (a - 0.5) * math.log(b) + 0.5 * math.log(2.0 * math.pi) + stirling - math.lgamma(a)
+        gap_log = np.array([math.log1p(x) for x in ((z - b) / b).tolist()])
+        s = (z - b) + (a - b) * gap_log + rest
     # log of the dropped part relative to the kept one; 1/Gamma(b - a)
     # vanishes at its poles, and the dropped part with it
     j = np.arange(3.0)[:, None]
@@ -139,48 +153,65 @@ def _asymptotic_log(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _series_log(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s, m) by the log-series, point by point: s is the largest log term
-    and m the weighted sums of e^(log t_k - s).  Cost is O(s_peak) per
-    point, where the term peak solves (a+s)z = (b+s)(s+1); roughly
-    max(z - b, sqrt(z)) terms.  A point whose last term is not yet
-    negligible is redone with twice the terms.  The logs of a+s, b+s and
-    1+s and the weights come from one table, sized for the longest sum and
-    rebuilt only when a redo outgrows it."""
+    """(s, m) by the log-series, point by point, over a window of terms
+    around the peak term p, which solves (a+p)z = (b+p)(p+1); p is roughly
+    max(z - b, sqrt(z)).  The window is k = lo..hi, with half-width
+    W = 14 sqrt(p+30) + 60, lo = max(0, floor(p - W)) and hi = floor(p + W).
+    Its log terms l_k are cumulative sums of the log term ratios, starting
+    from 0 at lo; L is their maximum.  A point is redone with W doubled
+    unless both end terms are below L - 46 (a window that starts at 0 has no
+    terms below it).  Then s = sum(D_k, k < lo) + lo log z + L, where
+    D_k = log(a+k) - log(b+k) - log(1+k), and m is the weighted sums of
+    e^(l_k - L) over the window.  s uses numpy's pairwise sum: a running sum
+    would carry an error that grows with lo.  So a point costs O(sqrt p)
+    logs, exps and adds in the window, and one pairwise sum of lo table
+    entries, where a sum from k = 0 would cost O(p).  The logs of a+k, b+k
+    and 1+k, the D_k and the weights come from one table, sized for the
+    widest window and rebuilt only when a redo outgrows it."""
     zs = z.tolist()
-    starts = []
+    peaks, widths = [], []
     for zi in zs:
         coef = b + 1.0 - zi
         disc = coef * coef + 4.0 * (a * zi - b)
-        s_peak = 0.0 if disc < 0.0 else max(0.0, 0.5 * (-coef + math.sqrt(disc)))
-        terms = s_peak + 14.0 * math.sqrt(s_peak + 30.0)
-        if not terms + 60.0 <= _MAX_TERMS:  # nan and inf too, before any table
+        peak = 0.0 if disc < 0.0 else max(0.0, 0.5 * (-coef + math.sqrt(disc)))
+        width = 14.0 * math.sqrt(peak + 30.0) + 60.0
+        if not peak + width <= _MAX_TERMS:  # nan and inf too, before any table
             raise NumericsError(f"log-series for M({a},{b},{zi}) needs more than "
                                 f"{_MAX_TERMS} terms")
-        starts.append(int(terms) + 60)
-    longest = max(starts)
+        peaks.append(peak)
+        widths.append(width)
+    widest = max(math.floor(p + w) for p, w in zip(peaks, widths))
     size = 0
     top = np.empty_like(z)
     out = np.empty((3, z.size))
-    for i, (zi, n) in enumerate(zip(zs, starts)):
+    for i, (zi, peak, width) in enumerate(zip(zs, peaks, widths)):
         logz = math.log(zi)
         while True:
-            if n > size:
-                size = max(n, longest)
+            lo, hi = max(0, math.floor(peak - width)), math.floor(peak + width)
+            if hi > size:
+                size = max(hi, widest)
                 k = np.arange(size + 1, dtype=float)
                 log_a, log_b, log_1 = np.log(a + k), np.log(b + k), np.log1p(k)
+                log_d = (log_a - log_b) - log_1
                 weights = _weights(a, b, k)
-                buf = np.zeros(size + 1)  # buf[0]: log of the first term
-            logterms = buf[:n + 1]
-            logratio = np.add(log_a[:n], logz, out=logterms[1:])
-            logratio -= log_b[:n]
-            logratio -= log_1[:n]
+                buf = np.zeros(size + 1)  # buf[0]: log of the window's first term
+                scaled = np.empty((3, size + 1))  # e^(l_k - L) times each weight
+            n = hi - lo + 1
+            logterms = buf[:n]
+            logratio = np.add(log_a[lo:hi], logz, out=logterms[1:])
+            logratio -= log_b[lo:hi]
+            logratio -= log_1[lo:hi]
             logratio.cumsum(out=logratio)
-            top[i] = logterms.max()
-            if logterms[-1] < top[i] - 46.0:
-                out[:, i] = (np.exp(logterms - top[i]) * weights[:, :n + 1]).sum(axis=1)
+            most = logterms.max()
+            if logterms[-1] < most - 46.0 and (lo == 0 or most > 46.0):
+                top[i] = log_d[:lo].sum() + lo * logz + most
+                e = np.subtract(logterms, most, out=scaled[0, :n])
+                np.exp(e, out=e)
+                np.multiply(weights[1:, lo:hi + 1], e, out=scaled[1:, :n])
+                out[:, i] = scaled[:, :n].sum(axis=1)
                 break
-            n *= 2
-            if n > _MAX_TERMS:
+            width *= 2.0
+            if peak + width > _MAX_TERMS:
                 raise NumericsError(f"log-series for M({a},{b},{zi}) did not converge")
     return top, out
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from buildlag import kummer
 from buildlag.boundary import Boundary, cir_tangent, generic_boundary
 from buildlag.demand import CIR
 from buildlag.errors import DomainError, NumericsError
@@ -150,6 +151,45 @@ def test_log_series_checks_its_term_cap_before_sizing_a_table(b, z, monkeypatch)
         kummer_m_log(2.1, b, z)
 
 
+# Log-series points whose window of terms starts above k = 0, with the
+# number of times the window was doubled: M(0.1, 12800, x) is psi at
+# sigma = 0.05 (x = 640 d), and M(8002, 4, z) is a Taylor sum past the
+# float range.
+WINDOWED = [
+    (0.1, 12800.0, 16000.0),  # k = 1485..4905, doubled once
+    (0.1, 12800.0, 19200.0),  # k = 4032..8762, doubled once
+    (0.1, 12800.0, 25600.0),  # k = 11152..14443
+    (0.1, 12800.0, 13568.0),  # doubled twice, down to k = 0
+    (8002.0, 4.0, 20.0),  # k = 54..760
+    (8002.0, 4.0, 49.9),  # k = 228..1081
+]
+
+
+@pytest.mark.filterwarnings("error")
+def test_windowed_log_series_array_call_equals_one_point_calls():
+    for a, b in {(a, b) for a, b, _ in WINDOWED}:
+        z = np.array([zi for ai, bi, zi in WINDOWED if (ai, bi) == (a, b)])
+        s, m = kummer._series_log(a, b, z)
+        for i, zi in enumerate(z):
+            s1, m1 = kummer._series_log(a, b, z[i:i + 1])
+            assert s[i].hex() == s1[0].hex(), (a, b, zi)
+            assert [v.hex() for v in m[:, i]] == [v.hex() for v in m1[:, 0]], (a, b, zi)
+
+
+def test_log_series_sums_only_a_window_around_the_peak_term(monkeypatch):
+    # the peak term is k = 12798; a sum from k = 0 would take 14,440 terms
+    exp = np.exp
+    sizes = []
+
+    def counting(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    kummer._series_log(0.1, 12800.0, np.array([25600.0]))
+    assert len(sizes) == 1 and sizes[0] < 4000
+
+
 def test_bad_arguments_rejected():
     with pytest.raises(ValueError):
         kummer_m(-1.0, 2.0, 1.0)
@@ -267,7 +307,7 @@ def test_psi_convexity_on_dense_grid():
 # float.hex values that array and one-point calls must both reproduce
 # exactly.  The comments name the regime each point takes (b = 12801 is the
 # square-root model at sigma = 0.05, where the asymptotic form is often
-# rejected and the log-series often needs more terms than its first guess).
+# rejected and the log-series often needs a wider window than its first guess).
 # ---------------------------------------------------------------------------
 
 LOG_M_HEX = [
@@ -279,10 +319,10 @@ LOG_M_HEX = [
     ((1.1, 801.0, 100.0), "0x1.2c5b98d5f8de7p-3"),  # log-series, asymptotic not tried
     ((1.1, 12801.0, 13555.553125), "0x1.bd165956f1c0ap+4"),  # dropped part e^-28: log-series
     ((1.1, 12801.0, 5131.0796875), "0x1.2075c19708dfep-1"),  # asymptotic rejected
-    ((1.1, 12801.0, 9155.828125), "0x1.6193f268487f0p+0"),  # rejected, terms doubled once
-    ((2.1, 12802.0, 10905.71875), "0x1.0021f20c0536dp+2"),  # terms doubled twice
-    ((1.1, 12801.0, 12030.6484375), "0x1.8908259a0ba43p+1"),  # rejected, doubled 3 times
-    ((8002.0, 4.0, 30.5), "0x1.eb12d0cdf9be5p+9"),  # Taylor past the float range: log-series
+    ((1.1, 12801.0, 9155.828125), "0x1.6193f268487f0p+0"),  # rejected, window doubled once
+    ((2.1, 12802.0, 10905.71875), "0x1.0021f20c0536dp+2"),  # window doubled twice
+    ((1.1, 12801.0, 12030.6484375), "0x1.8908259a0ba43p+1"),  # rejected, window doubled 3 times
+    ((8002.0, 4.0, 30.5), "0x1.eb12d0cdf9be2p+9"),  # Taylor past the float range: window from 122
 ]
 
 # Boundary(CIR(0.8, 20, sigma), 0.08, h=1, q0=1).precautionary(d)
@@ -295,8 +335,8 @@ PRECAUTIONARY_HEX = {
         (14.0, "0x1.acc7fafa13570p-10"),
         (17.0, "0x1.0301a50361162p-8"),
         (18.8, "0x1.5a00cf1f98295p-7"),
-        (21.2, "0x1.f71eb46f58174p-2"),
-        (40.0, "0x1.056e8d75b4c77p+3"),
+        (21.2, "0x1.f71eb46f58176p-2"),
+        (40.0, "0x1.056e8d75b4c5dp+3"),
     ],
     0.2: [
         (0.0, "0x0.0p+0"),
@@ -348,9 +388,9 @@ M_LOG_CALLS_HEX = {
         (5.0, "0x1.807b47a613784p+8"),
         (10.0, "0x1.13bcf3f83cc26p+9"),
         (15.0, "0x1.5436bab6fe16ep+9"),  # e^680: the last sum inside the range
-        (20.0, "0x1.8ad120eb0c7cap+9"),  # past the range (nan): log-series
-        (30.5, "0x1.eb12d0cdf9be5p+9"),
-        (49.9, "0x1.3cb81259a292dp+10"),
+        (20.0, "0x1.8ad120eb0c7c9p+9"),  # past the range (nan): log-series from k = 54
+        (30.5, "0x1.eb12d0cdf9be2p+9"),
+        (49.9, "0x1.3cb81259a2932p+10"),
     ]),
     "taylor-small-term-before-k-passes-z": (0.1, 801.0, [
         (0.0, "0x0.0p+0"),
@@ -368,22 +408,22 @@ M_LOG_CALLS_HEX = {
         (979.79966611, "0x1.670998b67c3e4p+4"),  # dropped part e^-23: log-series
         (983.72287145, "0x1.72b1b0badaa7ep+4"),
         (1042.0, "0x1.1b72f483e4084p+5"),  # dropped part e^-36: log-series
-        (1100.0, "0x1.90f22862c8b1ep+5"),  # small terms
-        (2400.0, "0x1.6b145f4b33eafp+9"),
+        (1100.0, "0x1.90f22862c8b42p+5"),  # small terms
+        (2400.0, "0x1.6b145f4b33eb2p+9"),
     ]),
     "large-z-term-cap": (1.1, 12801.0, [
         (13555.553125, "0x1.bd165956f1c0ap+4"),  # dropped part e^-28: log-series
         (13800.0, "0x1.5c38fbc47978cp+5"),  # 400 terms, smallest 7e-15: log-series
-        (13900.0, "0x1.98f23eae89798p+5"),  # 400 terms for two sums, accepted
-        (14000.0, "0x1.daf692b3a7fb1p+5"),  # 400 terms for one sum, accepted
-        (14700.0, "0x1.0dce1347aa012p+7"),  # small terms
-        (20000.0, "0x1.758715590c3c1p+10"),
+        (13900.0, "0x1.98f23eae89f2ap+5"),  # 400 terms for two sums, accepted
+        (14000.0, "0x1.daf692b3a7fc3p+5"),  # 400 terms for one sum, accepted
+        (14700.0, "0x1.0dce1347aa1aep+7"),  # small terms
+        (20000.0, "0x1.758715590c3bap+10"),
     ]),
     "large-z-at-a-equal-one": (1.0, 801.0, [
         (50.0, "0x1.07fc7b77fb887p-4"),  # the sum for M' is -15: log-series
         (600.0, "0x1.5f33dcc8a0aedp+0"),  # dropped part e^-34: log-series
-        (1100.0, "0x1.8bfca6175a900p+5"),  # sums end at a zero term, accepted
-        (3000.0, "0x1.1eb6d3c9ff45cp+10"),
+        (1100.0, "0x1.8bfca6175a907p+5"),  # sums end at a zero term, accepted
+        (3000.0, "0x1.1eb6d3c9ff45dp+10"),
     ]),
 }
 
@@ -470,6 +510,38 @@ def test_psi_over_psi_prime_at_a_equal_one():
     for d, want in ((15.0, "0x1.86ddc6ba90e60p+2"), (20.0, "0x1.5f103e943df7fp+1")):
         assert psi_over_psi_prime(model, RHO, d) == pytest.approx(
             float.fromhex(want), rel=1e-13), d
+
+
+# psi''/psi' and psi/psi' at sigma = 0.05 (b = 12800, x = 640 d), at levels
+# whose log-series window starts above k = 0 (d = 25 and 30 after one
+# doubling); same references as above
+PSI_RATIOS_SIGMA005_REF = [
+    (25.0, "0x1.000a4051add53p+7", "0x1.0047f9f9d1a78p-7"),
+    (30.0, "0x1.aaafc9bc38aa5p+7", "0x1.33481d47edf61p-8"),
+    (40.0, "0x1.400147b3532a8p+8", "0x1.99a027f52b51bp-9"),
+    (50.0, "0x1.8000da75828edp+8", "0x1.55579bff38ab1p-9"),
+    (60.0, "0x1.aaab4e8247ba6p+8", "0x1.3334467d7f3e3p-9"),
+    (70.0, "0x1.c925155bd8f6dp+8", "0x1.1eb8ea9bf2794p-9"),
+]
+
+
+def test_psi_ratios_where_the_log_series_window_starts_above_zero():
+    model = CIR(0.8, 20.0, 0.05)
+    for d, second, ratio in PSI_RATIOS_SIGMA005_REF:
+        assert psi_ratio_second(model, RHO, d) == pytest.approx(
+            float.fromhex(second), rel=1e-13), d
+        assert psi_over_psi_prime(model, RHO, d) == pytest.approx(
+            float.fromhex(ratio), rel=1e-13), d
+
+
+@pytest.mark.parametrize("abz,want", [
+    ((1.1, 12801.0, 14328.0), "0x1.6bdf422d520f6p+6"),
+    ((1.0, 801.0, 1200.0), "0x1.3f8e9ab7cc0b7p+6"),
+])
+def test_large_z_log_scale_does_not_cancel_terms_of_size_b(abz, want):
+    # both points take the large-z form; z + (a - b) log z there cancels
+    # terms of size 1e5 (it was 1.3e-11 and 7.9e-13 off); same references
+    assert kummer_m_log(*abz) == pytest.approx(float.fromhex(want), abs=2e-13)
 
 
 @pytest.mark.parametrize("d", [1e16, 1e100, 5e299])
