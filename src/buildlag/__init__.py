@@ -39,7 +39,7 @@ from .errors import (
     StepError,
     TruncationError,
 )
-from .kummer import kummer_m, kummer_m_prime, psi_over_psi_prime, psi_ratio_second
+from .kummer import psi_over_psi_prime, psi_ratio_second
 from .montecarlo import (
     CostEstimate,
     DominanceReport,

@@ -48,13 +48,11 @@ import math
 import numpy as np
 
 from .demand import CIR, validate
-from .errors import LOG_FLOAT_MAX, DomainError, NumericsError
+from .errors import DomainError, NumericsError
 
 __all__ = [
     "Z_SWITCH",
-    "kummer_m",
     "kummer_m_log",
-    "kummer_m_prime",
     "psi_ratio_second",
     "psi_over_psi_prime",
 ]
@@ -62,6 +60,7 @@ __all__ = [
 Z_SWITCH = 50.0
 
 _MAX_TERMS = 100_000_000  # the log-series' cap on terms per point
+
 
 def _check_args(a: float, b: float, z) -> None:
     """Reject a, b <= 0 and any z (scalar or array) that is negative or
@@ -241,26 +240,6 @@ def kummer_m_log(a: float, b: float, z: float) -> float:
     """log M(a, b, z), finite for any z where M itself may overflow."""
     _check_args(a, b, z)
     return float(_m_log(a, b, np.array([z], dtype=float))[0])
-
-
-def kummer_m(a: float, b: float, z: float) -> float:
-    """M(a, b, z) for a, b > 0 and z >= 0.  Strictly positive.
-
-    Raises OverflowError when the value exceeds the float64 range, rather
-    than saturating to inf.
-    """
-    lv = kummer_m_log(a, b, z)
-    if lv > LOG_FLOAT_MAX:
-        raise OverflowError(
-            f"M({a}, {b}, {z}) exceeds float64 range (log value {lv:.2f})"
-        )
-    return math.exp(lv)
-
-
-def kummer_m_prime(a: float, b: float, z: float) -> float:
-    """dM/dz via the contiguous relation M'(a,b,z) = (a/b) M(a+1, b+1, z)."""
-    _check_args(a, b, z)
-    return (a / b) * kummer_m(a + 1.0, b + 1.0, z)
 
 
 # ---------------------------------------------------------------------------

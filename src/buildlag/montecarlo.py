@@ -319,17 +319,18 @@ def _run(scenario, base, requests, n_paths, seed):
 
     A slice is served in row blocks too, small enough that a block's
     matrices stay in cache.  Per block, the running maximum R of the
-    rule's levels is taken once, in place; each distinct policy is formed
-    once, as max(c0, R + offset) (policy.reflect of its levels, bit for
-    bit) or a constant, on the longest prefix its requests need; and the
-    pipeline-window loss and the lag moments beta0 and alpha0 are computed
-    for the block alone.  So the paths in flight hold two path-sized
-    matrices per worker, and nothing else path-sized.  Each path's
-    functionals are row sums (_row_sums) and the tail bounds are means over
-    all paths, so no result depends on the slicing, the blocking, the
-    number of threads, the order slices finish or BLAS.  A per-path value
-    or tail bound out of float range raises NumericsError, and so does a
-    horizon whose tail moments leave it, before any path is drawn.
+    rule's levels is taken once, in place, and every shifted policy reads
+    it; each request's committed capacity is formed on its own prefix, as
+    max(c0, R + offset) (policy.reflect of its levels, bit for bit) or a
+    constant; and the pipeline-window loss and the lag moments beta0 and
+    alpha0 are computed for the block alone.  So the paths in flight hold
+    two path-sized matrices per worker, and nothing else path-sized.  Each
+    path's functionals are row sums (_row_sums) and the tail bounds are
+    means over all paths, so no result depends on the slicing, the
+    blocking, the number of threads, the order slices finish or BLAS.  A
+    per-path value or tail bound out of float range raises NumericsError,
+    and so does a horizon whose tail moments leave it, before any path is
+    drawn.
 
     Paths are sampled by demand._path_matrix on steps of h / max(1,
     round(h / s)), a whole number per lag, with s the model's step in
@@ -397,11 +398,6 @@ def _run(scenario, base, requests, n_paths, seed):
     # per-path last-node integrands of F and G, for the tail bounds
     last_F = [np.empty(n_paths) if "F" in r.wants else None for r in requests]
     last_G = [np.empty(n_paths) if "GJ" in r.wants else None for r in requests]
-    members: dict[PolicySpec, list[int]] = {}
-    for j, r in enumerate(requests):
-        members.setdefault(r.policy, []).append(j)
-    # longest prefix each distinct policy is formed on
-    reach_of = {p: max(steps[j] for j in js) for p, js in members.items()}
     # the policies that are not constants share one boundary evaluation
     n_base = max((n for r, n in zip(requests, steps) if r.policy.level is None), default=-1)
     seeds = _stream_seeds(seed, np.arange(n_paths))
@@ -424,24 +420,6 @@ def _run(scenario, base, requests, n_paths, seed):
             levels[b] = base(levels[b])
         return levels
 
-    def serve(j, C, vals, b0m, a0m, loss_a, rows):
-        # request j's functionals on the rows of one block, from C, its
-        # prefix of committed capacity
-        n, res, wants = steps[j], out[j], requests[j].wants
-        gw = weights[n]
-        if "F" in wants or "GJ" in wants:
-            inv = q0 * (_row_sums(C, invest[n]) - c0)
-        if "F" in wants:
-            resid = C - vals[:, lag : lag + n + 1]
-            res.F[rows] = loss_a + _row_sums(0.5 * resid**2, lagged[n]) + inv
-            last_F[j][rows] = 0.5 * resid[:, -1] ** 2
-        if "GJ" in wants:
-            gmat = 0.5 * egh * (C * C - 2.0 * b0m[:, : n + 1] * C + a0m[:, : n + 1])
-            res.GJ[rows] = loss_a + _row_sums(gmat, gw) + inv
-            last_G[j][rows] = gmat[:, -1]
-        if "rev_h" in wants:
-            res.rev_h[rows] = egh * _row_sums(b0m[:, : n + 1] - C, gw)
-
     # overflow leaves inf or nan in a per-path value, which raises below
     @np.errstate(over="ignore", invalid="ignore")
     def serve_slice(rows, vals, levels):
@@ -459,10 +437,21 @@ def _run(scenario, base, requests, n_paths, seed):
             R = None
             if levels is not None:
                 R = np.maximum.accumulate(levels[b], axis=1, out=levels[b])
-            for policy, js in members.items():
-                C = _committed(policy, R, c0, (len(v), reach_of[policy] + 1))
-                for j in js:
-                    serve(j, C[:, : steps[j] + 1], v, b0m, a0m, loss_a, at)
+            for r, n, res, last_f, last_g in zip(requests, steps, out, last_F, last_G):
+                # the request's committed capacity, on its own prefix
+                C = _committed(r.policy, R, c0, (len(v), n + 1))
+                if "F" in r.wants or "GJ" in r.wants:
+                    inv = q0 * (_row_sums(C, invest[n]) - c0)
+                if "F" in r.wants:
+                    resid = C - v[:, lag : lag + n + 1]
+                    res.F[at] = loss_a + _row_sums(0.5 * resid**2, lagged[n]) + inv
+                    last_f[at] = 0.5 * resid[:, -1] ** 2
+                if "GJ" in r.wants:
+                    gmat = 0.5 * egh * (C * C - 2.0 * b0m[:, : n + 1] * C + a0m[:, : n + 1])
+                    res.GJ[at] = loss_a + _row_sums(gmat, weights[n]) + inv
+                    last_g[at] = gmat[:, -1]
+                if "rev_h" in r.wants:
+                    res.rev_h[at] = egh * _row_sums(b0m[:, : n + 1] - C, weights[n])
 
     workers = _workers()
     size = max(64, 3_000_000 // ((n_tot + 1) * workers))

@@ -591,15 +591,16 @@ def test_shifted_policies_share_one_boundary_evaluation(monkeypatch):
 
 def _recording_committed(monkeypatch):
     # committed(k) is the engine's committed capacity of each of k
-    # policies, in the order served, and rmaxes the running maxima it
-    # sampled.  One slice of paths is served block by block, each block
-    # every policy in turn, so policy i's blocks are calls i, i + k, ...
+    # requests, in the order served, rmaxes the running maxima it sampled,
+    # and calls each (policy, capacity) the engine formed.  One slice of
+    # paths is served block by block, each block every request in turn, so
+    # request i's blocks are calls i, i + k, ...
     calls, rmaxes = [], []
     commit, path_matrix = montecarlo._committed, montecarlo._path_matrix
 
-    def recording_committed(*args):
-        C = commit(*args)
-        calls.append(C.copy())
+    def recording_committed(policy, *args):
+        C = commit(policy, *args)
+        calls.append((policy, C.copy()))
         return C
 
     def recording_path_matrix(*args):
@@ -609,11 +610,11 @@ def _recording_committed(monkeypatch):
 
     def committed(k):
         assert len(calls) % k == 0
-        return [np.concatenate(calls[i::k]) for i in range(k)]
+        return [np.concatenate([C for _, C in calls[i::k]]) for i in range(k)]
 
     monkeypatch.setattr(montecarlo, "_committed", recording_committed)
     monkeypatch.setattr(montecarlo, "_path_matrix", recording_path_matrix)
-    return committed, rmaxes
+    return committed, rmaxes, calls
 
 
 @pytest.mark.parametrize("rule_scale", [1.0, 0.5, 0.999])
@@ -622,7 +623,7 @@ def test_each_policy_is_the_reflected_shifted_rule_bit_for_bit(name, rule_scale,
     # one running maximum of the rule per slice serves every offset of
     # verify's dominance check: each committed capacity must equal
     # reflect(rule(running max) + offset, c0) exactly
-    committed, rmaxes = _recording_committed(monkeypatch)
+    committed, rmaxes, _ = _recording_committed(monkeypatch)
     scn = get(name).scenario
     offsets, _, _ = check_plan(scn)
     dominance_test(scn, offsets, horizon=20.0, n_paths=40, seed=9, rule_scale=rule_scale)
@@ -634,9 +635,47 @@ def test_each_policy_is_the_reflected_shifted_rule_bit_for_bit(name, rule_scale,
         assert C.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("rule_scale", [1.0, 0.5])
+@pytest.mark.parametrize("name", ["gbm-growth", "cir-fast", "cir-slow", "abm-power"])
+def test_each_battery_request_is_the_reflected_shifted_rule_bit_for_bit(
+        name, rule_scale, monkeypatch):
+    # verify's plan in one batch: identity, dominance's offset 0 and
+    # equilibrium price the optimal policy at different horizons.  Each
+    # request's committed capacity must equal reflect(rule(running max) +
+    # offset, c0) on its own prefix, exactly.  The paths fit one row block,
+    # so every capacity the engine forms covers all of them.
+    n_paths = demand._BLOCK
+    _, rmaxes, calls = _recording_committed(monkeypatch)
+    served, run = [], montecarlo._run
+
+    def recording_run(scenario, base, requests, *args):
+        out = run(scenario, base, requests, *args)
+        served.extend((r.policy, res.horizon) for r, res in zip(requests, out))
+        return out
+
+    monkeypatch.setattr(montecarlo, "_run", recording_run)
+    scn = get(name).scenario
+    offsets, horizon, eq_horizon = check_plan(scn)
+    check_battery(scn, offsets, horizon=horizon, equilibrium_horizon=eq_horizon,
+                  n_paths=n_paths, seed=9, rule_scale=rule_scale)
+    (rmax,) = rmaxes
+    assert len({t for p, t in served if p == PolicySpec.optimal()}) >= 2
+    rule = montecarlo._prepare(scn, rule_scale)
+    lag = max(1, round(scn.h / montecarlo._STEPS[type(scn.model)]))
+    dt = scn.h / lag
+    for policy, t in served:
+        n = round(t / dt)
+        # the narrowest capacity formed for the policy that covers the request
+        C = min((C for p, C in calls if p == policy and C.shape[1] > n),
+                key=lambda C: C.shape[1])
+        assert C.shape[0] == n_paths
+        want = reflect(rule(rmax[:, : n + 1]) + policy.offset, scn.committed_start)
+        assert C[:, : n + 1].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("below", [True, False])
 def test_constant_policy_is_the_reflected_constant(below, monkeypatch):
-    committed, _ = _recording_committed(monkeypatch)
+    committed, _, _ = _recording_committed(monkeypatch)
     scn = cir_market()
     level = scn.committed_start + (-3.0 if below else 3.0)
     estimate_F(scn, PolicySpec.constant(level), horizon=20.0, n_paths=40, seed=9)
