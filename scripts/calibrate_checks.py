@@ -25,6 +25,13 @@ estimate_F samples, so it holds for any checkout's engine.
 Power: the FAIL count of every check at each rule scale, with the mean
 equilibrium z and the mean of each seed's smallest dominance z.
 
+Path counts: per scenario, each verify standard error (identity F and
+G+J, each nonzero dominance row, equilibrium) at the scenario's seed, over
+the plain estimator's at 10k paths, for every multiple of 500 paths up to
+10k, read from prefixes of one 10k-path run (the path streams are
+prefix-consistent), and the smallest multiple at which every ratio is at
+most 1: the README's rule for the named scenarios' path counts.
+
 Coefficient bias: the estimate of each functional of the unscaled run (F,
 G+J, each dominance difference, rev_h) is also formed with the coefficient
 fitted on one half of the paths and applied to the other, both ways round,
@@ -49,6 +56,8 @@ from buildlag import montecarlo
 from buildlag.scenarios import get
 
 SEEDS = range(1000, 1020)
+# the path-count search: prefixes of one SEARCH_PATHS run, in SEARCH_STEP steps
+SEARCH_PATHS, SEARCH_STEP = 10_000, 500
 SCALES = (1.0, 0.999, 0.95, 0.99, 1.01)
 NAMES = ("gbm-growth", "cir-fast", "cir-slow", "abm-power")
 
@@ -62,7 +71,9 @@ def summary(z):
 
 def split_fit(y, controls):
     """The control-variate estimate with the coefficient fitted on one half
-    of the paths and applied to the other, averaged over both ways round."""
+    of the paths and applied to the other, averaged over both ways round,
+    by the engine's own fit (_coefficients) on however many controls it
+    carries."""
     x, mu = controls.values, controls.means
     halves = (slice(0, y.size // 2), slice(y.size // 2, y.size))
     est = []
@@ -76,18 +87,64 @@ def split_fit(y, controls):
 
 def coefficient_bias(results, offsets):
     """(full fit - split fit) / SE of each functional of one battery run."""
-    ident, dom, eq = results[0], results[1:-1], results[-1]
-    ref = dom[offsets.index(0.0)].F
-    pairs = {"F": (ident.F, ident.controls), "GJ": (ident.GJ, ident.controls),
-             "rev_h": (eq.rev_h, eq.controls)}
-    for e, res in zip(offsets, dom):
-        if e:
-            pairs[f"dominance {e:+.6g}"] = (res.F - ref, res.controls)
     out = {}
-    for name, (y, c) in pairs.items():
+    for name, (y, c) in verify_functionals(results, offsets).items():
         mean, se, _ = montecarlo._estimate(y, c)
         out[name] = (mean - split_fit(y, c)) / se
     return out
+
+
+def battery_with_paths(sc, offsets, **kw):
+    """check_battery's reports, and the engine's per-path results behind
+    them."""
+    captured = []
+    engine = montecarlo._run
+
+    def capture(*args, **kwargs):
+        captured[:] = [engine(*args, **kwargs)]
+        return captured[0]
+
+    montecarlo._run = capture
+    try:
+        reports = montecarlo.check_battery(sc, offsets, **kw)
+    finally:
+        montecarlo._run = engine
+    return reports, captured[0]
+
+
+def verify_functionals(results, offsets):
+    """The per-path values and controls behind each verify standard error
+    of one battery run: identity F and G+J, each nonzero dominance
+    difference and the equilibrium revenue."""
+    ident, dom, eq = results[0], results[1:-1], results[-1]
+    ref = dom[offsets.index(0.0)].F
+    pairs = {"F": (ident.F, ident.controls), "GJ": (ident.GJ, ident.controls)}
+    for e, res in zip(offsets, dom):
+        if e:
+            pairs[f"dominance {e:+.6g}"] = (res.F - ref, res.controls)
+    pairs["rev_h"] = (eq.rev_h, eq.controls)
+    return pairs
+
+
+def path_count_search(name):
+    """Each verify SE at every multiple of SEARCH_STEP paths over the plain
+    SE at SEARCH_PATHS, from prefixes of one SEARCH_PATHS run at the
+    scenario's seed, and the smallest count at which none exceeds 1."""
+    cfg = get(name)
+    offsets, horizon, eq_horizon = montecarlo.check_plan(cfg.scenario)
+    _, results = battery_with_paths(cfg.scenario, offsets, horizon=horizon,
+                                    equilibrium_horizon=eq_horizon, n_paths=SEARCH_PATHS,
+                                    seed=cfg.mc.seed)
+    pairs = verify_functionals(results, offsets)
+    plain = {k: montecarlo._estimate(y, None)[1] for k, (y, _) in pairs.items()}
+    ratios = {}
+    for n in range(SEARCH_STEP, SEARCH_PATHS + 1, SEARCH_STEP):
+        prefix = {k: (y[:n], montecarlo._Controls(c.values[:, :n], c.means))
+                  for k, (y, c) in pairs.items()}
+        ratios[n] = {k: montecarlo._estimate(*v)[1] / plain[k] for k, v in prefix.items()}
+    met = [n for n, r in ratios.items() if max(r.values()) <= 1.0]
+    return {"seed": cfg.mc.seed, "plain_se": plain, "se_ratio": ratios,
+            "n_paths": min(met, default=None)}
 
 
 def engine_step(sc):
@@ -112,14 +169,6 @@ def run_scenario(name):
     sc, n_paths = cfg.scenario, cfg.mc.n_paths
     offsets, horizon, eq_horizon = montecarlo.check_plan(sc)
     kw = dict(horizon=horizon, equilibrium_horizon=eq_horizon, n_paths=n_paths)
-    captured = []
-    engine = montecarlo._run
-
-    def capture(*args, **kwargs):
-        # the unscaled run's per-path values, for the split-sample fits
-        captured[:] = [engine(*args, **kwargs)]
-        return captured[0]
-
     z = {"identity": [], "equilibrium": [], "dominance": [[] for e in offsets if e]}
     # per nonzero offset, each seed's (delta, paired SE)
     deltas = [[] for e in offsets if e]
@@ -129,12 +178,12 @@ def run_scenario(name):
     for seed in SEEDS:
         t0 = time.perf_counter()
         for scale in SCALES:
-            montecarlo._run = capture if scale == 1.0 else engine
-            try:
+            if scale == 1.0:
+                # the unscaled run's per-path values, for the split-sample fits
+                (ident, dom, eq), results = battery_with_paths(sc, offsets, seed=seed, **kw)
+            else:
                 ident, dom, eq = montecarlo.check_battery(sc, offsets, seed=seed,
                                                           rule_scale=scale, **kw)
-            finally:
-                montecarlo._run = engine
             for check, rep in (("identity", ident), ("dominance", dom), ("equilibrium", eq)):
                 fails[scale][check] += not rep.passed
             eq_z = (eq.revenue - eq.q0) / eq.std_error
@@ -148,7 +197,7 @@ def run_scenario(name):
                     acc.append(v)
                 for acc, r in zip(deltas, [r for r in dom.rows if r.offset]):
                     acc.append((r.delta, r.paired_se))
-                for k, v in coefficient_bias(captured[0], offsets).items():
+                for k, v in coefficient_bias(results, offsets).items():
                     bias.setdefault(k, []).append(v)
         print(f"{name} seed {seed}: {time.perf_counter() - t0:.1f} s", file=sys.stderr)
     checks = {
@@ -179,7 +228,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     out = {"seeds": list(SEEDS), "rule_scales": list(SCALES), "scenarios": {}}
     for name in NAMES:
-        out["scenarios"][name] = run_scenario(name)
+        out["scenarios"][name] = {**run_scenario(name), "path_counts": path_count_search(name)}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")

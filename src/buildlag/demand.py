@@ -509,7 +509,8 @@ def _path_matrix(model, d0, grid, seeds, vals, rmax):
     overwrites.  Every pass after the draws runs on row blocks
     (_row_blocks), so its temporaries stay in cache: the bridge maximum,
     with each block's uniforms drawn for that block alone, and for ABM and
-    GBM the cumulative sum, the affine map and GBM's exp.
+    GBM the cumulative sum, the affine map and GBM's exp.  A GBM path
+    starts at d0 exactly, and its running maximum is at least d0.
     """
     n = grid.n_steps
     dt = grid.dt
@@ -540,8 +541,13 @@ def _path_matrix(model, d0, grid, seeds, vals, rmax):
             zb += trend
         running_max(lambda b: model.sigma**2 * dt)
         if log:
-            np.exp(vals, out=vals)
-            np.exp(rmax, out=rmax)
+            # exp(log d0) may miss d0 by an ulp: the path starts at d0
+            # exactly, and its running maximum never falls below it
+            for b in _row_blocks(m):
+                np.exp(vals[b], out=vals[b])
+                np.exp(rmax[b], out=rmax[b])
+                np.maximum(rmax[b], d0, out=rmax[b])
+            vals[:, 0] = rmax[:, 0] = d0
         return vals, rmax
     if isinstance(model, CIR):
         _cir_exact(model, d0, n, dt, seeds, vals, rmax[:, 1:])

@@ -203,8 +203,11 @@ class _Request:
 class _Controls:
     """Per-path control variates, one row per control, and their exact
     means: X1 = sum_i w_i D_i and X2 = sum_i w_i D_i^2 over a request's
-    nodes, w its discounted node weights.  The sampler is exact at the
-    nodes, so E[D_t] = beta0(d0, t) and E[D_t^2] = alpha0(d0, t) there."""
+    nodes t_0..t_n, w its discounted node weights, and X3 = sum_i l_i
+    D_(lag+i) and X4 = sum_i l_i D_(lag+i)^2 over the same nodes one lag
+    later, l the weights of F's right piece, which reads the demand there.
+    The sampler is exact at the nodes, so E[D_t] = beta0(d0, t) and
+    E[D_t^2] = alpha0(d0, t) there."""
 
     values: np.ndarray
     means: np.ndarray
@@ -350,9 +353,11 @@ def _run(scenario, base, requests, n_paths, seed):
     by 1; summed by parts, a policy's investment is one row sum of its
     committed capacity.
 
-    Each distinct request horizon gets the two controls of _Controls, two
-    more row sums per block, with means from the closed-form moments at
-    its nodes, beta0(model, d0, t) and alpha0(model, d0, t).
+    Each distinct request horizon gets the four controls of _Controls, four
+    more row sums per block: X1 and X2 on the horizon's weights, X3 and X4
+    on F's right-piece weights, the squares of all of them from one block
+    temporary.  Their means are the same node sums of the closed-form
+    moments beta0(model, d0, t) and alpha0(model, d0, t).
     """
     require_count(1, n_paths=n_paths)
     h, rho = scenario.h, scenario.rho
@@ -389,10 +394,11 @@ def _run(scenario, base, requests, n_paths, seed):
         return max(wanted, default=-1)
 
     n_b0, n_a0 = reach("GJ", "rev_h"), reach("GJ")
-    nodes = times[: max(steps) + 1].tolist()
-    moments = np.array([[f(model, d0, t) for t in nodes] for f in (beta0, alpha0)])
-    controls = {n: _Controls(np.empty((2, n_paths)), _row_sums(moments[:, : n + 1], w))
-                for n, w in weights.items()}
+    moments = np.array([[f(model, d0, t) for t in times.tolist()] for f in (beta0, alpha0)])
+    controls = {n: _Controls(np.empty((4, n_paths)), np.concatenate(
+                    [_row_sums(moments[:, : n + 1], weights[n]),
+                     _row_sums(moments[:, lag : lag + n + 1], lagged[n])]))
+                for n in weights}
     out = [_Functionals(n * dt, controls[n], **{w: np.empty(n_paths) for w in r.wants})
            for r, n in zip(requests, steps)]
     # per-path last-node integrands of F and G, for the tail bounds
@@ -430,10 +436,15 @@ def _run(scenario, base, requests, n_paths, seed):
             loss_a = _row_sums(0.5 * (v[:, : lag + 1] - k0) ** 2, aw)
             b0m = beta0(model, v[:, : n_b0 + 1], h)
             a0m = alpha0(model, v[:, : n_a0 + 1], h)
-            sq = v[:, : max(controls) + 1] ** 2
+            sq = v[:, : lag + max(controls) + 1] ** 2
             for n, c in controls.items():
                 c.values[0, at] = _row_sums(v[:, : n + 1], weights[n])
                 c.values[1, at] = _row_sums(sq[:, : n + 1], weights[n])
+                c.values[2, at] = _row_sums(v[:, lag : lag + n + 1], lagged[n])
+                c.values[3, at] = _row_sums(sq[:, lag : lag + n + 1], lagged[n])
+            # freed before the requests' temporaries, which would otherwise
+            # stack on it (about 0.5 MB of peak resident memory in verify)
+            del sq
             R = None
             if levels is not None:
                 R = np.maximum.accumulate(levels[b], axis=1, out=levels[b])
@@ -443,9 +454,12 @@ def _run(scenario, base, requests, n_paths, seed):
                 if "F" in r.wants or "GJ" in r.wants:
                     inv = q0 * (_row_sums(C, invest[n]) - c0)
                 if "F" in r.wants:
-                    resid = C - v[:, lag : lag + n + 1]
-                    res.F[at] = loss_a + _row_sums(0.5 * resid**2, lagged[n]) + inv
-                    last_f[at] = 0.5 * resid[:, -1] ** 2
+                    # halving is exact, so halving the row sum of the
+                    # squares is halving each square
+                    sq_resid = C - v[:, lag : lag + n + 1]
+                    sq_resid *= sq_resid
+                    res.F[at] = loss_a + 0.5 * _row_sums(sq_resid, lagged[n]) + inv
+                    last_f[at] = 0.5 * sq_resid[:, -1]
                 if "GJ" in r.wants:
                     gmat = 0.5 * egh * (C * C - 2.0 * b0m[:, : n + 1] * C + a0m[:, : n + 1])
                     res.GJ[at] = loss_a + _row_sums(gmat, weights[n]) + inv
@@ -503,24 +517,42 @@ def _se(per_path: np.ndarray) -> float:
     return se
 
 
-# a control whose centred sum of squares left after the control before it
-# is at most this share of its own adds nothing the first does not give
+# a control whose centred sum of squares left after the controls before it
+# is at most this share of its own adds nothing they do not give
 _COLLINEAR = 1e-10
 
 
 def _coefficients(S, s_y):
-    """OLS coefficients of y on the two controls, from their centred cross
-    sums S (2 x 2) and their centred sums with y, and how many controls
-    they fit: 0 when the first control does not vary, 1 when the second is
-    collinear with it (its coefficient is then 0), else 2."""
-    s11, s12, s22 = S[0, 0], S[0, 1], S[1, 1]
-    if not s11 > 0.0:
-        return np.zeros(2), 0
-    r22 = s22 - s12 * s12 / s11
-    if not r22 > _COLLINEAR * s22:
-        return np.array([s_y[0] / s11, 0.0]), 1
-    b2 = (s_y[1] - s12 * s_y[0] / s11) / r22
-    return np.array([(s_y[0] - s12 * b2) / s11, b2]), 2
+    """OLS coefficients of y on the p controls, from their centred cross
+    sums S (p x p) and their centred sums s_y with y, and how many controls
+    they fit.
+
+    The normal equations S b = s_y are solved in Cholesky order, as
+    S = L D L^T with L unit lower triangular, in plain float arithmetic (no
+    BLAS, no numpy.linalg).  Control k's pivot D_k is its centred sum of
+    squares left after the controls before it; at most _COLLINEAR of its
+    own (0 for a control that does not vary), it is dropped: its
+    coefficient is 0 and no later control is fitted against it.
+    """
+    p = len(s_y)
+    L = [[0.0] * p for _ in range(p)]
+    D = [0.0] * p
+    for k in range(p):
+        for j in range(k):
+            if D[j]:
+                L[k][j] = (S[k, j] - sum(L[k][i] * L[j][i] * D[i] for i in range(j))) / D[j]
+        left = S[k, k] - sum(L[k][j] ** 2 * D[j] for j in range(k))
+        if left > _COLLINEAR * S[k, k]:
+            D[k] = left
+    # L z = s_y, then L^T b = z / D, a dropped control's entry 0
+    z = [0.0] * p
+    for k in range(p):
+        z[k] = s_y[k] - sum(L[k][j] * z[j] for j in range(k))
+    b = [0.0] * p
+    for k in reversed(range(p)):
+        if D[k]:
+            b[k] = z[k] / D[k] - sum(L[i][k] * b[i] for i in range(k + 1, p))
+    return np.array(b), sum(1 for d in D if d)
 
 
 def _estimate(per_path: np.ndarray, controls: _Controls | None) -> tuple[float, float, float]:
@@ -530,11 +562,13 @@ def _estimate(per_path: np.ndarray, controls: _Controls | None) -> tuple[float, 
     of every report.
 
     mean - b . (mean of X - E[X]), b the OLS coefficient of the values on
-    the controls X, from centred sums taken without BLAS (einsum and
-    np.sum), so no estimate depends on the BLAS thread count.  The
-    standard error is that of the regression residuals, on n - p - 1
-    degrees of freedom for p fitted controls.  With no controls, or fewer
-    than p + 2 paths, b is 0: the plain mean and sample standard error.
+    the p controls X, from centred sums taken without BLAS (einsum and
+    np.sum) and solved in Cholesky order by _coefficients, which drops a
+    control collinear with those before it; so no estimate depends on the
+    BLAS thread count.  The standard error is that of the regression
+    residuals, on n - p - 1 degrees of freedom for p fitted controls.
+    With no controls, or fewer than p + 2 paths (6 for the engine's four
+    controls), b is 0: the plain mean and sample standard error.
     The variance ratio is the squared ratio of the two standard errors,
     1 where the plain one is 0.
     """

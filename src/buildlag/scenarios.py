@@ -208,8 +208,9 @@ def library() -> dict[str, RunConfig]:
     seeds = {"gbm-growth": 101, "cir-fast": 102, "cir-slow": 103, "abm-power": 104}
     # the smallest multiple of 500 paths at which every verify check's
     # control-variate standard error, at the scenario's seed, is at most
-    # the plain estimator's at 10k paths (README, "Monte Carlo estimates")
-    paths = {"gbm-growth": 5000, "cir-fast": 5000, "cir-slow": 4500, "abm-power": 7500}
+    # the plain estimator's at 10k paths (README, "Monte Carlo estimates"),
+    # as scripts/calibrate_checks.py's path-count search reads it
+    paths = {"gbm-growth": 5000, "cir-fast": 1500, "cir-slow": 4000, "abm-power": 3000}
     return {
         name: RunConfig(
             scenario=sc,

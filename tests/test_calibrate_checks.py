@@ -2,7 +2,8 @@
 
 The script reaches into montecarlo's private names (_run, _coefficients,
 _row_sums, _estimate), so a change to the engine can break it without any
-other test noticing.  This runs one scenario on two seeds at 200 paths."""
+other test noticing.  This runs one scenario on two seeds at 200 paths,
+and its path-count search on prefixes of one 400-path run."""
 
 import importlib.util
 import math
@@ -45,3 +46,28 @@ def test_calibration_runs_one_scenario(monkeypatch):
     for entry in bias.values():
         assert entry["n"] == 2
         assert all(math.isfinite(entry[k]) for k in ("mean_z", "se_mean_z", "spread_z"))
+
+
+def test_path_count_search_reads_prefixes_of_one_run(monkeypatch):
+    script = load_script()
+    monkeypatch.setattr(script, "SEARCH_PATHS", 400)
+    monkeypatch.setattr(script, "SEARCH_STEP", 100)
+    runs = []
+    engine = montecarlo._run
+
+    def counting(scenario, base, requests, n_paths, seed):
+        runs.append((n_paths, seed))
+        return engine(scenario, base, requests, n_paths, seed)
+
+    monkeypatch.setattr(montecarlo, "_run", counting)
+    out = script.path_count_search("abm-power")
+    cfg = scenarios.get("abm-power")
+    assert runs == [(400, cfg.mc.seed)] and out["seed"] == cfg.mc.seed
+    assert list(out["se_ratio"]) == [100, 200, 300, 400]
+    names = set(out["plain_se"])
+    assert {"F", "GJ", "rev_h"} <= names and len(names) == 7
+    # the plain SE at the full count is the reference, so the full count's
+    # ratios are the square roots of the variance ratios, all below 1
+    assert all(0.0 < r < 1.0 for r in out["se_ratio"][400].values())
+    met = [n for n, r in out["se_ratio"].items() if max(r.values()) <= 1.0]
+    assert out["n_paths"] == min(met)

@@ -534,10 +534,10 @@ def test_verify_battery_passes(capsys):
 # sha256 of `verify --scenario <name> --paths 400`: the report assembly, the
 # truncation guard, the oracle and the sensitivities, pinned to the byte
 _VERIFY_DIGESTS = {
-    "cir-fast": "9948a1d051c75d02154334f2a4ec08c533cd4bc9eee763a88dfdf8a035df5966",
-    "gbm-growth": "bd461a471e9d8da228184614d591b409f6cadcca8fa62243672d88ee9dd4f661",
-    "cir-slow": "7b8c6530b370455785f593216668cfb397a4809be7c3ccaf94fc2eb9f2e5b79f",
-    "abm-power": "a7741359ffcb1daa0144d7a37dfc158deb27f281f82c21f719c0716605551576",
+    "cir-fast": "a9f94f08c7ef9fee7c4fec28c19624368dbd8b327d1c62791e76cecda7c93292",
+    "gbm-growth": "63f481060e65beb0fdf195cd108e8fb1dbfa214d212d7b728ea455e4d2e1feab",
+    "cir-slow": "22c199170dcd987a4b84ff8fdb62a15f63b9fcf96224c802c05875720d687701",
+    "abm-power": "d775e973e846c1c4eff627589198e3f7e2252d74f32047e920a7a62003466917",
 }
 
 

@@ -284,6 +284,19 @@ def test_gbm_paths_positive_cir_paths_nonnegative():
     assert np.all(cv > 0.0)
 
 
+@pytest.mark.parametrize("model", MODELS, ids=IDS)
+def test_paths_start_at_d0_and_their_running_maximum_never_falls_below_it(model):
+    # GBM samples in log space, and exp(log 1000) is 1000 less an ulp:
+    # node 0 must still be d0 exactly, in both matrices
+    d0 = 1000.0 if isinstance(model, GBM) else _d0(model)
+    grid = TimeGrid(0.0, 0.2, 10)
+    path = sample_path(model, d0, grid, 101)
+    assert path.values[0] == path.running_max[0] == d0
+    vals, rmax = sample_paths(model, d0, grid, seed=5, n_paths=300)
+    assert np.all(vals[:, 0] == d0) and np.all(rmax[:, 0] == d0)
+    assert np.all(rmax >= d0) and np.all(rmax >= vals)
+
+
 def test_d0_outside_state_space_rejected():
     grid = TimeGrid(0.0, 0.1, 5)
     with pytest.raises(ParameterError):

@@ -688,10 +688,10 @@ def test_constant_policy_is_the_reflected_constant(below, monkeypatch):
 # sha256 of repr(check_battery(...)) at 400 paths with verify's offsets and
 # horizons: the engine's reports are pinned to the bit
 _BATTERY_DIGESTS = {
-    "gbm-growth": "f065d6028b78da12481eb234ea4c6d8dd6532779c2afac0a7f15515823c5fa79",
-    "cir-fast": "3ea4dae1f99d7f5ea8376c31be016edb20436bf1ce939bd774b8d8ecec0ade0d",
-    "cir-slow": "1d1c4a65d2f97f65b4699db6cb35b967b6027bee56030203a9b008fc7f236d9f",
-    "abm-power": "0b47a86d047cb5c2c1c20d377eebff0515c287ae7afe3f1e5aeb57437be223ca",
+    "gbm-growth": "5fc409fe7316d0d462d47aca4784b615d6e862b2e3bfdb511a4a2cb3f936e6f1",
+    "cir-fast": "a5fc15547fca1f8ab106163f9aa8c0e6373af6df9dd945a20053747f50abdef7",
+    "cir-slow": "ae7aa2ff8d93a08bf6c06734375c3ca9a9cd3d43d52ea3d5fc91d5e0f999b8ad",
+    "abm-power": "52fabe47f05cd67398cf613dfce084e1758b422ba39017d303f1b13aa5567603",
 }
 
 
@@ -871,17 +871,28 @@ def _functionals(scn, wants, horizon, n_paths, seed):
 @pytest.mark.parametrize("make", [gbm_market, cir_market, abm_market])
 def test_control_means_match_their_closed_forms(make):
     # the controls' means are node sums of the discounted closed-form
-    # moments E[D_t] and E[D_t^2], so they match quadrature to the rule's
-    # O(dt^2); the samplers are exact at the nodes, so the sampled controls
-    # scatter about those means
+    # moments E[D_t] and E[D_t^2], over [0, T] for X1 and X2 and over the
+    # nodes one lag later, [h, T + h], for X3 and X4; so they match
+    # quadrature to the rule's O(dt^2).  The samplers are exact at the
+    # nodes, so the sampled controls scatter about those means
     scn = make()
     res = _functionals(scn, ("F",), 20.0, 2000, 5)
-    for row, moment in enumerate((beta0, alpha0)):
+    T, h = res.horizon, scn.h
+    spans = [(0.0, T)] * 2 + [(h, T + h)] * 2
+    for row, (moment, (a, b)) in enumerate(zip((beta0, alpha0) * 2, spans)):
         exact = quad(lambda t: math.exp(-RHO * t) * moment(scn.model, scn.d, t),
-                     0.0, 20.0, limit=200)[0]
+                     a, b, limit=200)[0]
         assert res.controls.means[row] == pytest.approx(exact, rel=1e-5)
         x = res.controls.values[row]
         assert abs(np.mean(x) - exact) <= 4.0 * np.std(x, ddof=1) / math.sqrt(x.size)
+
+
+def test_the_lagged_controls_take_out_nearly_all_of_the_cost_variance():
+    # F's loss reads the demand one lag later, which the controls on the
+    # lagged nodes see: on the square-root market they leave under 1% of
+    # the plain variance (about 0.30 with the controls on [0, T] alone)
+    est = estimate_F(cir_market(), horizon=150.0, n_paths=1500, seed=102)
+    assert est.variance_ratio < 0.01
 
 
 @pytest.mark.parametrize("make", [gbm_market, cir_market, abm_market])
@@ -901,9 +912,9 @@ def test_adjusted_mean_agrees_with_the_plain_mean_over_seeds(make):
         assert abs(np.mean(gaps)) <= 3.0 * np.std(gaps, ddof=1) / math.sqrt(len(gaps)), want
 
 
-@pytest.mark.parametrize("n_paths", [1, 2, 3])
-def test_below_four_paths_the_estimate_is_the_plain_mean(n_paths):
-    # two controls need p + 2 = 4 paths; with fewer the coefficient is 0
+@pytest.mark.parametrize("n_paths", [1, 2, 3, 4, 5])
+def test_below_six_paths_the_estimate_is_the_plain_mean(n_paths):
+    # four controls need p + 2 = 6 paths; with fewer the coefficient is 0
     scn = cir_market()
     per_path = _functionals(scn, ("F",), 20.0, n_paths, 3).F
     est = estimate_F(scn, horizon=20.0, n_paths=n_paths, seed=3)
@@ -911,7 +922,7 @@ def test_below_four_paths_the_estimate_is_the_plain_mean(n_paths):
     se = float(np.std(per_path, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     assert est.std_error == se
     assert est.variance_ratio == 1.0
-    assert estimate_F(scn, horizon=20.0, n_paths=4, seed=3).variance_ratio != 1.0
+    assert estimate_F(scn, horizon=20.0, n_paths=6, seed=3).variance_ratio != 1.0
 
 
 def test_collinear_or_constant_controls_are_dropped():
@@ -927,6 +938,25 @@ def test_collinear_or_constant_controls_are_dropped():
     # controls that do not vary fit nothing: the plain estimate
     flat = montecarlo._Controls(np.ones((2, 10)), np.array([1.0, 1.0]))
     assert montecarlo._estimate(y, flat) == pytest.approx(montecarlo._estimate(y, None))
+    # four controls, the third the sum of the first two: exactly that one is
+    # dropped, and the other three fit on n - 4 degrees of freedom
+    rng = np.random.default_rng(7)
+    n = 40
+    x1, x2, x4 = rng.standard_normal((3, n))
+    X = np.array([x1, x2, x1 + x2, x4])
+    means = np.array([0.1, -0.2, -0.1, 0.3])
+    y = 2.0 * x1 - x2 + 0.5 * x4 + 0.1 * rng.standard_normal(n)
+    xc, yc = X - X.mean(axis=1)[:, None], y - y.mean()
+    b, p = montecarlo._coefficients(np.einsum("ij,kj->ik", xc, xc), xc @ yc)
+    assert p == 3 and b[2] == 0.0
+    kept = [0, 1, 3]
+    ref = np.linalg.lstsq(xc[kept].T, yc, rcond=None)[0]
+    assert b[kept] == pytest.approx(ref, rel=1e-10)
+    mean, se, _ = montecarlo._estimate(y, montecarlo._Controls(X, means))
+    assert mean == pytest.approx(y.mean() - ref @ (X.mean(axis=1)[kept] - means[kept]),
+                                 rel=1e-12)
+    resid = yc - ref @ xc[kept]
+    assert se == pytest.approx(math.sqrt(np.sum(resid**2) / (n - 4) / n), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from buildlag.scenarios import MCSettings, OutputSettings, dumps, from_dict, get
 # sha256 of dumps(get(name)): the canonical text of each named scenario
 DIGESTS = {
     "gbm-growth": "d2d61a1399d71cdb945863058deed1fe1deb986d7fc14beebcb72e88ef37d2bd",
-    "cir-fast": "ce6c9e1d7cd3ed92061e8e90bde5135a5df07fc48ef41167684e06f1ceaad4ae",
-    "cir-slow": "497f13709151099204be19d5d0e54b9c76e3aa8264769b82869bba65ade4363f",
-    "abm-power": "b522ca006c249b483311b25abf6d107578159e9a8a96acfef71aed5aff684d06",
+    "cir-fast": "f264ca1259fa6e0357b8b355a999a6bf86db11fdec495db8f3e136bf38904f71",
+    "cir-slow": "e88deab79048995f83666e1e73fb428fbd8e7c2c378bf2385f16bb04df552367",
+    "abm-power": "cab96b3951a7ba2d823c261826ba7a14ca31e8fae076fcfdc81e022f845eeb97",
 }
 
 # where each section sits in a config: the keys from the root down
